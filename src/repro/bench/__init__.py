@@ -39,7 +39,7 @@ from .specs import (
     BenchDataset,
     GeneratorSpec,
     ParamField,
-    SPEC_REGISTRY,
+    GENERATOR_SPECS,
     available_specs,
     generate,
     get_spec,
@@ -68,7 +68,7 @@ __all__ = [
     "ParamField",
     "GeneratorSpec",
     "BenchDataset",
-    "SPEC_REGISTRY",
+    "GENERATOR_SPECS",
     "available_specs",
     "get_spec",
     "generate",

@@ -152,7 +152,7 @@ def _cmd_gate(args: argparse.Namespace) -> int:
 
 
 def _cmd_specs(args: argparse.Namespace) -> int:
-    from .specs import SPEC_REGISTRY, available_specs
+    from .specs import GENERATOR_SPECS, available_specs
 
     if args.json:
         document = {
@@ -171,12 +171,12 @@ def _cmd_specs(args: argparse.Namespace) -> int:
                     for fld in spec.fields
                 ],
             }
-            for name, spec in sorted(SPEC_REGISTRY.items())
+            for name, spec in sorted(GENERATOR_SPECS.items())
         }
         print(json.dumps(document, indent=2, sort_keys=True))
         return 0
     for name in available_specs():
-        spec = SPEC_REGISTRY[name]
+        spec = GENERATOR_SPECS[name]
         print(f"{name}: {spec.description}")
         for fld in spec.fields:
             bounds = ""

@@ -19,7 +19,7 @@ Three layers:
   fields, a cross-field check, and a builder mapping validated params
   plus two spawned child seeds (data, mask) to a
   :class:`BenchDataset`;
-- the registry - :data:`SPEC_REGISTRY` / :func:`get_spec` /
+- the registry - :data:`GENERATOR_SPECS` / :func:`get_spec` /
   :func:`available_specs`, the namespace sweep CLIs select from.
 
 Determinism rules every builder follows:
@@ -54,7 +54,7 @@ __all__ = [
     "ParamField",
     "GeneratorSpec",
     "BenchDataset",
-    "SPEC_REGISTRY",
+    "GENERATOR_SPECS",
     "available_specs",
     "get_spec",
     "generate",
@@ -310,7 +310,7 @@ def _build_paper(
     return _inject(dataset, params, mask_rng)
 
 
-SPEC_REGISTRY: dict[str, GeneratorSpec] = {
+GENERATOR_SPECS: dict[str, GeneratorSpec] = {
     spec.name: spec
     for spec in (
         GeneratorSpec(
@@ -356,12 +356,12 @@ SPEC_REGISTRY: dict[str, GeneratorSpec] = {
 
 def available_specs() -> tuple[str, ...]:
     """Registered spec names, sorted."""
-    return tuple(sorted(SPEC_REGISTRY))
+    return tuple(sorted(GENERATOR_SPECS))
 
 
 def get_spec(name: str) -> GeneratorSpec:
     """Look a spec up by name, or raise naming the alternatives."""
-    spec = SPEC_REGISTRY.get(str(name))
+    spec = GENERATOR_SPECS.get(str(name))
     if spec is None:
         raise ValidationError(
             f"unknown generator spec {name!r}; available: "

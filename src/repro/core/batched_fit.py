@@ -92,8 +92,6 @@ def _prepare(model: MatrixFactorizationBase, plan: FitPlan) -> BatchedFit:
 
 def fit_models_batched(
     jobs: Sequence[tuple[MatrixFactorizationBase, object, object]],
-    *,
-    use_gram: bool = False,
 ) -> list[FitReport]:
     """Fit every ``(model, x, mask)`` job, batching the compatible ones.
 
@@ -101,10 +99,6 @@ def fit_models_batched(
     model is left fitted exactly as ``model.fit(x, mask)`` would leave
     it (same factors — bit-identical — same ``n_iter`` / ``converged``
     / ``objective_history`` / ``fitted_model_``).
-
-    ``use_gram`` opts the stacked U-update into the batched Gram-cache
-    landmark split (documented ≤ 1e-12 deviation; off by default so
-    golden paths stay bit-exact).
     """
     reports: list[FitReport | None] = [None] * len(jobs)
     groups: dict[object, list[_Prepared]] = {}
@@ -147,7 +141,6 @@ def fit_models_batched(
             eval_every=eval_every,
             learning_rate=lr,
             frozen_prefix=prefix,
-            use_gram=use_gram,
         )
         for member, report in zip(members, result.reports):
             member.model._fit_finish(

@@ -4,18 +4,19 @@
 SMFL: input validation, mask handling, factor initialisation, and the
 fitted-state API (``reconstruct``, ``impute``, ``fit_impute``).  The
 iteration itself is delegated to :class:`repro.engine.IterativeEngine`,
-which drives a named update kernel (see :mod:`repro.engine.kernels`)
-and records per-iteration telemetry into a
-:class:`~repro.engine.FitReport`.  Subclasses override three hooks:
+which drives the fit's kernel object (built once per fit by
+:func:`repro.engine.workspace.build_kernel`) and records per-iteration
+telemetry into a :class:`~repro.engine.FitReport`.  Subclasses override
+these hooks:
 
 - ``_prepare_fit``     - build per-model structures (graphs, landmarks);
 - ``_initial_factors`` - produce (and possibly modify) U0, V0;
 - ``_kernel_context``  - the regularizers/masks the update kernel needs;
 - ``_objective``       - the objective the convergence monitor tracks.
 
-``_step`` remains overridable for models whose iteration is not a
-registered kernel, but the base implementation — look the kernel up by
-``update_rule`` and apply it — covers the whole NMF/SMF/SMFL family.
+``_step`` remains overridable for models whose iteration is not one of
+the update rules, but the base implementation — apply the fit's kernel
+object — covers the whole NMF/SMF/SMFL family.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from ..engine.callbacks import Callback, Telemetry
 from ..engine.core import IterativeEngine
-from ..engine.kernels import KernelContext, available_kernels, get_kernel
+from ..engine.kernels import UPDATE_RULES, KernelContext
 from ..engine.report import FactorizationResult, FitReport
 from ..engine.solver import Solver
 from ..engine.stochastic import (
@@ -37,8 +38,8 @@ from ..engine.stochastic import (
 )
 from ..engine.workspace import (
     KERNEL_PATHS,
-    KernelWorkspace,
-    build_kernel_workspace,
+    ReferenceKernel,
+    build_kernel,
     resolve_kernel_path,
 )
 from ..exceptions import NotFittedError, ValidationError
@@ -82,10 +83,6 @@ def _clip_columns_to_observed(
 
 # Public alias: baselines reuse the same safeguard.
 clip_columns_to_observed = _clip_columns_to_observed
-
-UPDATE_RULES = available_kernels()
-"""Update strategies of Section III-B (the registered kernel names)."""
-
 
 @dataclass
 class FitPlan:
@@ -162,7 +159,7 @@ class MatrixFactorizationBase:
         a stochastic ``update_rule`` (``"sgd"``/``"svrg"``) implies
         ``method="stochastic"``.
     update_rule:
-        Name of a registered update kernel: ``"multiplicative"``
+        Update strategy: ``"multiplicative"``
         (Formulas 13-14, the batch default), ``"gradient"``
         (Section III-B1), or the stochastic ``"sgd"`` (the
         ``method="stochastic"`` default) / ``"svrg"`` rules.  ``None``
@@ -187,15 +184,17 @@ class MatrixFactorizationBase:
         iteration; larger values trade convergence-check granularity
         for speed on large matrices).
     kernel_path:
-        Batch-path execution strategy (see
-        :mod:`repro.engine.workspace`): ``"auto"`` (default) picks the
-        sparse-observed fast path at low observed density and the
-        allocation-free dense workspace otherwise; ``"workspace"`` and
-        ``"sparse"`` force a path; ``"reference"`` runs the naive
-        allocating update rules (the bit-exact baseline).  The dense
-        workspace is bit-identical to the reference; the sparse path
-        is numerically equivalent.  Ignored by ``method="stochastic"``
-        (those kernels own their buffers).
+        Batch-path execution strategy, one of
+        :data:`~repro.engine.workspace.KERNEL_PATHS`, resolved once per
+        fit into the fit's kernel object (see
+        :func:`repro.engine.workspace.build_kernel`): ``"auto"``
+        (default) picks the sparse-observed fast path at low observed
+        density and the allocation-free dense workspace otherwise;
+        ``"workspace"`` and ``"sparse"`` force a path; ``"reference"``
+        runs the naive allocating update rules (the bit-exact
+        baseline).  The dense workspace is bit-identical to the
+        reference; the sparse path is numerically equivalent.  Ignored
+        by ``method="stochastic"`` (its epochs own their buffers).
     clip_to_observed:
         When imputing, clip each column's filled values to the range of
         that column's *observed* entries (default ``True``).  Low-rank
@@ -237,10 +236,9 @@ class MatrixFactorizationBase:
             )
         if update_rule is None:
             update_rule = "sgd" if method == "stochastic" else "multiplicative"
-        if update_rule not in available_kernels():
+        if update_rule not in UPDATE_RULES:
             raise ValidationError(
-                f"unknown update_rule {update_rule!r}; "
-                f"available: {available_kernels()}"
+                f"unknown update_rule {update_rule!r}; available: {UPDATE_RULES}"
             )
         if update_rule in STOCHASTIC_KERNELS:
             method = "stochastic"
@@ -280,9 +278,8 @@ class MatrixFactorizationBase:
         self._fit_x: np.ndarray | None = None
         self._fit_mask: ObservationMask | None = None
         self._ctx_cache: tuple[tuple[int, int], KernelContext] | None = None
-        self._scheduler: BatchScheduler | None = None
-        self._workspace: StochasticWorkspace | None = None
-        self._kernel_workspace: KernelWorkspace | None = None
+        # The per-fit kernel object (build_kernel), rebuilt by every fit.
+        self._kernel = None
 
     # ----------------------------------------------------------------- hooks
 
@@ -323,9 +320,6 @@ class MatrixFactorizationBase:
         return KernelContext(
             learning_rate=self.learning_rate,
             frozen_v=self._frozen_v_mask(v_shape),
-            scheduler=self._scheduler,
-            workspace=self._workspace,
-            kernel_workspace=self._kernel_workspace,
         )
 
     def _cached_kernel_context(self, v_shape: tuple[int, int]) -> KernelContext:
@@ -347,9 +341,16 @@ class MatrixFactorizationBase:
         u: np.ndarray,
         v: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """One update iteration: apply the named kernel."""
+        """One update iteration: apply the fit's kernel object.
+
+        Outside :meth:`fit` (hooks driven by hand) no kernel object
+        exists yet, and the step runs the reference rules.
+        """
+        kernel = self._kernel
+        if kernel is None:
+            kernel = ReferenceKernel(observed, self.update_rule)
         with get_tracer().span(f"kernel:{self.update_rule}", method=self.method):
-            return get_kernel(self.update_rule).step(
+            return kernel.step(
                 x_observed, observed, u, v, self._cached_kernel_context(v.shape)
             )
 
@@ -360,12 +361,12 @@ class MatrixFactorizationBase:
         v: np.ndarray,
         observed: np.ndarray,
     ) -> float:
-        """Masked reconstruction error, via the fit's workspace when one
-        is active (allocation-free; dense mode bit-identical to the
-        reference expression)."""
-        ws = self._kernel_workspace
-        if ws is not None and ws.shape == x.shape:
-            return ws.masked_objective(x, u, v)
+        """Masked reconstruction error, via the fit's kernel object when
+        one is active (the workspace's is allocation-free; dense mode
+        bit-identical to the reference expression)."""
+        kernel = self._kernel
+        if kernel is not None and kernel.shape == x.shape:
+            return kernel.masked_objective(x, u, v)
         return masked_frobenius_sq(x, u, v, observed)
 
     def _objective(
@@ -445,12 +446,13 @@ class MatrixFactorizationBase:
         self._prepare_fit(x, x_observed, observation)
         u, v = self._initial_factors(x_observed, observed, rng)
 
-        # The stochastic machinery is rebuilt per fit.  Drawing the
+        # The stochastic schedule is rebuilt per fit.  Drawing the
         # shuffle seed *after* the factor initialisation keeps U0/V0
         # identical between the batch and stochastic paths for the same
         # random_state (the equivalence tests rely on this).
+        scheduler = None
         if self.fit_method == "stochastic":
-            self._scheduler = BatchScheduler(
+            scheduler = BatchScheduler(
                 x.shape[0],
                 batch_size=self.batch_size,
                 shuffle=self.shuffle,
@@ -458,26 +460,21 @@ class MatrixFactorizationBase:
                 learning_rate=self.learning_rate,
                 decay=self.lr_decay,
             )
-            self._workspace = StochasticWorkspace()
-        else:
-            self._scheduler = None
-            self._workspace = None
 
         frozen = self._frozen_v_mask(v.shape)
-        if self.fit_method == "batch":
-            # Per-fit buffer arena + (for SMFL) the Gram-cached landmark
-            # block; `None` means the reference path was selected.
-            self._kernel_workspace = build_kernel_workspace(
-                x_observed,
-                observed,
-                kernel_path=self.kernel_path,
-                update_rule=self.update_rule,
-                frozen_prefix=frozen_column_prefix(frozen),
-                v0=v,
-            )
-        else:
-            self._kernel_workspace = None
-        self._ctx_cache = None  # graph/landmark/stochastic structures rebuilt
+        # One kernel object per fit: buffer arena + (for SMFL on the
+        # sparse path) the Gram-cached landmark block, the stochastic
+        # epoch state, or the reference rules.
+        self._kernel = build_kernel(
+            x_observed,
+            observed,
+            update_rule=self.update_rule,
+            kernel_path=self.kernel_path,
+            frozen_prefix=frozen_column_prefix(frozen),
+            v0=v,
+            scheduler=scheduler,
+        )
+        self._ctx_cache = None  # graph/landmark structures rebuilt
 
         if frozen is not None and frozen.any():
             telemetry = Telemetry(
@@ -522,18 +519,15 @@ class MatrixFactorizationBase:
         if report is not None:
             self.fit_report_ = report
         else:
-            workspace = self._workspace
+            kernel = self._kernel
+            stochastic = isinstance(kernel, StochasticWorkspace)
             self.fit_report_ = plan.telemetry.report(
                 u=self.u_.copy(),
                 v=self.v_.copy(),
                 sampled_objectives=(
-                    tuple(workspace.sampled_objectives)
-                    if workspace is not None
-                    else ()
+                    tuple(kernel.sampled_objectives) if stochastic else ()
                 ),
-                rows_touched=(
-                    tuple(workspace.rows_touched) if workspace is not None else ()
-                ),
+                rows_touched=tuple(kernel.rows_touched) if stochastic else (),
             )
         self._fit_x = plan.x
         self._fit_mask = plan.observation
@@ -599,14 +593,12 @@ class MatrixFactorizationBase:
         )
         if (custom_objective or custom_context) and not declares_terms:
             return False
+        # Only the dense workspace kernel object is batchable
+        # bit-identically (same resolution build_kernel will make).
         resolved = resolve_kernel_path(
-            # "batched"/"numba" resolve through the registry seam; only
-            # the dense workspace path is batchable bit-identically.
-            self.kernel_path,
-            update_rule=self.update_rule,
-            observed=observed,
+            self.kernel_path, update_rule=self.update_rule, observed=observed
         )
-        return resolved in ("workspace", "numba")
+        return resolved == "workspace"
 
     def reconstruct(self) -> np.ndarray:
         """``X* = U* V*``: the model's full reconstruction."""

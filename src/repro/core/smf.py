@@ -139,9 +139,6 @@ class SMF(MatrixFactorizationBase):
             laplacian=self.laplacian_,
             learning_rate=self.learning_rate,
             frozen_v=self._frozen_v_mask(v_shape),
-            scheduler=self._scheduler,
-            workspace=self._workspace,
-            kernel_workspace=self._kernel_workspace,
         )
 
     def _batched_terms(self) -> dict:

@@ -17,20 +17,23 @@ Architecture (see DESIGN.md section "Engine layer")::
 - :class:`Callback` / :class:`Telemetry` - per-iteration observers;
   Telemetry captures objectives, wall times, factor deltas, and
   landmark-block invariance into a :class:`FitReport`;
-- :mod:`repro.engine.kernels` - named update kernels (multiplicative /
-  gradient / sgd / svrg) the factorization models select via
-  ``update_rule``;
-- :mod:`repro.engine.stochastic` - the mini-batch path:
-  :class:`BatchScheduler` epoch planning, the per-fit
-  :class:`StochasticWorkspace`, and the ``sgd``/``svrg`` kernels;
-- :mod:`repro.engine.workspace` - the allocation-free fast path:
-  :class:`KernelWorkspace` (preallocated fused update buffers, the
-  frozen-landmark Gram cache, the sparse-observed gather/scatter
-  kernels) selected per fit via the models' ``kernel_path`` option;
-- :mod:`repro.engine.backends` - the kernel backend registry behind
-  ``kernel_path``: named workspace factories (reference / workspace /
-  sparse / batched / the optional compiled ``numba`` backend) with
-  availability probing and clean fallback;
+- :func:`build_kernel` - the one kernel seam: resolves
+  ``(update_rule, kernel_path, observed density)`` once per fit into a
+  kernel object exposing ``step(x_observed, observed, u, v, ctx)`` and
+  ``masked_objective``:
+
+  - :class:`KernelWorkspace` (:mod:`repro.engine.workspace`) - the
+    allocation-free dense and sparse-observed paths of the
+    multiplicative/gradient rules (preallocated fused update buffers,
+    the frozen-landmark Gram cache, gather/scatter kernels);
+  - :class:`StochasticWorkspace` (:mod:`repro.engine.stochastic`) - the
+    ``sgd``/``svrg`` mini-batch epochs planned by a
+    :class:`BatchScheduler`;
+  - :class:`ReferenceKernel` - the allocating rules of
+    :mod:`repro.core.updates` (``kernel_path="reference"``);
+
+- :mod:`repro.engine.kernels` - the legal ``update_rule`` names and the
+  frozen per-fit :class:`KernelContext` every kernel object consumes;
 - :mod:`repro.engine.batched` - the batched multi-fit kernel:
   :func:`multi_fit` stacks ``B`` same-shape fits into 3-D gemms with
   per-fit convergence dropout, bit-identical to looped single fits
@@ -44,23 +47,10 @@ Architecture (see DESIGN.md section "Engine layer")::
 old name is an alias of the new class.
 """
 
-from .backends import (
-    Backend,
-    available_backends,
-    backend_available,
-    get_backend,
-    register_backend,
-)
 from .batched import BatchedFit, BatchedWorkspace, MultiFitReport, multi_fit
 from .callbacks import Callback, IterationRecord, Telemetry
 from .core import EngineOutcome, IterativeEngine
-from .kernels import (
-    KernelContext,
-    UpdateKernel,
-    available_kernels,
-    get_kernel,
-    register_kernel,
-)
+from .kernels import UPDATE_RULES, KernelContext
 from .monitor import DEFAULT_MAX_ITER, ConvergenceMonitor
 from .report import FactorizationResult, FitReport
 from .solver import Solver
@@ -76,23 +66,19 @@ from .workspace import (
     BufferArena,
     GramCache,
     KernelWorkspace,
-    build_kernel_workspace,
+    ReferenceKernel,
+    build_kernel,
     resolve_kernel_path,
 )
 
 __all__ = [
-    "Backend",
     "BatchScheduler",
     "BatchedFit",
     "BatchedWorkspace",
     "BufferArena",
     "Callback",
     "MultiFitReport",
-    "available_backends",
-    "backend_available",
-    "get_backend",
     "multi_fit",
-    "register_backend",
     "ConvergenceMonitor",
     "DEFAULT_BATCH_SIZE",
     "DEFAULT_MAX_ITER",
@@ -103,7 +89,9 @@ __all__ = [
     "SPARSE_DENSITY_THRESHOLD",
     "STOCHASTIC_KERNELS",
     "StochasticWorkspace",
-    "build_kernel_workspace",
+    "ReferenceKernel",
+    "UPDATE_RULES",
+    "build_kernel",
     "resolve_kernel_path",
     "FactorizationResult",
     "FitReport",
@@ -112,8 +100,4 @@ __all__ = [
     "KernelContext",
     "Solver",
     "Telemetry",
-    "UpdateKernel",
-    "available_kernels",
-    "get_kernel",
-    "register_kernel",
 ]

@@ -25,14 +25,6 @@ that differ are execution-trace ones: ``wall_times``/``loop_seconds``
 are amortized shares of the batch clock, and ``factor_deltas`` are not
 collected (documented in DESIGN 3.17).
 
-The optional :class:`BatchedGramCache` path splits the frozen landmark
-block out of the U-update products (the ``t2·KNL`` term of
-Proposition 1).  Like the sparse path's Gram split, it changes float
-summation order, so it is *opt-in* (``use_gram=True``) and equivalent
-within a documented ``<= 1e-12`` relative tolerance rather than
-bit-identical; the default fused path is what the runner's cell
-coalescing uses.
-
 Convergence dropout
 -------------------
 Each member fit owns a real :class:`~repro.engine.monitor.
@@ -55,21 +47,17 @@ import numpy as np
 from ..core.updates import guarded_divide
 from ..exceptions import ValidationError
 from ..obs.trace import get_tracer
-from .kernels import KernelContext, get_kernel
+from .kernels import FULL_BATCH_RULES, KernelContext
 from .monitor import DEFAULT_MAX_ITER, ConvergenceMonitor
 from .report import FitReport
 from .workspace import BufferArena, KernelWorkspace
 
 __all__ = [
     "BatchedFit",
-    "BatchedGramCache",
     "BatchedWorkspace",
     "MultiFitReport",
     "multi_fit",
 ]
-
-BATCHED_UPDATE_RULES = ("multiplicative", "gradient")
-"""Update rules with a batched implementation."""
 
 
 def _stacked_spmm(op: object, u3: np.ndarray) -> np.ndarray:
@@ -156,7 +144,6 @@ class MultiFitReport:
     batch_iterations: int
     batch_sizes: tuple[int, ...]
     loop_seconds: float
-    use_gram: bool = False
 
     @property
     def n_fits(self) -> int:
@@ -165,40 +152,6 @@ class MultiFitReport:
     def split(self) -> tuple[FitReport, ...]:
         """Per-fit reports, in the order the fits were submitted."""
         return self.reports
-
-
-class BatchedGramCache:
-    """Stacked per-fit constants of the frozen landmark block.
-
-    The batched analogue of :class:`~repro.engine.workspace.GramCache`:
-    with the first ``L`` columns of every member's ``V`` frozen and
-    fully observed, the landmark contributions to the U-update are
-    constants of the fit — ``V_L V_Lᵀ`` (``B×K×K``) and ``X_L V_Lᵀ``
-    (``B×N×K``) are computed once and reused every iteration.  Only the
-    opt-in Gram path consumes them (the split changes float summation
-    order; the default fused path stays bit-exact).
-    """
-
-    def __init__(self, fits: list[BatchedFit], prefix: int) -> None:
-        self.prefix = int(prefix)
-        self.gram_vl = np.stack(
-            [
-                np.ascontiguousarray(f.v0[:, :prefix]) @ f.v0[:, :prefix].T
-                for f in fits
-            ]
-        )
-        self.xl_vlt = np.stack(
-            [f.x_observed[:, :prefix] @ f.v0[:, :prefix].T for f in fits]
-        )
-        self.gram_vl.setflags(write=False)
-        self.xl_vlt.setflags(write=False)
-
-    def compact(self, keep: list[int]) -> None:
-        """Drop the cached blocks of members that left the batch."""
-        self.gram_vl = np.take(self.gram_vl, keep, axis=0)
-        self.xl_vlt = np.take(self.xl_vlt, keep, axis=0)
-        self.gram_vl.setflags(write=False)
-        self.xl_vlt.setflags(write=False)
 
 
 @dataclass
@@ -241,7 +194,6 @@ class BatchedWorkspace(BufferArena):
         fits: list[BatchedFit],
         *,
         frozen_prefix: int = 0,
-        use_gram: bool = False,
     ) -> None:
         super().__init__()
         shapes = {f.x_observed.shape for f in fits}
@@ -260,13 +212,6 @@ class BatchedWorkspace(BufferArena):
         self.observed_f3 = np.stack(
             [f.observed.astype(np.float64) for f in fits]
         )
-        self.gram: BatchedGramCache | None = None
-        if use_gram and self.prefix:
-            fully_observed = all(
-                bool(f.observed[:, : self.prefix].all()) for f in fits
-            )
-            if fully_observed:
-                self.gram = BatchedGramCache(self.fits, self.prefix)
         self._refresh_graph_plan()
 
     def _refresh_graph_plan(self) -> None:
@@ -326,8 +271,6 @@ class BatchedWorkspace(BufferArena):
         self.x3 = np.take(self.x3, keep, axis=0)
         self.observed_f3 = np.take(self.observed_f3, keep, axis=0)
         self.fits = [self.fits[i] for i in keep]
-        if self.gram is not None:
-            self.gram.compact(keep)
         self._refresh_graph_plan()
 
     # ------------------------------------------------------- shared pieces
@@ -404,25 +347,9 @@ class BatchedWorkspace(BufferArena):
         num = self.buf("num_u", (b, n, k))
         den = self.buf("den_u", (b, n, k))
         vt = v3.transpose(0, 2, 1)
-        if self.gram is not None:
-            # Gram split (opt-in): landmark numerator is the cached
-            # X_L V_Lᵀ; the masked recon of the landmark columns equals
-            # the unmasked U V_L, so the denominator share is
-            # U (V_L V_Lᵀ).  Changes summation order (<= 1e-12 path).
-            live = slice(self.prefix, None)
-            recon_live = self._masked_recon("recon_live", u3, v3, live)
-            vt_live = v3[:, :, live].transpose(0, 2, 1)
-            t = self.buf("gram_t", (b, n, k))
-            np.copyto(num, self.gram.xl_vlt)
-            np.matmul(self.x3[:, :, live], vt_live, out=t)
-            num += t
-            np.matmul(u3, self.gram.gram_vl, out=den)
-            np.matmul(recon_live, vt_live, out=t)
-            den += t
-        else:
-            recon = self._masked_recon("recon", u3, v3)
-            np.matmul(self.x3, vt, out=num)
-            np.matmul(recon, vt, out=den)
+        recon = self._masked_recon("recon", u3, v3)
+        np.matmul(self.x3, vt, out=num)
+        np.matmul(recon, vt, out=den)
         self._add_graph_terms(num, den, u3)
         out = self.out_for("u", u3)
         guarded_divide(num, den, out=num, denominator_is_scratch=True)
@@ -612,13 +539,13 @@ def _single_fit(
     learning_rate: float,
     frozen_prefix: int,
 ) -> MultiFitReport:
-    """The ``B == 1`` fast path: delegate to the 2-D workspace kernels.
+    """The ``B == 1`` fast path: delegate to the 2-D kernel object.
 
     A one-member stack would pay 3-D dispatch overhead for nothing, so
     a single fit runs through the same dense
-    :class:`~repro.engine.workspace.KernelWorkspace` kernels a looped
-    fit uses — identical operations, identical bits — inside a lean
-    loop that reproduces the engine's step/evaluate schedule.
+    :class:`~repro.engine.workspace.KernelWorkspace` a looped fit uses —
+    identical operations, identical bits — inside a lean loop that
+    reproduces the engine's step/evaluate schedule.
     """
     k, m = fit.v0.shape
     frozen_v = None
@@ -631,6 +558,7 @@ def _single_fit(
         fit.x_observed,
         fit.observed,
         mode="dense",
+        rule=update_rule,
         frozen_prefix=frozen_prefix or None,
         v0=fit.v0,
     )
@@ -641,9 +569,7 @@ def _single_fit(
         laplacian=fit.laplacian,
         learning_rate=learning_rate,
         frozen_v=frozen_v,
-        kernel_workspace=ws,
     )
-    kernel = get_kernel(update_rule)
     member = _MemberState(
         monitor=ConvergenceMonitor(max_iter=max_iter, tol=tol),
         landmark_intact=True if frozen_prefix else None,
@@ -657,7 +583,7 @@ def _single_fit(
     ):
         while steps < max_iter and not member.monitor.converged:
             t0 = time.perf_counter()
-            u, v = kernel.step(fit.x_observed, fit.observed, u, v, ctx)
+            u, v = ws.step(fit.x_observed, fit.observed, u, v, ctx)
             steps += 1
             member.wall_times.append(time.perf_counter() - t0)
             sizes.append(1)
@@ -689,7 +615,6 @@ def multi_fit(
     eval_every: int = 1,
     learning_rate: float = 1e-3,
     frozen_prefix: int = 0,
-    use_gram: bool = False,
 ) -> MultiFitReport:
     """Fit ``B`` same-shape problems as one batched iteration loop.
 
@@ -699,8 +624,7 @@ def multi_fit(
     graph terms.  Returns a :class:`MultiFitReport` whose per-member
     reports match looped single fits bit-for-bit on every numeric field
     (factors, objective history, ``n_iter``, ``converged``,
-    ``n_increases``, ``landmark_block_intact``) — except under
-    ``use_gram=True``, where factors agree within ``1e-12``.
+    ``n_increases``, ``landmark_block_intact``).
 
     ``B == 1`` delegates to the 2-D workspace kernels (no 3-D dispatch
     overhead), so callers can route *every* fit through this entry
@@ -709,9 +633,9 @@ def multi_fit(
     fits = list(fits)
     if not fits:
         raise ValidationError("multi_fit needs at least one fit")
-    if update_rule not in BATCHED_UPDATE_RULES:
+    if update_rule not in FULL_BATCH_RULES:
         raise ValidationError(
-            f"batched update_rule must be one of {BATCHED_UPDATE_RULES}, "
+            f"batched update_rule must be one of {FULL_BATCH_RULES}, "
             f"got {update_rule!r}"
         )
     frozen_prefix = int(frozen_prefix or 0)
@@ -726,7 +650,7 @@ def multi_fit(
             frozen_prefix=frozen_prefix,
         )
 
-    ws = BatchedWorkspace(fits, frozen_prefix=frozen_prefix, use_gram=use_gram)
+    ws = BatchedWorkspace(fits, frozen_prefix=frozen_prefix)
     members = [
         _MemberState(
             monitor=ConvergenceMonitor(max_iter=max_iter, tol=tol),
@@ -750,7 +674,7 @@ def multi_fit(
     t_loop = time.perf_counter()
     with get_tracer().span(
         "batch.fit", size=len(fits), update_rule=update_rule,
-        frozen_prefix=frozen_prefix, use_gram=ws.gram is not None,
+        frozen_prefix=frozen_prefix,
     ) as span:
         while active and steps < max_iter:
             t_iter = time.perf_counter()
@@ -818,5 +742,4 @@ def multi_fit(
         batch_iterations=steps,
         batch_sizes=tuple(sizes),
         loop_seconds=loop_seconds,
-        use_gram=ws.gram is not None,
     )

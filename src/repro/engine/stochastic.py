@@ -10,14 +10,14 @@ over mini-batches of rows:
   (clamped to ``N``), per-epoch shuffling from explicit
   ``np.random.Generator`` seeds, and step-size decay
   ``lr / (1 + decay * epoch)``;
-- :class:`StochasticWorkspace` — per-fit mutable state the frozen
-  :class:`~repro.engine.kernels.KernelContext` cannot carry: the epoch
-  counter, a reused residual buffer (one allocation per fit, not per
-  batch), SVRG anchors, and the per-epoch telemetry accumulators
-  (sampled-objective estimates, rows-touched counts);
-- ``sgd`` / ``svrg`` update kernels — registered beside
-  ``multiplicative`` and ``gradient`` so every model in the NMF family
-  picks them up through the same registry seam.
+- :class:`StochasticWorkspace` — the per-fit kernel object of the
+  ``sgd``/``svrg`` rules (built by
+  :func:`~repro.engine.workspace.build_kernel`, like every other
+  kernel object): it owns the fit's scheduler and the mutable state
+  the frozen :class:`~repro.engine.kernels.KernelContext` cannot
+  carry — the epoch counter, reused scratch buffers (one allocation
+  per fit, not per batch), and the per-epoch telemetry accumulators
+  (sampled-objective estimates, rows-touched counts).
 
 One engine *iteration* of a stochastic kernel is one **epoch**: a full
 pass over the shuffled mini-batches.  Within each batch the kernel
@@ -40,9 +40,10 @@ from typing import Iterator
 
 import numpy as np
 
+from ..core.objective import masked_frobenius_sq
 from ..exceptions import ValidationError
 from ..validation import check_in_range, check_positive_int
-from .kernels import KernelContext, UpdateKernel, register_kernel
+from .kernels import KernelContext
 from .workspace import BufferArena
 
 __all__ = [
@@ -50,8 +51,6 @@ __all__ = [
     "STOCHASTIC_KERNELS",
     "BatchScheduler",
     "StochasticWorkspace",
-    "SGDKernel",
-    "SVRGKernel",
     "gathered_batch_u_step",
     "sgd_grad_v",
     "apply_v_step",
@@ -61,7 +60,7 @@ DEFAULT_BATCH_SIZE = 64
 """Rows per mini-batch when the caller does not choose one."""
 
 STOCHASTIC_KERNELS: tuple[str, ...] = ("sgd", "svrg")
-"""Kernel names that require a :class:`BatchScheduler` + workspace."""
+"""Update rules that run mini-batch epochs through a :class:`StochasticWorkspace`."""
 
 
 class BatchScheduler:
@@ -131,39 +130,42 @@ class BatchScheduler:
 
 
 class StochasticWorkspace(BufferArena):
-    """Per-fit mutable state shared by the stochastic kernels.
+    """Per-fit kernel object of the stochastic rules; one step = one epoch.
 
-    The :class:`~repro.engine.kernels.KernelContext` is a frozen,
-    per-fit object; everything a stochastic kernel must *mutate*
-    between steps lives here instead: the epoch counter, the named
-    scratch buffers (batch gathers, gradient blocks, SVRG anchors —
-    one allocation per fit, not per batch; see :class:`BufferArena`),
-    the ping-pong output factors, and the per-epoch telemetry
-    accumulators that land in
+    Owns the fit's :class:`BatchScheduler` and everything a stochastic
+    step must *mutate* between epochs (the
+    :class:`~repro.engine.kernels.KernelContext` is frozen): the epoch
+    counter, the named scratch buffers (batch gathers, gradient blocks,
+    SVRG anchors — one allocation per fit, not per batch; see
+    :class:`BufferArena`), the ping-pong output factors, and the
+    per-epoch telemetry accumulators that land in
     :attr:`~repro.engine.FitReport.sampled_objectives` and
     :attr:`~repro.engine.FitReport.rows_touched`.
+
+    ``observed`` is the fit's mask, needed only by
+    :meth:`masked_objective`; the out-of-core streamer
+    (:mod:`repro.oocore`) drives the epoch state without one.
     """
 
-    def __init__(self) -> None:
+    def __init__(
+        self,
+        scheduler: BatchScheduler,
+        *,
+        rule: str = "sgd",
+        observed: np.ndarray | None = None,
+    ) -> None:
+        if rule not in STOCHASTIC_KERNELS:
+            raise ValidationError(
+                f"StochasticWorkspace runs {STOCHASTIC_KERNELS}, got rule {rule!r}"
+            )
         super().__init__()
+        self.scheduler = scheduler
+        self.rule = rule
+        self.observed = observed
+        self.shape = None if observed is None else observed.shape
         self.epoch: int = 0
         self.sampled_objectives: list[float] = []
         self.rows_touched: list[int] = []
-        self._residual: np.ndarray | None = None
-        # SVRG anchor: residual of the epoch-start iterate plus the full
-        # data-term gradient of V at that iterate (views into reused
-        # buffers, refreshed every epoch).
-        self.anchor_u: np.ndarray | None = None
-        self.anchor_residual: np.ndarray | None = None
-        self.anchor_grad_v: np.ndarray | None = None
-
-    def residual_buffer(self, n_rows: int, n_cols: int) -> np.ndarray:
-        """A ``(n_rows, n_cols)`` scratch view, reused across batches."""
-        if self._residual is None or self._residual.shape[1] != n_cols or (
-            self._residual.shape[0] < n_rows
-        ):
-            self._residual = np.empty((n_rows, n_cols), dtype=np.float64)
-        return self._residual[:n_rows]
 
     def record_epoch(self, rows_touched: int, sampled_objective: float) -> None:
         """Close one epoch: store its telemetry and advance the counter."""
@@ -171,17 +173,15 @@ class StochasticWorkspace(BufferArena):
         self.sampled_objectives.append(float(sampled_objective))
         self.epoch += 1
 
+    def step(self, x_observed, observed, u, v, ctx: KernelContext):
+        """One epoch of the fit's rule over the scheduler's batches."""
+        if self.rule == "svrg":
+            return _svrg_epoch(self, x_observed, observed, u, v, ctx)
+        return _sgd_epoch(self, x_observed, observed, u, v, ctx)
 
-def _require_schedule(ctx: KernelContext, kernel: str) -> tuple[
-    BatchScheduler, StochasticWorkspace
-]:
-    if ctx.scheduler is None or ctx.workspace is None:
-        raise ValidationError(
-            f"the {kernel!r} kernel needs a BatchScheduler and a "
-            "StochasticWorkspace in its KernelContext; construct the model "
-            'with method="stochastic" (or build the context by hand)'
-        )
-    return ctx.scheduler, ctx.workspace
+    def masked_objective(self, x_observed, u, v) -> float:
+        """:func:`repro.core.objective.masked_frobenius_sq` itself."""
+        return masked_frobenius_sq(x_observed, u, v, self.observed)
 
 
 def _masked_residual(
@@ -213,7 +213,7 @@ def _step_v(
     lr: float,
     ctx: KernelContext,
     live: slice | None,
-    workspace: StochasticWorkspace | None = None,
+    workspace: BufferArena | None = None,
 ) -> None:
     """Projected step on the live part of ``V``, in place.
 
@@ -240,7 +240,7 @@ def _step_v(
 
 
 def gathered_batch_u_step(
-    workspace: StochasticWorkspace,
+    workspace: BufferArena,
     u_rows: np.ndarray,
     x_rows: np.ndarray,
     observed_rows: np.ndarray,
@@ -267,7 +267,7 @@ def gathered_batch_u_step(
     """
     rows, k = u_rows.shape
     m = x_rows.shape[1]
-    buffer = workspace.residual_buffer(rows, m)
+    buffer = workspace.buf("residual", (cap, m))[:rows]
     residual = _masked_residual(
         buffer, u_rows, v, x_rows, observed_rows, unobserved_rows
     )
@@ -291,7 +291,7 @@ def gathered_batch_u_step(
 
 
 def sgd_grad_v(
-    workspace: StochasticWorkspace,
+    workspace: BufferArena,
     u_rows: np.ndarray,
     residual: np.ndarray,
     live: slice,
@@ -323,7 +323,7 @@ def apply_v_step(
     grad_v: np.ndarray,
     lr: float,
     live: slice,
-    workspace: StochasticWorkspace,
+    workspace: BufferArena,
 ) -> None:
     """Projected V step on the live columns (landmark prefix frozen).
 
@@ -404,9 +404,15 @@ def _laplacian_rows(ctx: KernelContext, u: np.ndarray, batch: np.ndarray) -> np.
     return np.asarray(ctx.laplacian[batch] @ u)
 
 
-@register_kernel("sgd")
-class SGDKernel(UpdateKernel):
-    """Masked mini-batch projected SGD; one step = one epoch.
+def _sgd_epoch(
+    workspace: StochasticWorkspace,
+    x_observed: np.ndarray,
+    observed: np.ndarray,
+    u: np.ndarray,
+    v: np.ndarray,
+    ctx: KernelContext,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Masked mini-batch projected SGD; one call = one epoch.
 
     Per batch ``B`` (in schedule order): a projected-gradient step on
     the rows ``U_B`` (including the spatial term ``2 lam (L U)_B`` when
@@ -415,51 +421,48 @@ class SGDKernel(UpdateKernel):
     estimates the *full* objective gradient — which is what makes the
     ``batch_size=N`` case coincide with the ``gradient`` kernel.
     """
-
-    def step(
-        self,
-        x_observed: np.ndarray,
-        observed: np.ndarray,
-        u: np.ndarray,
-        v: np.ndarray,
-        ctx: KernelContext,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        scheduler, workspace = _require_schedule(ctx, "sgd")
-        n, m = x_observed.shape
-        cap = scheduler.batch_size
-        lr = scheduler.step_size(workspace.epoch)
-        live = _live_slice(ctx, v.shape[1])
-        out_u = workspace.out_for("u", u)
-        np.copyto(out_u, u)
-        u = out_u
-        out_v = workspace.out_for("v", v)
-        np.copyto(out_v, v)
-        v = out_v
-        sampled = 0.0
-        touched = 0
-        for batch in scheduler.batches(workspace.epoch):
-            rows = batch.shape[0]
-            u_rows, residual, sq = _batch_u_step(
-                x_observed, observed, u, v, ctx, workspace, batch, lr, cap
+    scheduler = workspace.scheduler
+    n, m = x_observed.shape
+    cap = scheduler.batch_size
+    lr = scheduler.step_size(workspace.epoch)
+    live = _live_slice(ctx, v.shape[1])
+    out_u = workspace.out_for("u", u)
+    np.copyto(out_u, u)
+    u = out_u
+    out_v = workspace.out_for("v", v)
+    np.copyto(out_v, v)
+    v = out_v
+    sampled = 0.0
+    touched = 0
+    for batch in scheduler.batches(workspace.epoch):
+        rows = batch.shape[0]
+        u_rows, residual, sq = _batch_u_step(
+            x_observed, observed, u, v, ctx, workspace, batch, lr, cap
+        )
+        sampled += sq
+        scale = 2.0 * n / rows
+        if live is not None:
+            grad_v = sgd_grad_v(
+                workspace, u_rows, residual, live, scale, cap, m
             )
-            sampled += sq
-            scale = 2.0 * n / rows
-            if live is not None:
-                grad_v = sgd_grad_v(
-                    workspace, u_rows, residual, live, scale, cap, m
-                )
-                _step_v(v, grad_v, lr, ctx, live, workspace)
-            else:
-                grad_v = scale * u_rows.T @ residual
-                _step_v(v, grad_v, lr, ctx, live)
-            touched += rows
-        workspace.record_epoch(touched, sampled)
-        return u, v
+            _step_v(v, grad_v, lr, ctx, live, workspace)
+        else:
+            grad_v = scale * u_rows.T @ residual
+            _step_v(v, grad_v, lr, ctx, live)
+        touched += rows
+    workspace.record_epoch(touched, sampled)
+    return u, v
 
 
-@register_kernel("svrg")
-class SVRGKernel(UpdateKernel):
-    """Mini-batch SVRG (anchor refreshed every epoch); one step = one epoch.
+def _svrg_epoch(
+    workspace: StochasticWorkspace,
+    x_observed: np.ndarray,
+    observed: np.ndarray,
+    u: np.ndarray,
+    v: np.ndarray,
+    ctx: KernelContext,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mini-batch SVRG (anchor refreshed every epoch); one call = one epoch.
 
     The epoch-start iterate ``(U~, V~)`` is snapshotted together with
     its full masked residual and full data-term V-gradient ``mu_V``.
@@ -469,76 +472,64 @@ class SVRGKernel(UpdateKernel):
     are separable, so their correction cancels identically and the
     ``U`` step equals the SGD step (see module docstring).
     """
-
-    def step(
-        self,
-        x_observed: np.ndarray,
-        observed: np.ndarray,
-        u: np.ndarray,
-        v: np.ndarray,
-        ctx: KernelContext,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        scheduler, workspace = _require_schedule(ctx, "svrg")
-        n, m = x_observed.shape
-        k = u.shape[1]
-        cap = scheduler.batch_size
-        lr = scheduler.step_size(workspace.epoch)
-        live = _live_slice(ctx, v.shape[1])
-        # Epoch anchor: full residual + full data-term V gradient, built
-        # in reused buffers (one allocation per fit, not per epoch).
-        anchor_u = workspace.buf("anchor_u", (n, k))
-        np.copyto(anchor_u, u)
-        unobserved = workspace.buf("unobserved_full", (n, m), np.bool_)
-        np.logical_not(observed, out=unobserved)
-        anchor_residual = workspace.buf("anchor_residual", (n, m))
-        np.matmul(anchor_u, v, out=anchor_residual)
-        np.subtract(anchor_residual, x_observed, out=anchor_residual)
-        np.copyto(anchor_residual, 0.0, where=unobserved)
-        anchor_u2 = workspace.buf("anchor_u_x2", (n, k))
-        np.multiply(anchor_u, 2.0, out=anchor_u2)
+    scheduler = workspace.scheduler
+    n, m = x_observed.shape
+    k = u.shape[1]
+    cap = scheduler.batch_size
+    lr = scheduler.step_size(workspace.epoch)
+    live = _live_slice(ctx, v.shape[1])
+    # Epoch anchor: full residual + full data-term V gradient, built
+    # in reused buffers (one allocation per fit, not per epoch).
+    anchor_u = workspace.buf("anchor_u", (n, k))
+    np.copyto(anchor_u, u)
+    unobserved = workspace.buf("unobserved_full", (n, m), np.bool_)
+    np.logical_not(observed, out=unobserved)
+    anchor_residual = workspace.buf("anchor_residual", (n, m))
+    np.matmul(anchor_u, v, out=anchor_residual)
+    np.subtract(anchor_residual, x_observed, out=anchor_residual)
+    np.copyto(anchor_residual, 0.0, where=unobserved)
+    anchor_u2 = workspace.buf("anchor_u_x2", (n, k))
+    np.multiply(anchor_u, 2.0, out=anchor_u2)
+    if live is not None:
+        anchor_grad_v = workspace.buf("anchor_grad_v", (k, m - live.start))
+        np.matmul(anchor_u2.T, anchor_residual[:, live], out=anchor_grad_v)
+    else:
+        anchor_grad_v = workspace.buf("anchor_grad_v", (k, m))
+        np.matmul(anchor_u2.T, anchor_residual, out=anchor_grad_v)
+    out_u = workspace.out_for("u", u)
+    np.copyto(out_u, u)
+    u = out_u
+    out_v = workspace.out_for("v", v)
+    np.copyto(out_v, v)
+    v = out_v
+    sampled = 0.0
+    touched = 0
+    for batch in scheduler.batches(workspace.epoch):
+        rows = batch.shape[0]
+        u_rows, residual, sq = _batch_u_step(
+            x_observed, observed, u, v, ctx, workspace, batch, lr, cap
+        )
+        sampled += sq
+        scale = 2.0 * n / rows
+        anchor_rows = workspace.buf("anchor_rows", (cap, m))[:rows]
+        np.take(anchor_residual, batch, axis=0, out=anchor_rows)
+        anchor_u_rows = workspace.buf("anchor_u_rows", (cap, k))[:rows]
+        np.take(anchor_u, batch, axis=0, out=anchor_u_rows)
         if live is not None:
-            anchor_grad_v = workspace.buf("anchor_grad_v", (k, m - live.start))
-            np.matmul(anchor_u2.T, anchor_residual[:, live], out=anchor_grad_v)
+            grad_v = workspace.buf("grad_v", (k, m - live.start))
+            np.matmul(u_rows.T, residual[:, live], out=grad_v)
+            grad_v2 = workspace.buf("grad_v2", (k, m - live.start))
+            np.matmul(anchor_u_rows.T, anchor_rows[:, live], out=grad_v2)
+            np.subtract(grad_v, grad_v2, out=grad_v)
+            grad_v *= scale
+            grad_v += anchor_grad_v
+            _step_v(v, grad_v, lr, ctx, live, workspace)
         else:
-            anchor_grad_v = workspace.buf("anchor_grad_v", (k, m))
-            np.matmul(anchor_u2.T, anchor_residual, out=anchor_grad_v)
-        workspace.anchor_u = anchor_u
-        workspace.anchor_residual = anchor_residual
-        workspace.anchor_grad_v = anchor_grad_v
-        out_u = workspace.out_for("u", u)
-        np.copyto(out_u, u)
-        u = out_u
-        out_v = workspace.out_for("v", v)
-        np.copyto(out_v, v)
-        v = out_v
-        sampled = 0.0
-        touched = 0
-        for batch in scheduler.batches(workspace.epoch):
-            rows = batch.shape[0]
-            u_rows, residual, sq = _batch_u_step(
-                x_observed, observed, u, v, ctx, workspace, batch, lr, cap
+            grad_v = (
+                scale * (u_rows.T @ residual - anchor_u_rows.T @ anchor_rows)
+                + anchor_grad_v
             )
-            sampled += sq
-            scale = 2.0 * n / rows
-            anchor_rows = workspace.buf("anchor_rows", (cap, m))[:rows]
-            np.take(anchor_residual, batch, axis=0, out=anchor_rows)
-            anchor_u_rows = workspace.buf("anchor_u_rows", (cap, k))[:rows]
-            np.take(anchor_u, batch, axis=0, out=anchor_u_rows)
-            if live is not None:
-                grad_v = workspace.buf("grad_v", (k, m - live.start))
-                np.matmul(u_rows.T, residual[:, live], out=grad_v)
-                grad_v2 = workspace.buf("grad_v2", (k, m - live.start))
-                np.matmul(anchor_u_rows.T, anchor_rows[:, live], out=grad_v2)
-                np.subtract(grad_v, grad_v2, out=grad_v)
-                grad_v *= scale
-                grad_v += anchor_grad_v
-                _step_v(v, grad_v, lr, ctx, live, workspace)
-            else:
-                grad_v = (
-                    scale * (u_rows.T @ residual - anchor_u_rows.T @ anchor_rows)
-                    + anchor_grad_v
-                )
-                _step_v(v, grad_v, lr, ctx, live)
-            touched += rows
-        workspace.record_epoch(touched, sampled)
-        return u, v
+            _step_v(v, grad_v, lr, ctx, live)
+        touched += rows
+    workspace.record_epoch(touched, sampled)
+    return u, v

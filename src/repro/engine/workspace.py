@@ -22,19 +22,20 @@ map onto this module as follows:
     :mod:`repro.spatial.graph_cache` (shared across runner cells) and
     the chunked distance kernels in :mod:`repro.spatial.distances`.
 
-Three execution paths exist per fit, chosen by the models'
-``kernel_path`` parameter:
+One factory, :func:`build_kernel`, resolves ``(update_rule,
+kernel_path, observed density)`` once per fit and returns the fit's
+*kernel object* — the only seam an update step runs through.  Every
+kernel object exposes ``step(x_observed, observed, u, v, ctx)`` (one
+Algorithm 1 iteration: U, then V with the landmark block frozen) and
+``masked_objective(x_observed, u, v)``:
 
-``"reference"``
-    The naive allocating rules in :mod:`repro.core.updates` — the
-    bit-exact ground truth the benchmarks and equivalence tests
-    measure against.
-``"workspace"``
-    The dense allocation-free path.  Every floating-point operation is
-    performed in the same order and on the same operand layouts as the
-    reference rules, so the two paths are **bit-identical** — the
-    golden fixtures do not move.
-``"sparse"``
+:class:`KernelWorkspace`, ``mode="dense"`` (``kernel_path="workspace"``)
+    The allocation-free path for the multiplicative and gradient
+    rules.  Every floating-point operation is performed in the same
+    order and on the same operand layouts as the reference rules, so
+    the two paths are **bit-identical** — the golden fixtures do not
+    move.
+:class:`KernelWorkspace`, ``mode="sparse"`` (``kernel_path="sparse"``)
     The sparse-observed fast path for high missing rates (Figure 7's
     sweep axis): observed entries of the live block are stored as
     ``(rows, cols, vals)`` index arrays plus a fixed-pattern CSR
@@ -45,6 +46,14 @@ Three execution paths exist per fit, chosen by the models'
     therefore only picks it when the observed density is below
     :data:`SPARSE_DENSITY_THRESHOLD`, which keeps every golden-fixture
     configuration (missing rate 0.1) on the bit-exact dense path.
+:class:`ReferenceKernel` (``kernel_path="reference"``)
+    A thin adapter over the naive allocating rules in
+    :mod:`repro.core.updates` — the bit-exact ground truth the
+    benchmarks and equivalence tests measure against.
+:class:`~repro.engine.stochastic.StochasticWorkspace`
+    The mini-batch epochs of the ``sgd``/``svrg`` rules, driven by the
+    fit's :class:`~repro.engine.stochastic.BatchScheduler`
+    (``kernel_path`` does not apply).
 
 ``"auto"`` (the model default) resolves to ``"sparse"`` when the rule
 is multiplicative, scipy is importable, and the observed density is at
@@ -55,8 +64,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.updates import guarded_divide
+from ..core.objective import masked_frobenius_sq
+from ..core.updates import (
+    gradient_update_u,
+    gradient_update_v,
+    guarded_divide,
+    multiplicative_update_u,
+    multiplicative_update_v,
+)
 from ..exceptions import ValidationError
+from .kernels import FULL_BATCH_RULES, UPDATE_RULES, KernelContext
 
 __all__ = [
     "KERNEL_PATHS",
@@ -64,21 +81,13 @@ __all__ = [
     "BufferArena",
     "GramCache",
     "KernelWorkspace",
-    "build_kernel_workspace",
+    "ReferenceKernel",
+    "build_kernel",
     "resolve_kernel_path",
 ]
 
-KERNEL_PATHS = ("auto", "workspace", "sparse", "reference", "batched", "numba")
-"""Legal values of the models' ``kernel_path`` parameter.
-
-``"batched"`` and ``"numba"`` are registry seams (see
-:mod:`repro.engine.backends`): for a single fit ``"batched"`` resolves
-to the dense workspace (the batched engine only pays off across a
-multi-fit stack — see :mod:`repro.engine.batched`), and ``"numba"``
-resolves to the compiled fused-loop workspace when the optional
-``[compiled]`` extra is installed, falling back to the bit-identical
-dense workspace otherwise.
-"""
+KERNEL_PATHS = ("auto", "workspace", "sparse", "reference")
+"""Legal values of the models' ``kernel_path`` parameter."""
 
 SPARSE_DENSITY_THRESHOLD = 0.4
 """``auto`` picks the sparse path when ``observed.mean() <=`` this.
@@ -105,27 +114,12 @@ def resolve_kernel_path(
 ) -> str:
     """Resolve ``"auto"`` and validate explicit choices.
 
-    Returns one of ``"reference"``, ``"workspace"``, ``"sparse"``,
-    ``"numba"``.
+    Returns one of ``"reference"``, ``"workspace"``, ``"sparse"``.
     """
     if path not in KERNEL_PATHS:
         raise ValidationError(
             f"unknown kernel_path {path!r}; available: {KERNEL_PATHS}"
         )
-    dense_capable = update_rule in ("multiplicative", "gradient")
-    if path == "batched":
-        # The batched entry point: a single fit runs the dense
-        # workspace kernels (bit-identical to "workspace"); only
-        # multi_fit stacks pay the 3-D layout.
-        return "workspace" if dense_capable else "reference"
-    if path == "numba":
-        from .backends import backend_available
-
-        if dense_capable and backend_available("numba"):
-            return "numba"
-        # Clean fallback: numba absent (or a rule it does not cover)
-        # behaves exactly like the pure-numpy dense path.
-        return "workspace" if dense_capable else "reference"
     if path == "sparse":
         if update_rule != "multiplicative":
             raise ValidationError(
@@ -135,8 +129,7 @@ def resolve_kernel_path(
         if not _has_scipy():  # pragma: no cover - scipy is a soft dependency
             raise ValidationError("kernel_path='sparse' requires scipy")
         return "sparse"
-    if path == "reference" or not dense_capable:
-        # Stochastic rules own their buffers in StochasticWorkspace.
+    if path == "reference" or update_rule not in FULL_BATCH_RULES:
         return "reference"
     if (
         path == "auto"
@@ -258,7 +251,7 @@ class _SparseObserved:
 
 
 class KernelWorkspace(BufferArena):
-    """Per-fit buffer arena + fused batch kernels (the tentpole).
+    """Per-fit buffer arena + fused full-batch kernels.
 
     Owns every array a steady-state iteration needs: named scratch
     buffers (allocated on first use, reused forever after), ping-pong
@@ -267,10 +260,12 @@ class KernelWorkspace(BufferArena):
     precomputed ``~observed`` mask, and — in sparse mode — the
     :class:`_SparseObserved` index structure and :class:`GramCache`.
 
-    The dense kernels replicate the reference rules of
-    :mod:`repro.core.updates` operation for operation (same op order,
-    same operand layouts), which makes them bit-identical; the
-    equivalence tests enforce this per iteration.
+    ``rule`` picks what :meth:`step` runs: the multiplicative rule
+    (dense or sparse) or the gradient rule (dense only).  The dense
+    kernels replicate the reference rules of :mod:`repro.core.updates`
+    operation for operation (same op order, same operand layouts),
+    which makes them bit-identical; the equivalence tests enforce this
+    per iteration.
     """
 
     def __init__(
@@ -279,13 +274,17 @@ class KernelWorkspace(BufferArena):
         observed: np.ndarray,
         *,
         mode: str = "dense",
+        rule: str = "multiplicative",
         frozen_prefix: int | None = None,
         v0: np.ndarray | None = None,
     ) -> None:
         if mode not in ("dense", "sparse"):
             raise ValidationError(f"unknown workspace mode {mode!r}")
+        if rule not in FULL_BATCH_RULES or (mode == "sparse" and rule != "multiplicative"):
+            raise ValidationError(f"no {mode} workspace for update_rule {rule!r}")
         super().__init__()
         self.mode = mode
+        self.rule = rule
         self.shape = x_observed.shape
         self.unobserved = ~observed
         # Float mask for branchless masking: multiplying the raw
@@ -331,29 +330,6 @@ class KernelWorkspace(BufferArena):
             )
             self._buffers["degree_col"] = col
         return col
-
-    # ------------------------------------------- per-element backend seam
-    #
-    # The two element-wise stages every dense update ends with.  They
-    # are the *only* methods a compiled backend overrides (see
-    # NumbaWorkspace): the gemms stay numpy BLAS calls, and a fused
-    # per-element replacement of these stages performs the identical
-    # rounding sequence per entry, so overriding them preserves
-    # bit-exactness.  ``num``/``den``/``grad`` are caller-owned scratch
-    # and may be mutated freely.
-
-    def _scale_update(self, base, num, den, out) -> None:
-        """``out = base * (num / (den + EPSILON))``, staged as the
-        reference rules stage it."""
-        guarded_divide(num, den, out=num, denominator_is_scratch=True)
-        np.multiply(base, num, out=out)
-
-    def _descent_step(self, base, grad, learning_rate: float, out) -> None:
-        """``out = max(base - learning_rate * grad, 0)``, staged as the
-        reference rules stage it."""
-        grad *= learning_rate
-        np.subtract(base, grad, out=out)
-        np.maximum(out, 0.0, out=out)
 
     # ------------------------------------------------- shared graph terms
 
@@ -412,7 +388,8 @@ class KernelWorkspace(BufferArena):
         if ctx.lam != 0.0:
             self._add_graph_terms(num, den, u, ctx)
         out = self.out_for("u", u)
-        self._scale_update(u, num, den, out)
+        guarded_divide(num, den, out=num, denominator_is_scratch=True)
+        np.multiply(u, num, out=out)
         self._u_gen += 1
         return out
 
@@ -433,7 +410,8 @@ class KernelWorkspace(BufferArena):
             den = self.buf("den_v", (k, m - prefix))
             np.matmul(u.T, x_observed[:, live], out=num)
             np.matmul(u.T, recon_live, out=den)
-            self._scale_update(v[:, live], num, den, out[:, live])
+            guarded_divide(num, den, out=num, denominator_is_scratch=True)
+            np.multiply(v[:, live], num, out=out[:, live])
             self._v_gen += 1
             return out
         recon = self._masked_recon("recon", u, v)
@@ -441,7 +419,8 @@ class KernelWorkspace(BufferArena):
         den = self.buf("den_v_full", (k, m))
         np.matmul(u.T, x_observed, out=num)
         np.matmul(u.T, recon, out=den)
-        self._scale_update(v, num, den, out)
+        guarded_divide(num, den, out=num, denominator_is_scratch=True)
+        np.multiply(v, num, out=out)
         if ctx.frozen_v is not None:
             np.copyto(out, v, where=ctx.frozen_v)
         self._v_gen += 1
@@ -470,7 +449,9 @@ class KernelWorkspace(BufferArena):
             t *= 2.0 * ctx.lam
             grad += t
         out = self.out_for("u", u)
-        self._descent_step(u, grad, ctx.learning_rate, out)
+        grad *= ctx.learning_rate
+        np.subtract(u, grad, out=out)
+        np.maximum(out, 0.0, out=out)
         self._u_gen += 1
         return out
 
@@ -490,7 +471,9 @@ class KernelWorkspace(BufferArena):
         grad = self.buf("grad_v", (k, m))
         np.matmul(u2.T, recon, out=grad)
         out = self.out_for("v", v)
-        self._descent_step(v, grad, ctx.learning_rate, out)
+        grad *= ctx.learning_rate
+        np.subtract(v, grad, out=out)
+        np.maximum(out, 0.0, out=out)
         if ctx.frozen_v is not None:
             np.copyto(out, v, where=ctx.frozen_v)
         self._v_gen += 1
@@ -548,7 +531,8 @@ class KernelWorkspace(BufferArena):
         if ctx.lam != 0.0:
             self._add_graph_terms(num, den, u, ctx)
         out = self.out_for("u", u)
-        self._scale_update(u, num, den, out)
+        guarded_divide(num, den, out=num, denominator_is_scratch=True)
+        np.multiply(u, num, out=out)
         self._u_gen += 1
         return out
 
@@ -578,21 +562,18 @@ class KernelWorkspace(BufferArena):
         self._v_gen += 1
         return out
 
-    # ----------------------------------------------------- kernel entries
+    # ------------------------------------------------------- kernel entry
 
-    def multiplicative_step(self, x_observed, observed, u, v, ctx):
+    def step(self, x_observed, observed, u, v, ctx: KernelContext):
+        """One Algorithm 1 iteration under the fit's rule: U, then V."""
+        if self.rule == "gradient":
+            u_next = self._grad_u_dense(x_observed, observed, u, v, ctx)
+            return u_next, self._grad_v_dense(x_observed, observed, u_next, v, ctx)
         if self.mode == "sparse":
             u_next = self._mult_u_sparse(x_observed, observed, u, v, ctx)
-            v_next = self._mult_v_sparse(x_observed, observed, u_next, v, ctx)
-        else:
-            u_next = self._mult_u_dense(x_observed, observed, u, v, ctx)
-            v_next = self._mult_v_dense(x_observed, observed, u_next, v, ctx)
-        return u_next, v_next
-
-    def gradient_step(self, x_observed, observed, u, v, ctx):
-        u_next = self._grad_u_dense(x_observed, observed, u, v, ctx)
-        v_next = self._grad_v_dense(x_observed, observed, u_next, v, ctx)
-        return u_next, v_next
+            return u_next, self._mult_v_sparse(x_observed, observed, u_next, v, ctx)
+        u_next = self._mult_u_dense(x_observed, observed, u, v, ctx)
+        return u_next, self._mult_v_dense(x_observed, observed, u_next, v, ctx)
 
     # -------------------------------------------------------- objective
 
@@ -632,33 +613,97 @@ class KernelWorkspace(BufferArena):
         return float(np.einsum("ij,ij->", resid, resid))
 
 
-def build_kernel_workspace(
+class ReferenceKernel:
+    """``kernel_path="reference"``: the allocating rules of
+    :mod:`repro.core.updates`, behind the kernel-object interface.
+
+    Every step allocates fresh factors (inputs are never mutated) — the
+    bit-exact oracle the workspace paths are measured against.
+    """
+
+    def __init__(self, observed: np.ndarray, rule: str = "multiplicative") -> None:
+        if rule not in FULL_BATCH_RULES:
+            raise ValidationError(
+                f"the reference kernel runs {FULL_BATCH_RULES}, got rule "
+                f"{rule!r}; stochastic rules need a BatchScheduler "
+                '(construct the model with method="stochastic")'
+            )
+        self.rule = rule
+        self.observed = observed
+        self.shape = observed.shape
+
+    def step(self, x_observed, observed, u, v, ctx: KernelContext):
+        """One Algorithm 1 iteration under the fit's rule: U, then V."""
+        if self.rule == "gradient":
+            u = gradient_update_u(
+                x_observed, observed, u, v,
+                learning_rate=ctx.learning_rate, lam=ctx.lam,
+                laplacian=ctx.laplacian,
+            )
+            v = gradient_update_v(
+                x_observed, observed, u, v,
+                learning_rate=ctx.learning_rate, frozen_v=ctx.frozen_v,
+            )
+            return u, v
+        u = multiplicative_update_u(
+            x_observed, observed, u, v,
+            lam=ctx.lam, similarity=ctx.similarity, degree=ctx.degree,
+        )
+        v = multiplicative_update_v(
+            x_observed, observed, u, v,
+            frozen_v=ctx.frozen_v, frozen_prefix=ctx.frozen_prefix,
+        )
+        return u, v
+
+    def masked_objective(self, x_observed, u, v) -> float:
+        """:func:`repro.core.objective.masked_frobenius_sq` itself."""
+        return masked_frobenius_sq(x_observed, u, v, self.observed)
+
+
+def build_kernel(
     x_observed: np.ndarray,
     observed: np.ndarray,
     *,
-    kernel_path: str,
     update_rule: str,
+    kernel_path: str = "auto",
     frozen_prefix: int | None = None,
     v0: np.ndarray | None = None,
-) -> KernelWorkspace | None:
-    """Resolve the path and construct the per-fit workspace.
+    scheduler=None,
+):
+    """The per-fit kernel object for ``update_rule`` on ``kernel_path``.
 
-    Returns ``None`` for the reference path (and for rules without a
-    workspace implementation — the stochastic kernels carry their own
-    buffers in :class:`~repro.engine.stochastic.StochasticWorkspace`).
+    Stochastic rules get a
+    :class:`~repro.engine.stochastic.StochasticWorkspace` driven by
+    ``scheduler`` (``kernel_path`` does not apply to them); the
+    full-batch rules resolve ``kernel_path`` (see
+    :func:`resolve_kernel_path`) to a :class:`ReferenceKernel` or a
+    dense/sparse :class:`KernelWorkspace`.  ``frozen_prefix``/``v0``
+    let the sparse path cache the frozen landmark block
+    (:class:`GramCache`).
     """
+    if update_rule not in UPDATE_RULES:
+        raise ValidationError(
+            f"unknown update_rule {update_rule!r}; available: {UPDATE_RULES}"
+        )
+    if update_rule not in FULL_BATCH_RULES:
+        from .stochastic import StochasticWorkspace
+
+        if scheduler is None:
+            raise ValidationError(
+                f"update_rule {update_rule!r} needs a BatchScheduler; "
+                'construct the model with method="stochastic"'
+            )
+        return StochasticWorkspace(scheduler, rule=update_rule, observed=observed)
     resolved = resolve_kernel_path(
         kernel_path, update_rule=update_rule, observed=observed
     )
     if resolved == "reference":
-        return None
-    # Resolved names map onto the backend registry; "numba" constructs
-    # the compiled-seam subclass, everything else the numpy workspace.
-    from .backends import get_backend
-
-    return get_backend(resolved).make_workspace(
+        return ReferenceKernel(observed, update_rule)
+    return KernelWorkspace(
         x_observed,
         observed,
+        mode="sparse" if resolved == "sparse" else "dense",
+        rule=update_rule,
         frozen_prefix=frozen_prefix,
         v0=v0,
     )

@@ -257,9 +257,10 @@ class FittedModel:
     def nonnegative(self) -> bool:
         """Whether the factor constraint ``U, V >= 0`` applied.
 
-        True for the whole masked-NMF family (every registered update
-        rule enforces it); fold-in uses this to pick the
-        nonnegativity-projected solve.
+        True for the whole masked-NMF family (every update rule
+        enforces it); fold-in uses this to pick the
+        nonnegativity-projected solve and to reject negative observed
+        values, exactly as ``fit`` does.
         """
         return self.is_factor_model
 

@@ -108,11 +108,8 @@ def _worker_main(
     """Persistent worker: attach the segments, drain tasks until sentinel."""
     from multiprocessing import shared_memory
 
-    from ..engine.stochastic import (
-        StochasticWorkspace,
-        gathered_batch_u_step,
-        sgd_grad_v,
-    )
+    from ..engine.stochastic import gathered_batch_u_step, sgd_grad_v
+    from ..engine.workspace import BufferArena
 
     shm_u = shared_memory.SharedMemory(name=names["u"])
     shm_v = shared_memory.SharedMemory(name=names["v"])
@@ -132,7 +129,7 @@ def _worker_main(
     cap = source.block_rows
     m = source.n_cols
     k = shapes["u"][1]
-    ws = StochasticWorkspace()
+    ws = BufferArena()
     try:
         while True:
             task = task_q.get()
@@ -289,9 +286,10 @@ def fit_parallel(
     ]
     sampled_objectives: list[float] = []
     rows_touched: list[int] = []
-    from ..engine.stochastic import StochasticWorkspace, apply_v_step
+    from ..engine.stochastic import apply_v_step
+    from ..engine.workspace import BufferArena
 
-    parent_ws = StochasticWorkspace()
+    parent_ws = BufferArena()
     tracer = get_tracer()
     events = get_event_log()
     metrics = get_metrics()

@@ -139,7 +139,7 @@ class StreamingFactorizer:
             learning_rate=learning_rate,
             decay=lr_decay,
         )
-        self.workspace = StochasticWorkspace()
+        self.workspace = StochasticWorkspace(self.scheduler)
         # The landmark Gram cache is valid for the whole fit because
         # the prefix of V is frozen; ``evaluate`` reuses it.
         self._gram: GramCache | None = (

@@ -61,6 +61,7 @@ from ..engine.workspace import BufferArena
 from ..exceptions import ValidationError
 from ..masking.mask import ObservationMask
 from ..model.fitted import FittedModel, coerce_observations
+from ..validation import check_nonnegative
 
 __all__ = [
     "DEFAULT_PRIOR_NEIGHBORS",
@@ -141,6 +142,10 @@ def _coerce_rows(
             f"fold-in rows have {x.shape[1]} columns, model was fitted "
             f"on {model.n_cols}"
         )
+    if model.nonnegative:
+        # The contract fit enforces: ``x`` is zero-filled off the mask,
+        # so this checks exactly the observed cells.
+        check_nonnegative(x, name="observed entries of X")
     return x, observation, was_row
 
 

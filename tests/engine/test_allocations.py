@@ -15,8 +15,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.engine.kernels import KernelContext, get_kernel
-from repro.engine.workspace import KernelWorkspace
+from repro.engine.kernels import KernelContext
+from repro.engine.workspace import KernelWorkspace, ReferenceKernel
 
 N, M, K = 300, 80, 6
 FULL_MATRIX_BYTES = N * M * 8
@@ -32,20 +32,18 @@ def problem(rng):
     return x_observed, observed, u, v
 
 
-def measure_peak(kernel, x_observed, observed, u, v, ctx, ws, iters=5):
+def measure_peak(kernel, x_observed, observed, u, v, ctx, iters=5):
     """Peak allocated bytes across warmed-up step+objective iterations."""
     # Warm the arena: first iterations allocate every named buffer and
     # both ping-pong slots; afterwards the pools are steady.
     for _ in range(3):
         u, v = kernel.step(x_observed, observed, u, v, ctx)
-        if ws is not None:
-            ws.masked_objective(x_observed, u, v)
+        kernel.masked_objective(x_observed, u, v)
     tracemalloc.start()
     try:
         for _ in range(iters):
             u, v = kernel.step(x_observed, observed, u, v, ctx)
-            if ws is not None:
-                ws.masked_objective(x_observed, u, v)
+            kernel.masked_objective(x_observed, u, v)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -55,9 +53,9 @@ def measure_peak(kernel, x_observed, observed, u, v, ctx, ws, iters=5):
 @pytest.mark.parametrize("rule", ["multiplicative", "gradient"])
 def test_dense_workspace_steady_state_is_allocation_free(problem, rule):
     x_observed, observed, u, v = problem
-    ws = KernelWorkspace(x_observed, observed)
-    ctx = KernelContext(learning_rate=1e-3, kernel_workspace=ws)
-    peak = measure_peak(get_kernel(rule), x_observed, observed, u, v, ctx, ws)
+    ws = KernelWorkspace(x_observed, observed, rule=rule)
+    ctx = KernelContext(learning_rate=1e-3)
+    peak = measure_peak(ws, x_observed, observed, u, v, ctx)
     # Far below one N x M matrix: only interpreter-level float/tuple
     # churn remains (the guard is 1/8 of a single full-matrix pass;
     # the reference path allocates several per iteration).
@@ -68,10 +66,7 @@ def test_sparse_workspace_steady_state_allocates_only_small_blocks(problem):
     pytest.importorskip("scipy.sparse")
     x_observed, observed, u, v = problem
     ws = KernelWorkspace(x_observed, observed, mode="sparse")
-    ctx = KernelContext(kernel_workspace=ws)
-    peak = measure_peak(
-        get_kernel("multiplicative"), x_observed, observed, u, v, ctx, ws
-    )
+    peak = measure_peak(ws, x_observed, observed, u, v, KernelContext())
     # scipy's csr products allocate their (N x K)/(M x K) results —
     # O((N + M) K) per iteration, several alive at once — but never a
     # full N x M matrix, so the peak stays below a single dense pass.
@@ -83,8 +78,8 @@ def test_reference_rules_allocate_full_matrices(problem):
     if this ever stops holding, the workspace guard above has lost its
     meaning and both thresholds need revisiting."""
     x_observed, observed, u, v = problem
-    ctx = KernelContext()
     peak = measure_peak(
-        get_kernel("multiplicative"), x_observed, observed, u, v, ctx, None, iters=2
+        ReferenceKernel(observed), x_observed, observed, u, v, KernelContext(),
+        iters=2,
     )
     assert peak > FULL_MATRIX_BYTES

@@ -40,7 +40,7 @@ problem = st.fixed_dictionaries(
     {
         "family": st.sampled_from(sorted(MODEL_FAMILIES)),
         "update_rule": st.sampled_from(["multiplicative", "gradient"]),
-        "kernel_path": st.sampled_from(["auto", "workspace", "batched"]),
+        "kernel_path": st.sampled_from(["auto", "workspace"]),
         "b": st.sampled_from([1, 2, 7]),
         "missing": st.floats(min_value=0.1, max_value=0.6),
         "seed": st.integers(min_value=0, max_value=2**31 - 1),

@@ -16,15 +16,12 @@ from repro.engine import (
     Callback,
     FitReport,
     IterativeEngine,
+    UPDATE_RULES,
     KernelContext,
     Solver,
     Telemetry,
-    UpdateKernel,
-    available_kernels,
-    get_kernel,
-    register_kernel,
+    build_kernel,
 )
-from repro.engine.kernels import _REGISTRY
 from repro.exceptions import ConvergenceWarning, ValidationError
 
 
@@ -185,13 +182,16 @@ class TestFitReport:
 
 
 class TestKernelRegistry:
+    """The update-rule names and the per-fit kernel objects built for them."""
+
     def test_builtin_kernels_registered(self):
-        assert "multiplicative" in available_kernels()
-        assert "gradient" in available_kernels()
+        assert "multiplicative" in UPDATE_RULES
+        assert "gradient" in UPDATE_RULES
 
     def test_unknown_kernel(self):
-        with pytest.raises(ValidationError, match="unknown update kernel"):
-            get_kernel("newton")
+        observed = np.ones((4, 3), dtype=bool)
+        with pytest.raises(ValidationError, match="unknown update_rule"):
+            build_kernel(np.ones((4, 3)), observed, update_rule="newton")
 
     def test_unknown_update_rule_on_model(self):
         with pytest.raises(ValidationError, match="update_rule"):
@@ -203,13 +203,15 @@ class TestKernelRegistry:
         x_observed = np.where(observed, x, 0.0)
         u0 = rng.random((12, 3)) + 0.1
         v0 = rng.random((3, 5)) + 0.1
-        u_k, v_k = get_kernel("multiplicative").step(
-            x_observed, observed, u0, v0, KernelContext()
-        )
         u_ref = multiplicative_update_u(x_observed, observed, u0, v0)
         v_ref = multiplicative_update_v(x_observed, observed, u_ref, v0)
-        assert np.array_equal(u_k, u_ref)
-        assert np.array_equal(v_k, v_ref)
+        for path in ("reference", "workspace"):
+            kernel = build_kernel(
+                x_observed, observed, update_rule="multiplicative", kernel_path=path
+            )
+            u_k, v_k = kernel.step(x_observed, observed, u0, v0, KernelContext())
+            assert np.array_equal(u_k, u_ref)
+            assert np.array_equal(v_k, v_ref)
 
     def test_gradient_kernel_matches_direct_updates(self, rng):
         x = rng.random((12, 5))
@@ -218,27 +220,12 @@ class TestKernelRegistry:
         u0 = rng.random((12, 3)) + 0.1
         v0 = rng.random((3, 5)) + 0.1
         ctx = KernelContext(learning_rate=1e-2)
-        u_k, v_k = get_kernel("gradient").step(x_observed, observed, u0, v0, ctx)
         u_ref = gradient_update_u(x_observed, observed, u0, v0, learning_rate=1e-2)
         v_ref = gradient_update_v(x_observed, observed, u_ref, v0, learning_rate=1e-2)
-        assert np.array_equal(u_k, u_ref)
-        assert np.array_equal(v_k, v_ref)
-
-    def test_custom_kernel_pluggable_by_name(self, tiny_trial):
-        _, x_missing, mask = tiny_trial
-
-        @register_kernel("test-identity")
-        class IdentityKernel(UpdateKernel):
-            def step(self, x_observed, observed, u, v, ctx):
-                return u, v
-
-        try:
-            model = MaskedNMF(
-                rank=3, update_rule="test-identity", random_state=0, max_iter=5
+        for path in ("reference", "workspace"):
+            kernel = build_kernel(
+                x_observed, observed, update_rule="gradient", kernel_path=path
             )
-            model.fit(x_missing, mask)
-            # The identity kernel never moves: converges on first eval pair.
-            deltas = model.fit_report_.factor_deltas["u"]
-            assert all(d == 0.0 for d in deltas)
-        finally:
-            _REGISTRY.pop("test-identity", None)
+            u_k, v_k = kernel.step(x_observed, observed, u0, v0, ctx)
+            assert np.array_equal(u_k, u_ref)
+            assert np.array_equal(v_k, v_ref)

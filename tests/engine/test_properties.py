@@ -25,7 +25,8 @@ from hypothesis import strategies as st
 from repro.core import SMF, SMFL, MaskedNMF
 from repro.core.objective import masked_frobenius_sq
 from repro.engine import STOCHASTIC_KERNELS, BatchScheduler, StochasticWorkspace
-from repro.engine.kernels import KernelContext, get_kernel
+from repro.engine.kernels import KernelContext
+from repro.engine.workspace import build_kernel
 
 PROPERTY_SETTINGS = settings(
     max_examples=12,
@@ -180,14 +181,12 @@ class TestKernelLevelInvariants:
         u = rng.random((n, RANK)) + 0.1
         v = rng.random((RANK, m)) + 0.1
         frozen = rng.random((RANK, m)) < 0.3  # scattered, not a column prefix
-        ctx = KernelContext(
-            learning_rate=5e-3,
-            frozen_v=frozen,
-            scheduler=BatchScheduler(n, batch_size=5, seed=problem["seed"]),
-            workspace=StochasticWorkspace(),
+        ctx = KernelContext(learning_rate=5e-3, frozen_v=frozen)
+        kernel = StochasticWorkspace(
+            BatchScheduler(n, batch_size=5, seed=problem["seed"]), rule=rule
         )
         v_before = v.copy()
-        u1, v1 = get_kernel(rule).step(x_observed, observed, u, v, ctx)
+        u1, v1 = kernel.step(x_observed, observed, u, v, ctx)
         assert (u1 >= 0).all() and (v1 >= 0).all()
         assert np.array_equal(v1[frozen], v_before[frozen])
         # The caller's V is never mutated in place.
@@ -203,8 +202,10 @@ class TestKernelLevelInvariants:
         u = rng.random((n, RANK)) + 0.1
         v = rng.random((RANK, m)) + 0.1
         u_before, v_before = u.copy(), v.copy()
-        u1, v1 = get_kernel("multiplicative").step(
-            x_observed, observed, u, v, KernelContext()
+        kernel = build_kernel(
+            x_observed, observed,
+            update_rule="multiplicative", kernel_path="reference",
         )
+        u1, v1 = kernel.step(x_observed, observed, u, v, KernelContext())
         assert np.array_equal(u, u_before) and np.array_equal(v, v_before)
         assert (u1 >= 0).all() and (v1 >= 0).all()

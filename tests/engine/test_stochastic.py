@@ -18,10 +18,9 @@ from repro.engine import (
     BatchScheduler,
     FitReport,
     IterativeEngine,
-    KernelContext,
     StochasticWorkspace,
+    build_kernel,
 )
-from repro.engine.kernels import get_kernel
 from repro.exceptions import ValidationError
 
 # ----------------------------------------------------------- scheduler
@@ -113,8 +112,11 @@ class TestMethodWiring:
         x = np.ones((4, 3))
         observed = np.ones((4, 3), dtype=bool)
         with pytest.raises(ValidationError, match="BatchScheduler"):
-            get_kernel("sgd").step(
-                x, observed, np.ones((4, 2)), np.ones((2, 3)), KernelContext()
+            build_kernel(x, observed, update_rule="sgd")
+        # A hand-driven model step outside fit() has no schedule either.
+        with pytest.raises(ValidationError, match="BatchScheduler"):
+            MaskedNMF(rank=2, update_rule="sgd")._step(
+                x, observed, np.ones((4, 2)), np.ones((2, 3))
             )
 
 
@@ -228,12 +230,13 @@ class TestStochasticTelemetry:
         assert report.total_row_updates == 7 * np.asarray(x_missing).shape[0]
 
     def test_workspace_buffer_is_reused(self):
-        workspace = StochasticWorkspace()
-        a = workspace.residual_buffer(8, 5)
-        b = workspace.residual_buffer(8, 5)
-        assert a.base is b.base or a is b
-        smaller = workspace.residual_buffer(3, 5)
-        assert smaller.shape == (3, 5)
+        workspace = StochasticWorkspace(BatchScheduler(8))
+        a = workspace.buf("residual", (8, 5))
+        b = workspace.buf("residual", (8, 5))
+        assert a is b
+        # Short batches take row views of the same buffer.
+        smaller = workspace.buf("residual", (8, 5))[:3]
+        assert smaller.shape == (3, 5) and smaller.base is a
         # Changing the column count must reallocate.
-        other = workspace.residual_buffer(8, 7)
+        other = workspace.buf("residual", (8, 7))
         assert other.shape == (8, 7)

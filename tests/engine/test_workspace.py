@@ -19,9 +19,11 @@ from repro.engine.workspace import (
     BufferArena,
     GramCache,
     KernelWorkspace,
-    build_kernel_workspace,
+    ReferenceKernel,
+    build_kernel,
     resolve_kernel_path,
 )
+from repro.core import MaskedNMF
 from repro.core.objective import masked_frobenius_sq
 from repro.exceptions import ValidationError
 
@@ -40,6 +42,20 @@ def _problem(rng, n=30, m=12, k=4, rate=0.3, prefix=0):
 
 
 class TestResolveKernelPath:
+    def test_kernel_paths_are_the_four_paths(self):
+        assert KERNEL_PATHS == ("auto", "workspace", "sparse", "reference")
+
+    @pytest.mark.parametrize("path", ["numba", "batched", "gpu"])
+    def test_unknown_path_rejected_names_legal_values(self, rng, path):
+        _, observed, _, _ = _problem(rng)
+        with pytest.raises(ValidationError, match="kernel_path") as info:
+            resolve_kernel_path(path, update_rule="multiplicative", observed=observed)
+        for legal in KERNEL_PATHS:
+            assert repr(legal) in str(info.value)
+        # The models reject it at construction, before any fit work.
+        with pytest.raises(ValidationError, match="kernel_path"):
+            MaskedNMF(rank=2, kernel_path=path)
+
     def test_unknown_path_rejected(self, rng):
         _, observed, _, _ = _problem(rng)
         with pytest.raises(ValidationError, match="kernel_path"):
@@ -233,19 +249,20 @@ class TestMaskedObjective:
 
 
 class TestBuildKernelWorkspace:
-    def test_reference_returns_none(self, rng):
-        x_observed, observed, _, _ = _problem(rng)
-        assert (
-            build_kernel_workspace(
-                x_observed, observed,
-                kernel_path="reference", update_rule="multiplicative",
-            )
-            is None
+    def test_reference_returns_reference_kernel(self, rng):
+        x_observed, observed, u, v = _problem(rng)
+        kernel = build_kernel(
+            x_observed, observed,
+            kernel_path="reference", update_rule="multiplicative",
+        )
+        assert isinstance(kernel, ReferenceKernel)
+        assert kernel.masked_objective(x_observed, u, v) == masked_frobenius_sq(
+            x_observed, u, v, observed
         )
 
     def test_workspace_mode_dense(self, rng):
         x_observed, observed, _, _ = _problem(rng)
-        ws = build_kernel_workspace(
+        ws = build_kernel(
             x_observed, observed,
             kernel_path="workspace", update_rule="multiplicative",
         )
@@ -253,7 +270,7 @@ class TestBuildKernelWorkspace:
 
     def test_sparse_mode_with_prefix(self, rng):
         x_observed, observed, u, v = _problem(rng, rate=0.8, prefix=2)
-        ws = build_kernel_workspace(
+        ws = build_kernel(
             x_observed, observed,
             kernel_path="sparse", update_rule="multiplicative",
             frozen_prefix=2, v0=v,

@@ -19,6 +19,7 @@ from repro.exceptions import ValidationError
 from repro.model import FittedModel
 from repro.serving import (
     DEFAULT_SMOOTHING,
+    FoldInServer,
     fold_in,
     fold_in_row,
 )
@@ -175,6 +176,20 @@ class TestValidation:
     def test_nonpositive_ridge_rejected(self, model):
         with pytest.raises(ValidationError):
             fold_in(model, np.ones(model.n_cols), ridge=0.0)
+
+    def test_negative_observed_value_rejected_like_fit(self, model):
+        x = _requests(model, b=3)
+        x[1, 3] = -5.0
+        with pytest.raises(ValidationError, match="observed entries of X"):
+            SMFL(rank=2, n_spatial=2, max_iter=2, random_state=0).fit(x)
+        with pytest.raises(ValidationError, match="observed entries of X"):
+            fold_in(model, x)
+        with pytest.raises(ValidationError, match="observed entries of X"):
+            FoldInServer(model).fold_in(x[1])
+        # A negative value at an unobserved cell is masked out, not data.
+        mask = ~np.isnan(x)
+        mask[1, 3] = False
+        assert fold_in(model, np.nan_to_num(x), mask).n_rows == 3
 
     def test_fold_in_row_rejects_batches(self, model):
         with pytest.raises(ValidationError):
