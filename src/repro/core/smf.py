@@ -19,7 +19,7 @@ import numpy as np
 from ..engine.kernels import KernelContext
 from ..exceptions import NotFittedError, ValidationError
 from ..masking.mask import ObservationMask
-from ..spatial.graph_cache import spatial_graph
+from ..spatial.graph_cache import SpatialGraph, spatial_graph
 from ..validation import check_in_range, check_positive_int, check_spatial_columns
 from .factorization import MatrixFactorizationBase
 
@@ -49,6 +49,11 @@ class SMF(MatrixFactorizationBase):
         ``p = 3`` recommended).
     neighbor_method:
         k-NN search strategy (``"auto"``, ``"brute"``, ``"kdtree"``).
+        The graph's default ``"masked"`` missing strategy ignores it and
+        always brute-forces the masked distances (``O(N^2 L)``, in row
+        blocks); only the ``"column-mean"`` strategy of
+        :func:`repro.spatial.knn_similarity_matrix` uses it, where
+        ``"auto"`` switches to the KD-tree above 2048 points.
     **kwargs:
         Forwarded to :class:`MatrixFactorizationBase` (``max_iter``,
         ``tol``, ``update_rule``, ``learning_rate``, ``init``,
@@ -57,11 +62,13 @@ class SMF(MatrixFactorizationBase):
     Attributes (after fit)
     ----------------------
     similarity_:
-        The Formula 3 matrix **D**.
+        The Formula 3 matrix **D**, a lazy read-only dense view: the
+        fit itself uses the cached sparse graph, and the ``N x N``
+        array is built on first access (then shared).
     degree_:
         The degree vector (diagonal of the Formula 4 matrix **W**).
     laplacian_:
-        ``L = W - D``.
+        ``L = W - D``, a lazy read-only dense view like ``similarity_``.
     """
 
     method = "smf"
@@ -81,11 +88,16 @@ class SMF(MatrixFactorizationBase):
         self.lam = check_in_range(lam, name="lam", low=0.0)
         self.p_neighbors = check_positive_int(p_neighbors, name="p_neighbors")
         self.neighbor_method = neighbor_method
-        self.similarity_: np.ndarray | None = None
         self.degree_: np.ndarray | None = None
-        self.laplacian_: np.ndarray | None = None
-        self._similarity_op: object = None
-        self._laplacian_op: object = None
+        self._graph: SpatialGraph | None = None
+
+    @property
+    def similarity_(self) -> np.ndarray | None:
+        return None if self._graph is None else self._graph.similarity
+
+    @property
+    def laplacian_(self) -> np.ndarray | None:
+        return None if self._graph is None else self._graph.laplacian
 
     def _prepare_fit(
         self, x: np.ndarray, x_observed: np.ndarray, mask: ObservationMask
@@ -95,20 +107,15 @@ class SMF(MatrixFactorizationBase):
         spatial_observed = mask.observed[:, : self.n_spatial]
         # Content-addressed graph cache: λ/p sweeps and repeated seeds
         # over one dataset share the same N² build instead of paying it
-        # per fit.  The returned arrays are read-only and shared; the
-        # `_op` views are the sparse O(p N K) per-iteration operators
-        # (dense fallback when scipy is absent).
-        graph = spatial_graph(
+        # per fit.  The entry is shared; its `_op` operators are the
+        # sparse O(p N K) per-iteration operators.
+        self._graph = spatial_graph(
             spatial,
             self.p_neighbors,
             observed=spatial_observed,
             method=self.neighbor_method,
         )
-        self.similarity_ = graph.similarity
-        self.degree_ = graph.degree
-        self.laplacian_ = graph.laplacian
-        self._similarity_op = graph.similarity_op
-        self._laplacian_op = graph.laplacian_op
+        self.degree_ = self._graph.degree
 
     def _objective(
         self,
@@ -119,24 +126,39 @@ class SMF(MatrixFactorizationBase):
     ) -> float:
         value = self._data_term(x, u, v, observed)
         if self.lam != 0.0:
-            assert self._laplacian_op is not None
+            graph = self._fitted_graph()
             # Sparse quadratic form: equals smoothness_penalty(u, L)
             # but costs O(p N K) instead of O(N^2 K) per evaluation.
-            penalty = float(np.sum(u * np.asarray(self._laplacian_op @ u)))
+            penalty = float(np.sum(u * np.asarray(graph.laplacian_op @ u)))
             value += self.lam * max(penalty, 0.0)
         return value
 
-    def _kernel_context(self, v_shape: tuple[int, int]) -> KernelContext:
-        if self.similarity_ is None or self.degree_ is None or self.laplacian_ is None:
+    def _fitted_graph(self) -> SpatialGraph:
+        if self._graph is None:
             raise ValidationError("fit must prepare the spatial graph first")
-        # The multiplicative kernel consumes the sparse similarity view;
-        # the gradient kernel consumes the *dense* Laplacian (exactly
-        # the operators the pre-engine code used, preserving numerics).
+        return self._graph
+
+    def _dense_laplacian(self, graph: SpatialGraph) -> np.ndarray | None:
+        """The dense Laplacian for the rules that read it, else ``None``.
+
+        The gradient and stochastic kernels multiply by the *dense*
+        ``L`` (exactly the operator the pre-engine code used,
+        preserving numerics) when ``lam != 0``; the multiplicative rule
+        never touches it, so its fits never materialize the ``N x N``
+        array.
+        """
+        if self.update_rule == "multiplicative" or self.lam == 0.0:
+            return None
+        return graph.laplacian
+
+    def _kernel_context(self, v_shape: tuple[int, int]) -> KernelContext:
+        graph = self._fitted_graph()
+        # The multiplicative kernel consumes the sparse similarity view.
         return KernelContext(
             lam=self.lam,
-            similarity=self._similarity_op,
-            degree=self.degree_,
-            laplacian=self.laplacian_,
+            similarity=graph.similarity_op,
+            degree=graph.degree,
+            laplacian=self._dense_laplacian(graph),
             learning_rate=self.learning_rate,
             frozen_v=self._frozen_v_mask(v_shape),
         )
@@ -147,16 +169,16 @@ class SMF(MatrixFactorizationBase):
         Same operator choices as the looped fit: the multiplicative
         kernel and the objective penalty consume the *sparse* views,
         the gradient kernel the dense Laplacian — so the batched per-fit
-        graph terms run in the exact reference op order.
+        graph terms run in the exact reference op order.  Fits of one
+        graph share the memoized dense Laplacian by identity.
         """
-        if self.similarity_ is None or self.degree_ is None or self.laplacian_ is None:
-            raise ValidationError("fit must prepare the spatial graph first")
+        graph = self._fitted_graph()
         return {
             "lam": self.lam,
-            "similarity": self._similarity_op,
-            "degree": self.degree_,
-            "laplacian": self.laplacian_,
-            "penalty_op": self._laplacian_op,
+            "similarity": graph.similarity_op,
+            "degree": graph.degree,
+            "laplacian": self._dense_laplacian(graph),
+            "penalty_op": graph.laplacian_op,
         }
 
     def feature_locations(self) -> np.ndarray:

@@ -165,6 +165,18 @@ class BufferArena:
             self._buffers[name] = b
         return b
 
+    def rows(self, name: str, n_rows: int, row_shape: tuple[int, ...]) -> np.ndarray:
+        """The first ``n_rows`` rows of a grow-only named float buffer.
+
+        Requests whose batch size varies (serving) share one
+        allocation instead of reallocating at every size change.
+        """
+        b = self._buffers.get(name)
+        if b is None or b.shape[0] < n_rows or b.shape[1:] != row_shape:
+            b = np.empty((n_rows, *row_shape))
+            self._buffers[name] = b
+        return b[:n_rows]
+
     def out_for(self, name: str, current: np.ndarray) -> np.ndarray:
         """Ping-pong output buffer for factor ``name``, never aliasing
         ``current`` (the engine/callbacks may still read it)."""

@@ -48,7 +48,8 @@ common "sensor column dropped out" case) the Gram matrix is built and
 factorised once for the whole batch.  Scratch memory comes from a
 :class:`~repro.engine.workspace.BufferArena`, so a long-lived server
 (see :mod:`repro.serving.service`) reaches zero steady-state
-allocations for same-shape batches.
+allocations for same-shape batches; the spatial prior's ``B x N``
+distance blocks, the largest scratch, are reused across batch sizes.
 """
 
 from __future__ import annotations
@@ -154,6 +155,7 @@ def _spatial_prior(
     x: np.ndarray,
     observed: np.ndarray,
     p_neighbors: int,
+    arena: BufferArena,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Inverse-distance prior embeddings from the nearest training rows.
 
@@ -170,9 +172,16 @@ def _spatial_prior(
     active = (spatial_observed.sum(axis=1) > 0).astype(np.float64)
 
     # Squared distance over each row's *observed* spatial dimensions
-    # only (zero-filled unobserved coordinates must not count).
-    diff_sq = (new_spatial[:, None, :] - train_spatial[None, :, :]) ** 2
-    d2 = (diff_sq * spatial_observed[:, None, :]).sum(axis=2)
+    # only (zero-filled unobserved coordinates must not count).  The
+    # (B, N, L) and (B, N) blocks live in the arena: allocated per
+    # request, a 256-row batch's megabytes can be mapped and unmapped
+    # by the allocator on every request, paying page faults each time.
+    n_rows, n_train = new_spatial.shape[0], train_spatial.shape[0]
+    diff_sq = arena.rows("foldin.prior_diff", n_rows, train_spatial.shape)
+    np.subtract(new_spatial[:, None, :], train_spatial[None, :, :], out=diff_sq)
+    np.square(diff_sq, out=diff_sq)
+    diff_sq *= spatial_observed[:, None, :]
+    d2 = np.sum(diff_sq, axis=2, out=arena.rows("foldin.prior_d2", n_rows, (n_train,)))
 
     p = min(int(p_neighbors), train_spatial.shape[0])
     nearest = np.argpartition(d2, p - 1, axis=1)[:, :p]
@@ -256,7 +265,7 @@ def fold_in(
     # The spatial prior joins the normal equations per row:
     # (G_b + (ridge + smooth_b) I) u = rhs_b + smooth_b * u0_b.
     if use_prior:
-        u_prior, active = _spatial_prior(model, x, observed, p_neighbors)
+        u_prior, active = _spatial_prior(model, x, observed, p_neighbors, arena)
         smooth = spatial_smoothing * active
         rhs += smooth[:, None] * u_prior
     else:

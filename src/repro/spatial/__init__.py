@@ -6,9 +6,11 @@ This subpackage implements everything Section II-C of the paper needs:
 - a from-scratch KD-tree for nearest-neighbour queries
   (:mod:`repro.spatial.kdtree`),
 - ``p``-nearest-neighbour search (:mod:`repro.spatial.neighbors`),
-- the symmetric p-NN similarity matrix **D** of Formula 3
-  (:mod:`repro.spatial.similarity`), and
-- the degree matrix **W** (Formula 4) and graph Laplacian **L = W - D**
+- the one graph builder, which turns coordinates into the symmetric
+  p-NN similarity matrix **D** of Formula 3, the degree vector and the
+  graph Laplacian **L = W - D** in sparse form
+  (:mod:`repro.spatial.similarity`),
+- dense degree matrix **W** (Formula 4) and Laplacian helpers
   (:mod:`repro.spatial.laplacian`), and
 - a content-addressed cache of the whole graph build so sweeps over one
   dataset pay the ``N^2`` construction once

@@ -9,8 +9,9 @@ rebuild it from scratch.  A λ or missing-rate sweep over one dataset
 This module keeps a small process-local LRU keyed by the SHA-256 of
 the exact build inputs (raw coordinate bytes, mask bytes, parameters) —
 the same content-addressing discipline as the runner's result cache,
-so a hit is *guaranteed* to be the identical matrices.  Entries are
-returned read-only and shared between fits; :class:`repro.core.smf.SMF`
+so a hit is *guaranteed* to be the identical matrices.  An entry holds
+the sparse graph only (``O(p N)``); dense views are built on demand.
+Entries are shared between fits; :class:`repro.core.smf.SMF`
 pulls from here, which makes the reuse automatic for every runner cell,
 λ value, seed, and SMF/SMFL variant that shares a dataset and ``p``.
 
@@ -23,12 +24,12 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..obs.metrics import get_metrics
-from .laplacian import laplacian_from_points
+from .similarity import knn_graph, to_dense
 
 __all__ = ["SpatialGraph", "spatial_graph", "clear_graph_cache", "graph_cache_info"]
 
@@ -36,24 +37,49 @@ _MAX_ENTRIES = 16
 """LRU capacity: sweeps touch a handful of (dataset, p) combinations."""
 
 _LOCK = threading.Lock()
+_VIEW_LOCK = threading.Lock()
+"""Serializes dense-view materialization so concurrent first readers
+of one entry still share a single array."""
 _CACHE: "OrderedDict[str, SpatialGraph]" = OrderedDict()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpatialGraph:
-    """One cached graph build; all arrays are read-only and shared.
+    """One cached graph build, shared between fits.
 
-    ``degree`` is the degree *vector* (the diagonal of the paper's
-    Formula 4 matrix **W**).  ``similarity_op``/``laplacian_op`` are
-    scipy CSR views when scipy is importable (the ``O(p N K)``
-    per-iteration operators), else the dense arrays.
+    ``similarity_op``/``laplacian_op`` are **D** and ``L = W - D`` as
+    scipy CSR matrices (the ``O(p N K)`` per-iteration operators; dense
+    arrays when scipy is absent), and ``degree`` is the read-only degree
+    *vector* (the diagonal of the paper's Formula 4 matrix **W**).
+
+    ``similarity``/``laplacian`` are read-only dense ``N x N`` views,
+    built from the CSR on first access and memoized on the entry, so
+    every reader gets the same array object.  They are exact: every
+    entry is a small integer.  Only dense consumers (the gradient and
+    stochastic kernels' Laplacian) should touch them.
     """
 
-    similarity: np.ndarray
-    degree: np.ndarray
-    laplacian: np.ndarray
     similarity_op: object
     laplacian_op: object
+    degree: np.ndarray
+    _dense: dict = field(default_factory=dict, repr=False)
+
+    @property
+    def similarity(self) -> np.ndarray:
+        return self._dense_view("similarity_op")
+
+    @property
+    def laplacian(self) -> np.ndarray:
+        return self._dense_view("laplacian_op")
+
+    def _dense_view(self, name: str) -> np.ndarray:
+        with _VIEW_LOCK:
+            view = self._dense.get(name)
+            if view is None:
+                view = to_dense(getattr(self, name))
+                view.setflags(write=False)
+                self._dense[name] = view
+            return view
 
 
 def _graph_key(
@@ -82,27 +108,13 @@ def _build(
     method: str,
     missing_strategy: str,
 ) -> SpatialGraph:
-    similarity, degree, laplacian = laplacian_from_points(
+    similarity_op, degree, laplacian_op = knn_graph(
         spatial, p, observed=observed, method=method,
         missing_strategy=missing_strategy,
     )
-    degree_vec = np.diag(degree).copy()
-    try:
-        from scipy import sparse
-
-        similarity_op: object = sparse.csr_matrix(similarity)
-        laplacian_op: object = sparse.csr_matrix(laplacian)
-    except ImportError:  # pragma: no cover - scipy is a soft dependency
-        similarity_op = similarity
-        laplacian_op = laplacian
-    for arr in (similarity, degree_vec, laplacian):
-        arr.setflags(write=False)
+    degree.setflags(write=False)
     return SpatialGraph(
-        similarity=similarity,
-        degree=degree_vec,
-        laplacian=laplacian,
-        similarity_op=similarity_op,
-        laplacian_op=laplacian_op,
+        similarity_op=similarity_op, laplacian_op=laplacian_op, degree=degree
     )
 
 
@@ -116,9 +128,9 @@ def spatial_graph(
 ) -> SpatialGraph:
     """The ``(D, W, L)`` build for these exact inputs, cached.
 
-    Same contract as
-    :func:`repro.spatial.laplacian.laplacian_from_points` (which does
-    the building on a miss), with the degree returned as a vector.
+    Same parameters as
+    :func:`repro.spatial.similarity.knn_graph`, which does the building
+    on a miss.
     """
     spatial = np.asarray(spatial, dtype=np.float64)
     key = _graph_key(spatial, p, observed, method, missing_strategy)

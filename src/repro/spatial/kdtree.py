@@ -90,14 +90,14 @@ class KDTree:
             # All points identical along every axis: cannot split further.
             return _Node(indices=indices)
         values = pts[:, dim]
-        order = np.argsort(values, kind="stable")
         mid = indices.size // 2
-        split_value = float(values[order[mid]])
+        split_value = float(np.partition(values, mid)[mid])
         left_mask = values < split_value
-        # Guard against a degenerate split when the median value repeats.
-        if not left_mask.any() or left_mask.all():
-            left_mask = np.zeros(indices.size, dtype=bool)
-            left_mask[order[:mid]] = True
+        # Guard against a degenerate split when the median value repeats:
+        # nothing lies below it, so the left child takes the first
+        # ``mid`` median-valued points by index.
+        if not left_mask.any():
+            left_mask[np.flatnonzero(values == split_value)[:mid]] = True
         return _Node(
             split_dim=dim,
             split_value=split_value,

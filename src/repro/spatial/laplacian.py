@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..validation import as_matrix, ValidationError
-from .similarity import knn_similarity_matrix
+from .similarity import knn_graph, to_dense
 
 __all__ = ["degree_matrix", "graph_laplacian", "laplacian_from_points"]
 
@@ -55,7 +55,10 @@ def laplacian_from_points(
     method: str = "auto",
     missing_strategy: str = "masked",
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Convenience: build ``(D, W, L)`` directly from spatial coordinates.
+    """Convenience: build dense ``(D, W, L)`` directly from spatial coordinates.
+
+    The dense form of :func:`repro.spatial.similarity.knn_graph`, whose
+    parameters it takes.
 
     Returns
     -------
@@ -63,9 +66,8 @@ def laplacian_from_points(
         The Formula 3 matrix **D**, the Formula 4 matrix **W**, and
         ``L = W - D``.
     """
-    similarity = knn_similarity_matrix(
+    similarity, degree, laplacian = knn_graph(
         spatial, p, observed=observed, method=method,
         missing_strategy=missing_strategy,
     )
-    degree = degree_matrix(similarity)
-    return similarity, degree, degree - similarity
+    return to_dense(similarity), np.diag(degree), to_dense(laplacian)

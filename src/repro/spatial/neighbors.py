@@ -16,7 +16,7 @@ from ..validation import as_matrix, check_positive_int
 from .distances import DISTANCE_CHUNK_ROWS, pairwise_sq_euclidean
 from .kdtree import KDTree
 
-__all__ = ["knn_indices"]
+__all__ = ["knn_indices", "smallest_p"]
 
 # Below this many points the O(n^2) distance matrix beats tree traversal.
 _BRUTE_FORCE_LIMIT = 2048
@@ -66,12 +66,9 @@ def _knn_brute(points: np.ndarray, p: int) -> np.ndarray:
     if n <= DISTANCE_CHUNK_ROWS:
         d2 = pairwise_sq_euclidean(points)
         np.fill_diagonal(d2, np.inf)
-        # argsort (stable) rather than argpartition so ties break by
-        # index, keeping the neighbour graph deterministic across runs.
-        order = np.argsort(d2, axis=1, kind="stable")
-        return order[:, :p].astype(np.int64)
+        return smallest_p(d2, p)
     # Chunked path for large n: peak memory drops from n^2 to chunk x n
-    # with one reused distance block.  Each row sorts independently, so
+    # with one reused distance block.  Each row selects independently, so
     # the neighbour lists match the one-shot path except on distance
     # ties closer than the gemm's last-ulp blocking difference.
     out = np.empty((n, p), dtype=np.int64)
@@ -83,9 +80,47 @@ def _knn_brute(points: np.ndarray, p: int) -> np.ndarray:
             points[start:stop], points, out=scratch[:rows]
         )
         block[np.arange(rows), np.arange(start, stop)] = np.inf
-        order = np.argsort(block, axis=1, kind="stable")
-        out[start:stop] = order[:, :p]
+        out[start:stop] = smallest_p(block, p)
     return out
+
+
+def smallest_p(dist: np.ndarray, p: int) -> np.ndarray:
+    """Column indices of each row's ``p`` smallest entries, in order.
+
+    Returns exactly ``np.argsort(dist, axis=1, kind="stable")[:, :p]``:
+    ascending by value, ties broken by column index, so the neighbour
+    graph stays deterministic.  It costs ``O(m)`` per row instead of a
+    full ``O(m log m)`` sort.  ``argpartition`` puts each row's ``p``
+    smallest entries first; when exactly ``p`` entries are ``<=`` the
+    ``p``-th smallest value, those are the answer and only they are
+    ordered, by (value, index).  Rows with a tie across that boundary
+    (all-``inf`` rows included) stable-sort their ``<=`` candidates
+    instead.
+
+    Parameters
+    ----------
+    dist:
+        ``(n, m)`` float array with ``p <= m``.
+    p:
+        Number of entries to select per row.
+
+    Returns
+    -------
+    ``(n, p)`` int64 array.
+    """
+    part = np.argpartition(dist, p - 1, axis=1)[:, :p]
+    vals = np.take_along_axis(dist, part, axis=1)
+    kth = vals[:, p - 1:p]
+    # A NaN kth compares false everywhere, so its row fails this test too.
+    n_candidates = np.count_nonzero(dist <= kth, axis=1)
+    out = np.take_along_axis(part, np.lexsort((part, vals), axis=1), axis=1)
+    for i in np.flatnonzero(n_candidates != p):
+        row = dist[i]
+        # Entries above kth sort after every candidate, so a stable sort
+        # of the candidates (index order kept) matches a full-row sort.
+        cand = np.flatnonzero(~(row > kth[i, 0]))
+        out[i] = cand[np.argsort(row[cand], kind="stable")[:p]]
+    return out.astype(np.int64, copy=False)
 
 
 def _knn_kdtree(points: np.ndarray, p: int) -> np.ndarray:

@@ -131,6 +131,16 @@ class TestBufferArena:
         b = arena.buf("x", (5, 4))
         assert a is not b and b.shape == (5, 4)
 
+    def test_rows_reuse_one_allocation_until_outgrown(self):
+        arena = BufferArena()
+        big = arena.rows("x", 8, (3,))
+        small = arena.rows("x", 2, (3,))
+        assert small.shape == (2, 3) and small.base is big.base
+        assert small.flags.c_contiguous
+        grown = arena.rows("x", 9, (3,))
+        assert grown.shape == (9, 3) and grown.base is not big.base
+        assert arena.rows("x", 9, (4,)).shape == (9, 4)
+
     def test_out_for_never_aliases_current(self):
         arena = BufferArena()
         u = np.zeros((4, 2))

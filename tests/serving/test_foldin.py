@@ -108,6 +108,15 @@ class TestFoldIn:
         np.testing.assert_array_equal(first.imputed, second.imputed)
         np.testing.assert_array_equal(first.imputed, fold_in(model, x).imputed)
 
+    def test_prior_scratch_shared_across_batch_sizes(self, model):
+        x = _requests(model)
+        arena = BufferArena()
+        fold_in(model, x, arena=arena)
+        scratch = arena.rows("foldin.prior_d2", 1, (model.u.shape[0],)).base
+        single = fold_in(model, x[:1], arena=arena)
+        assert arena.rows("foldin.prior_d2", 1, (model.u.shape[0],)).base is scratch
+        np.testing.assert_array_equal(single.imputed, fold_in(model, x[:1]).imputed)
+
 
 class TestSpatialPrior:
     def test_default_smoothing_for_spatial_models(self, model):
