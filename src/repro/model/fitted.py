@@ -35,6 +35,7 @@ clip-to-observed-range safeguard applies identically at serving time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -263,6 +264,25 @@ class FittedModel:
         values, exactly as ``fit`` does.
         """
         return self.is_factor_model
+
+    @cached_property
+    def training_locations(self) -> np.ndarray:
+        """``(L, N)`` spatial coordinates of the training rows.
+
+        The rows' locations as the factors reconstruct them,
+        ``(U V[:, :L])ᵀ``, made contiguous so the fold-in prior reads
+        one coordinate at a time.  Computed on first access and cached
+        on the instance (read-only); it is not a dataclass field, so it
+        stays out of the artifact, the content hash and ``replace()``.
+        """
+        if not self.is_factor_model:
+            raise ValidationError(
+                f"training locations need a factor model; {self.method!r} "
+                "carries only a dense estimate"
+            )
+        locations = np.ascontiguousarray((self.u @ self.v[:, : self.n_spatial]).T)
+        locations.setflags(write=False)
+        return locations
 
     # ------------------------------------------------------------ behaviour
 

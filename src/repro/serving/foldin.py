@@ -22,9 +22,9 @@ badly at the unobserved ones.  Training rows never suffer this because
 SMF/SMFL's graph regularizer smooths each embedding toward its spatial
 neighbours (Section II-C).  Fold-in carries the same idea to serving:
 for spatial models the new row's ``p`` nearest *training* rows (by
-spatial coordinates - recovered from the factors as ``U V[:, :L]``, so
-the artifact needs no extra state) define an inverse-distance-weighted
-prior embedding ``u0``, and the solve becomes
+spatial coordinates - recovered from the factors as ``U V[:, :L]`` and
+cached on the model, so the artifact needs no extra state) define an
+inverse-distance-weighted prior embedding ``u0``, and the solve becomes
 
     u* = argmin_u || diag(m) (x - u V) ||^2 + ridge ||u||^2
                   + smooth ||u - u0||^2
@@ -48,8 +48,11 @@ common "sensor column dropped out" case) the Gram matrix is built and
 factorised once for the whole batch.  Scratch memory comes from a
 :class:`~repro.engine.workspace.BufferArena`, so a long-lived server
 (see :mod:`repro.serving.service`) reaches zero steady-state
-allocations for same-shape batches; the spatial prior's ``B x N``
-distance blocks, the largest scratch, are reused across batch sizes.
+allocations for same-shape batches.  The spatial prior builds its
+``B x N`` squared distances one spatial coordinate at a time, in two
+grow-only ``B x N`` arena blocks (the running sum and the current
+coordinate's term) that every batch size shares; no ``B x N x L``
+block exists.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ from ..engine.workspace import BufferArena
 from ..exceptions import ValidationError
 from ..masking.mask import ObservationMask
 from ..model.fitted import FittedModel, coerce_observations
-from ..validation import check_nonnegative
+from ..validation import check_nonnegative, check_positive_int
 
 __all__ = [
     "DEFAULT_PRIOR_NEIGHBORS",
@@ -161,33 +164,53 @@ def _spatial_prior(
 
     Returns ``(u_prior, active)``: the ``(B, K)`` prior and a ``(B,)``
     float mask that is 1 for rows with at least one observed spatial
-    coordinate (rows with no spatial evidence get no prior).  Training
-    row locations are recovered from the factors as ``U V[:, :L]`` -
+    coordinate and a finite distance to some training row (other rows
+    get no prior, and a zero ``u_prior``).  Training row locations are
+    :attr:`FittedModel.training_locations` - recovered from the factors,
     nothing beyond the artifact is needed.
     """
-    n_spatial = model.n_spatial
-    train_spatial = model.u @ model.v[:, :n_spatial]  # (N, L)
-    new_spatial = x[:, :n_spatial]
-    spatial_observed = observed[:, :n_spatial].astype(np.float64)
-    active = (spatial_observed.sum(axis=1) > 0).astype(np.float64)
+    locations = model.training_locations  # (L, N), cached on the model
+    spatial_observed = observed[:, : model.n_spatial]
+    active = spatial_observed.any(axis=1).astype(np.float64)
 
     # Squared distance over each row's *observed* spatial dimensions
-    # only (zero-filled unobserved coordinates must not count).  The
-    # (B, N, L) and (B, N) blocks live in the arena: allocated per
-    # request, a 256-row batch's megabytes can be mapped and unmapped
-    # by the allocator on every request, paying page faults each time.
-    n_rows, n_train = new_spatial.shape[0], train_spatial.shape[0]
-    diff_sq = arena.rows("foldin.prior_diff", n_rows, train_spatial.shape)
-    np.subtract(new_spatial[:, None, :], train_spatial[None, :, :], out=diff_sq)
-    np.square(diff_sq, out=diff_sq)
-    diff_sq *= spatial_observed[:, None, :]
-    d2 = np.sum(diff_sq, axis=2, out=arena.rows("foldin.prior_d2", n_rows, (n_train,)))
+    # only (zero-filled unobserved coordinates must not count): the sum
+    # of (x_l - t_l)^2 * m_l, accumulated one coordinate at a time in
+    # column order.  For L < 8 these are the additions, in the order,
+    # of numpy's pairwise sum over a (B, N, L) block, so the result is
+    # bit-identical to reducing one.  Multiplying by a mask of 1 is
+    # exact, so only rows that leave the coordinate blank are
+    # multiplied (by 0).  Both (B, N) blocks are grow-only arena
+    # buffers: allocated per request, a 256-row batch's megabytes can
+    # be mapped and unmapped by the allocator on every request, paying
+    # page faults each time.  A huge observed coordinate may overflow
+    # to inf; such rows are dropped below.
+    n_rows, n_train = x.shape[0], locations.shape[1]
+    d2 = arena.rows("foldin.prior_d2", n_rows, (n_train,))
+    term = arena.rows("foldin.prior_term", n_rows, (n_train,))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for col, location in enumerate(locations):
+            out = term if col else d2
+            np.subtract(x[:, col, None], location[None, :], out=out)
+            np.square(out, out=out)
+            blank = ~spatial_observed[:, col]
+            if blank.any():
+                out[blank] *= 0.0
+            if col:
+                d2 += term
 
-    p = min(int(p_neighbors), train_spatial.shape[0])
-    nearest = np.argpartition(d2, p - 1, axis=1)[:, :p]
-    weights = 1.0 / np.maximum(np.take_along_axis(d2, nearest, axis=1), 1e-12)
-    weights /= weights.sum(axis=1, keepdims=True)
-    u_prior = np.einsum("bp,bpk->bk", weights, model.u[nearest])
+        p = min(p_neighbors, n_train)
+        nearest = np.argpartition(d2, p - 1, axis=1)[:, :p]
+        nearest_d2 = np.take_along_axis(d2, nearest, axis=1)
+        weights = 1.0 / np.maximum(nearest_d2, 1e-12)
+        weights /= weights.sum(axis=1, keepdims=True)
+        u_prior = np.einsum("bp,bpk->bk", weights, model.u[nearest])
+
+    # Every distance of a row overflowed: its weights are 0/0.
+    unreachable = ~np.isfinite(nearest_d2.min(axis=1))
+    if unreachable.any():
+        active[unreachable] = 0.0
+        u_prior[unreachable] = 0.0
     return u_prior, active
 
 
@@ -223,7 +246,9 @@ def fold_in(
         :data:`DEFAULT_SMOOTHING` for spatial models and to 0
         otherwise; pass 0 to force the plain ridge solve.
     p_neighbors:
-        Training neighbours per prior (:data:`DEFAULT_PRIOR_NEIGHBORS`).
+        Training neighbours per prior, a positive integer
+        (:data:`DEFAULT_PRIOR_NEIGHBORS`); more than the model's
+        training rows means all of them.
     nonnegative:
         Project embeddings onto ``u >= 0``.  Default ``None`` follows
         the model (the NMF family projects, hypothetical unconstrained
@@ -240,6 +265,7 @@ def fold_in(
         )
     if ridge <= 0.0:
         raise ValidationError(f"ridge must be positive, got {ridge}")
+    p_neighbors = check_positive_int(p_neighbors, name="p_neighbors")
     if nonnegative is None:
         nonnegative = model.nonnegative
     spatial_capable = model.n_spatial > 0 and model.u is not None
