@@ -108,10 +108,14 @@ def knn_graph(
 
     The one graph builder: :func:`knn_similarity_matrix`,
     :func:`repro.spatial.laplacian.laplacian_from_points` and the graph
-    cache all go through it.  No ``n x n`` array is allocated: the
-    ``(n, p)`` neighbour lists become **D** (Formula 3) and
-    ``L = W - D`` in CSR form, with at most ``2 p n`` off-diagonal
-    entries.  Parameters are those of :func:`knn_similarity_matrix`.
+    cache all go through it.  No ``n x n`` array is allocated: under
+    the default ``"masked"`` strategy a grid index settles each fully
+    observed row from ``c`` nearby candidates (about ``n c`` work in
+    all), and only rows with a blank spatial cell or a failed exclusion
+    bound scan all ``n`` columns, in row blocks.  The ``(n, p)``
+    neighbour lists become **D** (Formula 3) and ``L = W - D`` in CSR
+    form, with at most ``2 p n`` off-diagonal entries.  Parameters are
+    those of :func:`knn_similarity_matrix`.
 
     Returns
     -------
@@ -181,8 +185,8 @@ def knn_similarity_matrix(
         Neighbour-search strategy of the ``"column-mean"`` strategy,
         forwarded to :func:`repro.spatial.neighbors.knn_indices`
         (``"auto"`` switches from brute force to the KD-tree above 2048
-        points).  The default ``"masked"`` strategy ignores it and
-        always evaluates the masked distances by brute force.
+        points).  The default ``"masked"`` strategy ignores it: its
+        grid index returns exactly what the brute-force scan would.
     missing_strategy:
         How rows with missing spatial cells enter the neighbour search:
         ``"masked"`` (default) measures the mean squared difference
@@ -205,9 +209,28 @@ def knn_similarity_matrix(
 
 
 _BLOCK_ROWS = 256
-"""Rows of the masked distance matrix evaluated at once: the scratch is
-two ``256 x n`` float blocks instead of ``n x n`` temporaries.  256
-measured fastest at n = 2500 (64-128 and 512-1024 were slower)."""
+"""Rows of the brute-force masked distance matrix evaluated at once: the
+scratch is a few ``256 x n`` blocks instead of ``n x n`` temporaries
+(fewer rows above ``n = 16384``, so a block stays under
+``_BRUTE_ELEMENTS``).  Only the rows the grid index cannot settle (a
+blank spatial cell, or a failed exclusion bound) scan all ``n``
+columns; they cost ``O(n)`` each, the settled rows ``O(c)`` for ``c``
+candidates."""
+
+_BRUTE_ELEMENTS = 1 << 22
+"""Element cap of one brute-force block (32 MiB per float scratch)."""
+
+_LEVELS = (0.5, 4.0, 32.0)
+"""Grid levels of the candidate index, fine to coarse, as fully observed
+rows per cell per neighbour (``p``).  Clustered coordinates settle most
+rows on the fine grid; sparse rows fall through to the coarser ones.
+One level (any density) or two were slower on clustered data at
+N = 2.5k-100k."""
+
+_CANDIDATE_ELEMENTS = 1 << 16
+"""Element budget (rows x padded candidate width) of one candidate
+batch; clustered cells widen rows, so batches shrink instead of the
+scratch growing."""
 
 
 def _masked_knn_indices(
@@ -215,7 +238,14 @@ def _masked_knn_indices(
     p: int,
     observed: np.ndarray | None,
 ) -> np.ndarray:
-    """p-NN indices under per-dimension masked RMS distance.
+    """p-NN indices under per-dimension masked mean squared distance.
+
+    ``d_ij = sum_l w_il w_jl (x_il - x_jl)**2 / max(common_ij, 1)``,
+    ``inf`` when the rows share no observed dimension
+    (:func:`_masked_distances`).  Fully observed rows are settled by
+    the grid index of :func:`_grid_knn`; the rest scan every column in
+    row blocks.  Both paths evaluate a pair with the same elementwise
+    form, so every row is what the brute-force scan would select.
 
     Rows sharing no observed dimension are infinitely far apart, so a
     row is matched to the finite-distance candidates first.  A row
@@ -224,6 +254,18 @@ def _masked_knn_indices(
     order), which include the row itself when its index is below
     ``p`` — that self-edge is dropped from the graph, leaving the row
     fewer than ``p`` edges.
+    """
+    xt, wt, full = _masked_columns(spatial, p, observed)
+    out = np.empty((xt.shape[1], p), dtype=np.int64)
+    _brute_knn(xt, wt, _grid_knn(xt, wt, full, p, out), p, out)
+    return out
+
+
+def _masked_columns(spatial: np.ndarray, p: int, observed: np.ndarray | None):
+    """Validated ``(L, n)`` coordinates, observed mask and full-row flags.
+
+    Unobserved cells read 0.  The mask is ``None`` when every cell is
+    observed, which lets the distance form skip the masking work.
     """
     spatial = as_matrix(spatial, name="spatial", allow_nan=True, copy=True)
     if observed is None:
@@ -241,34 +283,234 @@ def _masked_knn_indices(
                 f"spatial column {j} has no observed entries; the similarity "
                 "graph cannot be built"
             )
-    x = np.where(obs, spatial, 0.0)
-    weights = obs.astype(np.float64)
-    xw = x * weights
-    x2w = x**2 * weights
-    out = np.empty((n, p), dtype=np.int64)
-    block = min(_BLOCK_ROWS, n)
-    d2, scratch = np.empty((block, n)), np.empty((block, n))
-    unshared = np.empty((block, n), dtype=bool)
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        r = stop - start
-        rows = slice(start, stop)
-        # Rows start:stop of the one-shot n x n expression
-        #   where(common > 0, (sq + sq.T - 2 cross) / max(common, 1), inf)
-        # op for op, so every distance is bit-identical to it; sq.T's
-        # block is weights[rows] @ x2w.T.
-        dist, tmp = d2[:r], scratch[:r]
-        np.matmul(x2w[rows], weights.T, out=dist)
-        dist += np.matmul(weights[rows], x2w.T, out=tmp)
-        np.matmul(xw[rows], xw.T, out=tmp)
-        tmp *= 2.0
-        dist -= tmp
-        common = np.matmul(weights[rows], weights.T, out=tmp)
-        np.equal(common, 0.0, out=unshared[:r])
-        np.maximum(common, 1.0, out=common)
-        dist /= common
-        dist[unshared[:r]] = np.inf
-        np.maximum(dist, 0.0, out=dist)
-        dist[np.arange(r), np.arange(start, stop)] = np.inf
-        out[rows] = smallest_p(dist, p)
+    xt = np.ascontiguousarray(np.where(obs, spatial, 0.0).T)
+    wt = np.ascontiguousarray(obs.T)
+    full = wt.all(axis=0)
+    return xt, None if full.all() else wt, full
+
+
+def _masked_distances(xq, xc, wq, wc, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """The one masked distance form, written into ``out``.
+
+    ``out[r, c] = sum_l [wq_l & wc_l] (xq_l - xc_l)**2 / max(common, 1)``,
+    summed in column order, ``inf`` where the pair shares no observed
+    dimension.  ``xq[l]``/``xc[l]`` (and the masks ``wq[l]``/``wc[l]``)
+    broadcast to ``out``'s shape: queries down, candidates across.
+    Each value depends only on its pair, never on the block around it,
+    so every path that evaluates a pair gets the same bits.  ``wq`` and
+    ``wc`` are ``None`` when every cell involved is observed.
+    """
+    n_dims = len(xq)
+    masked = wq is not None
+    if masked:
+        unshared = np.empty(out.shape, dtype=bool)
+        common = np.zeros(out.shape, dtype=np.min_scalar_type(n_dims))
+    with np.errstate(over="ignore"):
+        for l in range(n_dims):
+            term = out if l == 0 else tmp
+            np.subtract(xq[l], xc[l], out=term)
+            np.multiply(term, term, out=term)
+            if masked:
+                np.logical_and(wq[l], wc[l], out=unshared)
+                common += unshared
+                np.logical_not(unshared, out=unshared)
+                np.copyto(term, 0.0, where=unshared)
+            if l:
+                out += tmp
+    if not masked:
+        out /= n_dims
+        return out
+    np.equal(common, 0, out=unshared)
+    np.maximum(common, 1, out=common)
+    out /= common
+    out[unshared] = np.inf
     return out
+
+
+def _brute_knn(xt: np.ndarray, wt: np.ndarray | None, rows: np.ndarray, p: int,
+               out: np.ndarray) -> None:
+    """Fill ``out[rows]`` by scanning all ``n`` columns, in row blocks."""
+    if rows.size == 0:
+        return
+    n = xt.shape[1]
+    block = min(_BLOCK_ROWS, max(1, _BRUTE_ELEMENTS // n), rows.size)
+    dist, scratch = np.empty((block, n)), np.empty((block, n))
+    wc = None if wt is None else wt[:, None, :]
+    for start in range(0, rows.size, block):
+        q = rows[start:start + block]
+        r = q.size
+        wq = None if wt is None else wt[:, q, None]
+        d = _masked_distances(xt[:, q, None], xt[:, None, :], wq, wc, dist[:r], scratch[:r])
+        d[np.arange(r), q] = np.inf
+        out[q] = smallest_p(d, p)
+
+
+def _grid_knn(xt: np.ndarray, wt: np.ndarray | None, full: np.ndarray, p: int,
+              out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` for the rows a grid index settles; return the others.
+
+    The fully observed rows are bucketed on uniform grids over the
+    first ``min(L, 2)`` coordinates, fine to coarse (:data:`_LEVELS`).
+    A row's candidates are the rows of its 3 x 3 cell neighbourhood
+    plus every row with a blank spatial cell (those cannot be placed,
+    and the masked distance can make them arbitrarily close), in index
+    order with the row itself at ``inf``, so
+    :func:`repro.spatial.neighbors.smallest_p` breaks ties by index as
+    the full scan does.  The row is settled when its ``p``-th candidate
+    distance is strictly below ``bound**2 / L``: every row outside the
+    neighbourhood is at least that far (see :func:`_grid_cells`), so
+    none can tie with or beat the ``p``-th value.  Rows with a blank
+    cell, and rows no level settles (non-finite values included), are
+    returned, sorted.
+    """
+    n_dims, n = xt.shape
+    full_rows = np.flatnonzero(full)
+    blank_rows = np.flatnonzero(~full)
+    # Padding candidates point at an extra column at +inf.
+    xt_pad = np.concatenate([xt, np.full((n_dims, 1), np.inf)], axis=1)
+    wt_pad = None if wt is None else np.concatenate([wt, np.ones((n_dims, 1), bool)], axis=1)
+    budget = min(_CANDIDATE_ELEMENTS, _BLOCK_ROWS * n)
+    pending = full_rows
+    for cell_points in _LEVELS:
+        if pending.size == 0:
+            break
+        grid = _grid_cells(xt[:min(n_dims, 2), full_rows], cell_points * p)
+        if grid is None:
+            break
+        cells, shape, bound = grid
+        limit = np.empty(n)
+        with np.errstate(over="ignore"):
+            limit[full_rows] = bound * bound / n_dims
+        members, slots, near_starts, near_counts = _neighbourhoods(full_rows, cells, shape)
+        # Pending rows by (candidate width, cell), batched under the
+        # element budget, each batch padded to its widest row; rows with
+        # fewer than p other candidates wait for a coarser level.
+        width = near_counts.sum(axis=1) + blank_rows.size
+        asked = np.zeros(n, dtype=bool)
+        asked[pending] = True
+        query, row_cell = members[asked[members]], slots[asked[members]]
+        order = np.argsort(width[row_cell], kind="stable")
+        query, row_cell = query[order], row_cell[order]
+        row_width = width[row_cell]
+        first = np.searchsorted(row_width, p + 1)
+        query, row_cell, row_width = query[first:], row_cell[first:], row_width[first:]
+        settled = np.zeros(n, dtype=bool)
+        start = 0
+        while start < query.size:
+            load = np.arange(1, query.size - start + 1) * row_width[start:]
+            stop = start + max(1, int(np.searchsorted(load, budget, side="right")))
+            rows, batch = query[start:stop], row_cell[start:stop]
+            # Rows of one cell are adjacent: build each cell's list once.
+            new_cell = np.diff(batch, prepend=-1) != 0
+            cand = _candidate_lists(
+                near_starts[batch[new_cell]], near_counts[batch[new_cell]],
+                members, blank_rows, int(row_width[stop - 1]), n,
+            )[np.cumsum(new_cell) - 1]
+            r = np.arange(rows.size)
+            wq = None if wt is None else wt[:, rows, None]
+            wc = None if wt is None else wt_pad[:, cand]
+            dist = _masked_distances(xt[:, rows, None], xt_pad[:, cand], wq, wc,
+                                     np.empty(cand.shape), np.empty(cand.shape))
+            dist[r, np.count_nonzero(cand < rows[:, None], axis=1)] = np.inf  # self
+            sel = smallest_p(dist, p)
+            ok = dist[r, sel[:, -1]] < limit[rows]
+            out[rows[ok]] = cand[r[ok, None], sel[ok]]
+            settled[rows[ok]] = True
+            start = stop
+        pending = pending[~settled[pending]]
+    return np.union1d(blank_rows, pending)
+
+
+def _grid_cells(coords: np.ndarray, cell_points: float):
+    """Uniform grid over the ``(G, m)`` coordinates of the full rows.
+
+    Returns each row's cell id, the grid shape and each row's exclusion
+    bound, or ``None`` when the coordinates are not finite.  Cells are
+    near-square with about ``cell_points`` rows each on average; an
+    axis without spread (or too narrow to scale) keeps one slab.
+
+    A row's bound is the smallest gap, along any grid axis, between its
+    coordinate and the nearest coordinate of a row in a slab two or
+    more slabs away (``inf`` where there is none).  A full row outside
+    the 3 x 3 neighbourhood sits in such a slab on some axis, so its
+    difference there is at least the gap.  Slabs come from ``floor``
+    of a scaled offset, which is monotone, and the gap is measured to
+    actual coordinates, so edge rounding cannot lose a row; the
+    rounded gap, square, sum and division are each monotone too, so
+    that row's *computed* distance is at least ``bound**2 / L`` as
+    computed.
+    """
+    n_axes, m = coords.shape
+    lo = coords.min(axis=1)
+    span = coords.max(axis=1) - lo
+    if not np.isfinite(span).all():
+        return None
+    with np.errstate(divide="ignore", over="ignore"):
+        spread = span > 0
+        shape = np.ones(n_axes, dtype=np.int64)
+        if spread.any():
+            target = max(1, int(m / cell_points))
+            side = np.exp(np.log(span[spread]).mean() - np.log(target) / spread.sum())
+            shape[spread] = np.clip(np.ceil(span[spread] / side), 1, target)
+        scale = shape / span
+    shape[~np.isfinite(scale)] = 1
+    slabs = np.zeros(coords.shape, dtype=np.int64)
+    bound = np.full(m, np.inf)
+    for g in np.flatnonzero(shape > 1):
+        x, n_slabs = coords[g], int(shape[g])
+        k = np.minimum(((x - lo[g]) * scale[g]).astype(np.int64), n_slabs - 1)
+        slabs[g] = k
+        top = np.full(n_slabs, -np.inf)
+        np.maximum.at(top, k, x)
+        bottom = np.full(n_slabs, np.inf)
+        np.minimum.at(bottom, k, x)
+        # below[k]: largest coordinate in slabs <= k - 2; above[k + 2]:
+        # smallest in slabs >= k + 2.
+        below = np.concatenate([[-np.inf, -np.inf], np.maximum.accumulate(top)])
+        above = np.concatenate([np.minimum.accumulate(bottom[::-1])[::-1], [np.inf, np.inf]])
+        with np.errstate(over="ignore"):
+            np.minimum(bound, x - below[k], out=bound)
+            np.minimum(bound, above[k + 2] - x, out=bound)
+    return np.ravel_multi_index(tuple(slabs), tuple(shape)), tuple(shape), bound
+
+
+def _neighbourhoods(full_rows: np.ndarray, cells: np.ndarray, shape: tuple):
+    """Members cell by cell and each occupied cell's neighbour ranges.
+
+    Returns the full rows sorted by cell (index order within), each
+    member's occupied-cell slot, and ``(slots, 3**G)`` arrays of the
+    start and length, in the member order, of every neighbour cell.
+    """
+    counts = np.bincount(cells, minlength=int(np.prod(shape)))
+    members = full_rows[np.argsort(cells, kind="stable")]
+    starts = np.cumsum(counts) - counts
+    occupied = np.flatnonzero(counts)
+    slots = np.repeat(np.arange(occupied.size), counts[occupied])
+    offsets = np.indices((3,) * len(shape)).reshape(len(shape), -1) - 1
+    near = np.array(np.unravel_index(occupied, shape))[:, :, None] + offsets[:, None, :]
+    inside = ((near >= 0) & (near < np.array(shape)[:, None, None])).all(axis=0)
+    near_ids = np.ravel_multi_index(tuple(np.where(inside, near, 0)), shape)
+    return members, slots, starts[near_ids], np.where(inside, counts[near_ids], 0)
+
+
+def _candidate_lists(starts: np.ndarray, counts: np.ndarray, members: np.ndarray,
+                     blank_rows: np.ndarray, width: int, n: int) -> np.ndarray:
+    """Each cell's candidates in index order, padded with the index ``n``.
+
+    ``starts``/``counts`` are ``(cells, 3**G)`` ranges into ``members``;
+    every cell gets ``blank_rows`` as well.
+    """
+    cand = np.full((counts.shape[0], width), n, dtype=np.int64)
+    cand[:, :blank_rows.size] = blank_rows
+    per_cell = counts.sum(axis=1)
+    rows = np.repeat(np.arange(counts.shape[0]), per_cell)
+    cols = blank_rows.size + _ranges(np.zeros_like(per_cell), per_cell)
+    cand[rows, cols] = members[_ranges(starts.ravel(), counts.ravel())]
+    cand.sort(axis=1)
+    return cand
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenated ``arange(s, s + c)`` over the pairs."""
+    ends = np.cumsum(counts)
+    return np.repeat(starts - ends + counts, counts) + np.arange(ends[-1] if ends.size else 0)

@@ -14,7 +14,7 @@ __all__ = ["__version__", "NUMERICS_VERSION", "ARTIFACT_SCHEMA_VERSION"]
 __version__ = "1.2.0"
 """The package version (single source; ``repro.__version__`` re-exports it)."""
 
-NUMERICS_VERSION = 1
+NUMERICS_VERSION = 2
 """Manual generation counter of the *numerical* contract.
 
 Bump this when a solver change is allowed to alter result bits (a new
@@ -22,7 +22,14 @@ default path, a reordered reduction) so every cached entry - runner
 cells and model artifacts alike - invalidates even if ``__version__``
 stays put.  Pure-speed changes that keep results bit-identical (the
 workspace kernels, the graph cache) must NOT bump it - cache reuse
-across them is exactly the point."""
+across them is exactly the point.
+
+History:
+
+- 2: the masked p-NN graph ranks by the elementwise distance
+  ``sum_l w_il w_jl (x_il - x_jl)**2 / max(common, 1)`` instead of the
+  gemm expansion ``sq + sq.T - 2 cross``, so last-ulp ties between
+  neighbours may resolve differently (DESIGN §6)."""
 
 ARTIFACT_SCHEMA_VERSION = 1
 """Layout generation of the model artifact files (JSON + npz).

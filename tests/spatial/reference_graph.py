@@ -2,10 +2,10 @@
 
 This is the graph construction :mod:`repro.spatial` used before it built
 the graph straight into CSR.  It evaluates the masked distances as one
-``n x n`` expression, selects neighbours with a full
+``n x n`` elementwise pass, selects neighbours with a full
 ``argsort(kind="stable")``, and assembles dense **D**, **W** and
-``L = W - D``.  The oracle tests require the sparse builder to match it
-bit for bit.
+``L = W - D``.  The oracle tests require the sparse builder (grid index
+plus row-blocked scan) to match it bit for bit.
 """
 
 from __future__ import annotations
@@ -17,21 +17,28 @@ from repro.validation import as_matrix, check_mask
 
 
 def masked_knn_indices(spatial, p, observed=None):
-    """One-shot masked-RMS p-NN: every distance in one n x n expression."""
+    """One-shot masked mean squared p-NN: every distance in one n x n pass.
+
+    ``d_ij = sum_l w_il w_jl (x_il - x_jl)**2 / max(common_ij, 1)``,
+    summed in column order and ``inf`` where the rows share no
+    observed dimension - elementwise, so each value depends only on
+    its pair.
+    """
     spatial = as_matrix(spatial, name="spatial", allow_nan=True, copy=True)
     if observed is None:
         obs = ~np.isnan(spatial)
     else:
         obs = check_mask(observed, spatial.shape, name="observed")
     x = np.where(obs, spatial, 0.0)
-    weights = obs.astype(np.float64)
-    cross = (x * weights) @ (x * weights).T
-    sq = (x**2 * weights) @ weights.T
-    common = weights @ weights.T
-    d2 = sq + sq.T - 2.0 * cross
-    with np.errstate(invalid="ignore", divide="ignore"):
-        mean_d2 = np.where(common > 0, d2 / np.maximum(common, 1.0), np.inf)
-    np.maximum(mean_d2, 0.0, out=mean_d2)
+    n = x.shape[0]
+    d2 = np.zeros((n, n))
+    common = np.zeros((n, n))
+    with np.errstate(over="ignore"):
+        for col in range(x.shape[1]):
+            shared = obs[:, col, None] & obs[None, :, col]
+            d2 += np.where(shared, (x[:, col, None] - x[None, :, col]) ** 2, 0.0)
+            common += shared
+    mean_d2 = np.where(common > 0, d2 / np.maximum(common, 1.0), np.inf)
     np.fill_diagonal(mean_d2, np.inf)
     order = np.argsort(mean_d2, axis=1, kind="stable")
     return order[:, :p].astype(np.int64)

@@ -1,7 +1,8 @@
 """The sparse graph builder is bit-identical to the dense reference build.
 
-:func:`repro.spatial.similarity.knn_graph` selects neighbours by partial
-selection over row blocks and assembles CSR directly;
+:func:`repro.spatial.similarity.knn_graph` settles rows through a grid
+index or row-blocked scans, selects neighbours by partial selection and
+assembles CSR directly;
 :mod:`tests.spatial.reference_graph` is the one-shot dense build with
 full stable sorts.  Their neighbour lists and CSR arrays must be equal,
 not close: the factors, imputations and golden fixtures depend on it.
@@ -32,21 +33,29 @@ ORACLE_SETTINGS = settings(
 
 @st.composite
 def graph_inputs(draw):
-    # Sizes straddle the row block (256) so the last block is partial.
-    n = draw(st.sampled_from([2, 5, 17, 64, _BLOCK_ROWS - 1, _BLOCK_ROWS + 1, 300]))
+    # Sizes straddle the row block (256) so the last block is partial;
+    # n % 256 == 1 leaves a one-row block.
+    n = draw(st.sampled_from(
+        [2, 5, 17, 64, _BLOCK_ROWS - 1, _BLOCK_ROWS + 1, 300,
+         2 * _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 1]
+    ))
+    dims = draw(st.integers(1, 3))
     p = draw(st.one_of(st.just(n - 1), st.integers(1, min(n - 1, 8))))
-    layout = draw(st.sampled_from(["uniform", "grid", "duplicates"]))
+    layout = draw(st.sampled_from(["uniform", "grid", "snapped", "duplicates"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
     if layout == "uniform":
-        points = rng.random((n, 2)) * 10.0
+        points = rng.random((n, dims)) * 10.0
     elif layout == "grid":
         # Integer coordinates: many exactly tied distances.
-        points = rng.integers(0, 6, (n, 2)).astype(np.float64)
+        points = rng.integers(0, 6, (n, dims)).astype(np.float64)
+    elif layout == "snapped":
+        # Multiples of 1/20: ties that only hold up to rounding.
+        points = np.round(rng.random((n, dims)) * 20) / 20
     else:
-        points = rng.random((max(1, n // 4), 2))[rng.integers(0, max(1, n // 4), n)]
+        points = rng.random((max(1, n // 4), dims))[rng.integers(0, max(1, n // 4), n)]
     observed = None
     if draw(st.booleans()):
-        observed = rng.random((n, 2)) > draw(st.sampled_from([0.1, 0.5]))
+        observed = rng.random((n, dims)) > draw(st.sampled_from([0.1, 0.5]))
         n_blank = draw(st.integers(0, min(3, n - 1)))
         observed[rng.choice(n, n_blank, replace=False)] = False
         observed[rng.integers(n)] = True  # every column keeps an observed cell
@@ -86,6 +95,13 @@ class TestMatchesDenseReference:
             ref.laplacian_from_points(points, p, **kwargs),
         ):
             assert np.array_equal(got, want)
+
+
+def test_one_row_final_block_matches_reference():
+    """n = 257 leaves a one-row final block; under the old gemm form that
+    row went through gemv, whose last-ulp result flipped a four-way tie."""
+    points = np.round(np.random.default_rng(14).random((257, 2)) * 20) / 20
+    assert np.array_equal(knn_neighbors(points, 3), ref.masked_knn_indices(points, 3))
 
 
 class TestRowsWithNoObservedCoordinate:
