@@ -52,9 +52,12 @@ def guarded_divide(
     through this helper, so the zero-denominator behaviour is defined
     exactly once: the epsilon floor keeps the quotient finite, and a
     zero numerator over a zero denominator yields 0 rather than NaN.
-    The explicit :func:`numpy.errstate` makes the policy auditable —
-    nothing in the quotient may warn or raise, because the floor
-    already decided the semantics.
+    The explicit :func:`numpy.errstate` makes the policy auditable: it
+    silences only ``divide`` and ``invalid``, the two cases the floor
+    already decided.  ``overflow`` is left on on purpose — a finite
+    numerator too large for the floored denominator (e.g. ``1e300 /
+    EPSILON``) emits ``RuntimeWarning: overflow encountered in divide``
+    and yields ``inf``, the honest sign that a fit is diverging.
 
     Parameters
     ----------

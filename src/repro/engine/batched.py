@@ -60,19 +60,24 @@ __all__ = [
 ]
 
 
-def _stacked_spmm(op: object, u3: np.ndarray) -> np.ndarray:
-    """``op @ u3[i]`` for every slice via one sparse-dense product.
+def _fuse_csr(top: object, bottom: object) -> object | None:
+    """``vstack([top, bottom])`` as one CSR, or ``None`` if not both CSR.
 
-    Column-stacking the ``B`` slices into a single ``(N, B·K)`` dense
-    operand and reshaping the product back is **bit-identical** per
-    member to the ``B`` separate products: a sparse row's accumulation
-    order depends only on the operator's nonzero structure, never on
-    how many dense columns sit next to each other.
+    Stacking keeps every row's nonzeros in their stored order, and a
+    CSR row's accumulation depends only on that row's nonzeros, so the
+    two halves of ``J @ X`` are bit-identical to ``top @ X`` and
+    ``bottom @ X`` computed apart (the argument the node-major stacked
+    products already rest on).
     """
-    b, n, k = u3.shape
-    flat = np.ascontiguousarray(u3.transpose(1, 0, 2).reshape(n, b * k))
-    out = np.asarray(op @ flat)
-    return out.reshape(n, b, k).transpose(1, 0, 2)
+    if (
+        getattr(top, "format", None) != "csr"
+        or getattr(bottom, "format", None) != "csr"
+        or top.dtype != bottom.dtype
+    ):
+        return None
+    from scipy import sparse
+
+    return sparse.vstack([top, bottom], format="csr")
 
 
 @dataclass
@@ -166,14 +171,25 @@ class _GraphPlan:
     similarity/Laplacian.  Shared operators let the ``B`` small graph
     products collapse into one stacked product per iteration;
     heterogeneous operators fall back to the per-member loop.
+
+    The array fields are the layout-matched operands of the shared
+    path's elementwise ops: ``deg3`` is the shared degree column and
+    ``lam_stack`` the per-member ``lam``, both repeated to ``(B, N, K)``,
+    and ``lam_flat`` is ``lam`` in the node-major ``(N, B·K)`` layout of
+    a stacked sparse product.  ``fused`` is ``[W; L]`` as one CSR when
+    the multiplicative rule shares sparse ``W`` and ``L``: the
+    objective's one product then also yields the next U-step's ``W·U``.
     """
 
     fits: list[BatchedFit]
     similarity: object | None = None
-    degree_col: np.ndarray | None = None
     laplacian: object | None = None
     penalty_op: object | None = None
     lam3: np.ndarray | None = None
+    deg3: np.ndarray | None = None
+    lam_stack: np.ndarray | None = None
+    lam_flat: np.ndarray | None = None
+    fused: object | None = None
 
 
 class BatchedWorkspace(BufferArena):
@@ -187,6 +203,12 @@ class BatchedWorkspace(BufferArena):
     operator objects (see :class:`_GraphPlan`); otherwise they loop
     over the batch in the reference op order — bit-identical either
     way.
+
+    Each product is evaluated once per iteration: the objective's
+    ``R_O(U V)`` and (with a fused graph) ``W·U`` are memoized for the
+    next U-step under ``(array ids, write generation)`` keys.  Every
+    factor write goes through :meth:`out_for`, which bumps the
+    generation, so an unchanged key means unchanged operands.
     """
 
     def __init__(
@@ -194,6 +216,7 @@ class BatchedWorkspace(BufferArena):
         fits: list[BatchedFit],
         *,
         frozen_prefix: int = 0,
+        rule: str = "multiplicative",
     ) -> None:
         super().__init__()
         shapes = {f.x_observed.shape for f in fits}
@@ -205,6 +228,7 @@ class BatchedWorkspace(BufferArena):
             )
         self.fits = list(fits)
         self.prefix = int(frozen_prefix)
+        self.rule = rule
         self.x3 = np.ascontiguousarray(np.stack([f.x_observed for f in fits]))
         # Float mask stack: same branchless-masking trick as the 2-D
         # workspace (factors are non-negative, so ``recon * 0.0`` is
@@ -212,11 +236,16 @@ class BatchedWorkspace(BufferArena):
         self.observed_f3 = np.stack(
             [f.observed.astype(np.float64) for f in fits]
         )
+        self._gen = 0
+        self._recon_key: tuple[int, int, int] | None = None
+        self._wu_key: tuple[int, int] | None = None
+        self._wu: np.ndarray | None = None
         self._refresh_graph_plan()
 
     def _refresh_graph_plan(self) -> None:
         graph = [f for f in self.fits if f.lam != 0.0]
-        sim = deg = lap = pen = lam3 = None
+        sim = lap = pen = lam3 = None
+        deg3 = lam_stack = lam_flat = fused = None
         if graph:
             first = graph[0]
             if all(f.similarity is first.similarity for f in graph):
@@ -229,32 +258,71 @@ class BatchedWorkspace(BufferArena):
                 f.penalty_op is first.penalty_op for f in graph
             ):
                 pen = first.penalty_op
+            b, n, k = len(self.fits), *first.u0.shape
+            if len(graph) == len(self.fits):
+                # Every member carries a graph term: the per-member
+                # ``lam`` scaling collapses into one multiply.
+                lams = np.array([f.lam for f in self.fits], dtype=np.float64)
+                lam3 = lams.reshape(-1, 1, 1)
+                lam_stack = np.ascontiguousarray(np.broadcast_to(lam3, (b, n, k)))
+                lam_flat = np.tile(np.repeat(lams, k), (n, 1))
             if sim is not None and all(
                 np.array_equal(f.degree_col, first.degree_col) for f in graph
             ):
-                deg = first.degree_col
-            if len(graph) == len(self.fits):
-                # Every member carries a graph term: the per-member
-                # ``lam`` scaling collapses into one broadcast multiply.
-                lam3 = np.array(
-                    [f.lam for f in self.fits], dtype=np.float64
-                ).reshape(-1, 1, 1)
+                deg3 = np.ascontiguousarray(np.broadcast_to(first.degree_col, (b, n, k)))
+                if self.rule == "multiplicative" and pen is not None:
+                    fused = _fuse_csr(sim, pen)
         self._graph_plan = _GraphPlan(
             graph,
             similarity=sim,
-            degree_col=deg,
             laplacian=lap,
             penalty_op=pen,
             lam3=lam3,
+            deg3=deg3,
+            lam_stack=lam_stack,
+            lam_flat=lam_flat,
+            fused=fused,
         )
 
+    def out_for(self, name: str, current: np.ndarray) -> np.ndarray:
+        """Ping-pong factor output; bumps the memo write generation."""
+        self._gen += 1
+        return super().out_for(name, current)
+
+    def _node_major(self, u3: np.ndarray) -> np.ndarray:
+        """``U`` slices side by side as one ``(N, B·K)`` dense operand."""
+        b, n, k = u3.shape
+        flat = self.buf("u_node", (n, b * k))
+        np.copyto(flat.reshape(n, b, k), u3.transpose(1, 0, 2))
+        return flat
+
     def _stacked_apply(self, name: str, op: object, u3: np.ndarray) -> np.ndarray:
-        """``op @ u3[i]`` for every slice: dense broadcast or sparse stack."""
+        """``op @ u3[i]`` for every slice: dense broadcast or sparse stack.
+
+        A sparse operator runs one product on the node-major operand,
+        **bit-identical** per member to the ``B`` separate products: a
+        sparse row's accumulation order depends only on the operator's
+        nonzero structure, never on how many dense columns sit next to
+        each other.
+        """
         if isinstance(op, np.ndarray):
             out = self.buf(name, u3.shape)
             np.matmul(op, u3, out=out)
             return out
-        return _stacked_spmm(op, u3)
+        b, n, k = u3.shape
+        out = np.asarray(op @ self._node_major(u3))
+        return out.reshape(n, b, k).transpose(1, 0, 2)
+
+    def _similarity_product(self, u3: np.ndarray) -> np.ndarray:
+        """Node-major ``W·U``: the objective's memoized half, else fresh.
+
+        The caller scales the result in place, so a memo hit is used
+        up.
+        """
+        if self._wu_key == (id(u3), self._gen):
+            wu, self._wu, self._wu_key = self._wu, None, None
+            return wu
+        return np.asarray(self._graph_plan.similarity @ self._node_major(u3))
 
     @property
     def batch_size(self) -> int:
@@ -266,26 +334,37 @@ class BatchedWorkspace(BufferArena):
         ``np.take`` along axis 0 copies whole contiguous slices, so the
         surviving members' data/mask/factor bits are untouched; the
         named scratch buffers re-allocate lazily at the new batch size
-        (the shape check in :meth:`BufferArena.buf`).
+        (the shape check in :meth:`BufferArena.buf`).  The memos are
+        dropped: the factors the caller passes next are new arrays.
         """
         self.x3 = np.take(self.x3, keep, axis=0)
         self.observed_f3 = np.take(self.observed_f3, keep, axis=0)
         self.fits = [self.fits[i] for i in keep]
+        self._recon_key = self._wu_key = self._wu = None
         self._refresh_graph_plan()
 
     # ------------------------------------------------------- shared pieces
 
     def _masked_recon(
-        self, name: str, u3: np.ndarray, v3: np.ndarray, live: slice | None = None
+        self, u3: np.ndarray, v3: np.ndarray, live: slice | None = None
     ) -> np.ndarray:
-        """``R_O(U V)`` per slice (optionally live columns only)."""
+        """``R_O(U V)`` per slice (optionally live columns only).
+
+        The full variant is memoized: the U-step right after an
+        objective at the same ``(U, V)`` reuses its buffer.  A caller
+        that overwrites the buffer must clear ``_recon_key``.
+        """
         if live is None:
-            recon = self.buf(name, (u3.shape[0], u3.shape[1], v3.shape[2]))
+            key = (id(u3), id(v3), self._gen)
+            recon = self.buf("recon", (u3.shape[0], u3.shape[1], v3.shape[2]))
+            if self._recon_key == key:
+                return recon
             np.matmul(u3, v3, out=recon)
             np.multiply(recon, self.observed_f3, out=recon)
+            self._recon_key = key
         else:
             v_part = v3[:, :, live]
-            recon = self.buf(name, (u3.shape[0], u3.shape[1], v_part.shape[2]))
+            recon = self.buf("recon_live", (u3.shape[0], u3.shape[1], v_part.shape[2]))
             np.matmul(u3, v_part, out=recon)
             np.multiply(recon, self.observed_f3[:, :, live], out=recon)
         return recon
@@ -295,22 +374,30 @@ class BatchedWorkspace(BufferArena):
 
         With a shared similarity operator the ``B`` sparse ``W U``
         products collapse into one stacked product and the degree term
-        into one broadcast multiply; the per-member ``lam`` scaling and
+        into one multiply; the per-member ``lam`` scaling and
         accumulation keep the reference op order, so the result is
-        bit-identical to the loop it replaces.
+        bit-identical to the loop it replaces.  The degree and ``lam``
+        multiplies run on operands of one layout (the sparse product is
+        scaled in its node-major form): they round the same as with a
+        strided or broadcast operand, and run several times faster.
         """
         plan = self._graph_plan
         if not plan.fits:
             return
         b, n, k = u3.shape
-        if plan.similarity is not None and plan.degree_col is not None:
-            st = self._stacked_apply("graph_wu3", plan.similarity, u3)
+        if plan.similarity is not None and plan.deg3 is not None:
             t3 = self.buf("graph_du3", (b, n, k))
-            np.multiply(plan.degree_col, u3, out=t3)
-            if plan.lam3 is not None:
-                st *= plan.lam3
+            np.multiply(plan.deg3, u3, out=t3)
+            if isinstance(plan.similarity, np.ndarray):
+                st = self._stacked_apply("graph_wu3", plan.similarity, u3)
+                scaled, scale = st, plan.lam_stack
+            else:
+                scaled, scale = self._similarity_product(u3), plan.lam_flat
+                st = scaled.reshape(n, b, k).transpose(1, 0, 2)
+            if scale is not None:
+                scaled *= scale
                 num += st
-                t3 *= plan.lam3
+                t3 *= plan.lam_stack
                 den += t3
                 return
             for i, fit in enumerate(self.fits):
@@ -347,7 +434,7 @@ class BatchedWorkspace(BufferArena):
         num = self.buf("num_u", (b, n, k))
         den = self.buf("den_u", (b, n, k))
         vt = v3.transpose(0, 2, 1)
-        recon = self._masked_recon("recon", u3, v3)
+        recon = self._masked_recon(u3, v3)
         np.matmul(self.x3, vt, out=num)
         np.matmul(recon, vt, out=den)
         self._add_graph_terms(num, den, u3)
@@ -367,7 +454,7 @@ class BatchedWorkspace(BufferArena):
                 return out
             live = slice(prefix, None)
             np.copyto(out, v3)  # carries the frozen landmark block
-            recon_live = self._masked_recon("recon_live", u3, v3, live)
+            recon_live = self._masked_recon(u3, v3, live)
             num = self.buf("num_v", (b, k, m - prefix))
             den = self.buf("den_v", (b, k, m - prefix))
             ut = u3.transpose(0, 2, 1)
@@ -376,7 +463,7 @@ class BatchedWorkspace(BufferArena):
             guarded_divide(num, den, out=num, denominator_is_scratch=True)
             np.multiply(v3[:, :, live], num, out=out[:, :, live])
             return out
-        recon = self._masked_recon("recon", u3, v3)
+        recon = self._masked_recon(u3, v3)
         num = self.buf("num_v_full", (b, k, m))
         den = self.buf("den_v_full", (b, k, m))
         ut = u3.transpose(0, 2, 1)
@@ -397,7 +484,9 @@ class BatchedWorkspace(BufferArena):
 
     def _grad_u(self, u3: np.ndarray, v3: np.ndarray, learning_rate: float) -> np.ndarray:
         b, n, k = u3.shape
-        recon = self._masked_recon("recon", u3, v3)
+        recon = self._masked_recon(u3, v3)
+        # The in-place residual overwrite invalidates the recon memo.
+        self._recon_key = None
         np.subtract(recon, self.x3, out=recon)
         recon *= 2.0
         grad = self.buf("grad_u", (b, n, k))
@@ -438,7 +527,8 @@ class BatchedWorkspace(BufferArena):
     def _grad_v(self, u3: np.ndarray, v3: np.ndarray, learning_rate: float) -> np.ndarray:
         b, n, k = u3.shape
         m = v3.shape[2]
-        recon = self._masked_recon("recon", u3, v3)
+        recon = self._masked_recon(u3, v3)
+        self._recon_key = None
         np.subtract(recon, self.x3, out=recon)
         # Same layout discipline as the 2-D workspace: scale U into a
         # C-contiguous buffer and hand its transpose view to the gemm.
@@ -470,28 +560,43 @@ class BatchedWorkspace(BufferArena):
         the workspace's 2-D einsum); each member's penalty term is
         added in the exact ``SMF._objective`` op order.
         """
-        recon = self._masked_recon("recon", u3, v3)
+        recon = self._masked_recon(u3, v3)
         resid = self.buf("obj_resid", self.x3.shape)
         np.subtract(self.x3, recon, out=resid)
         data = np.einsum("bij,bij->b", resid, resid)
-        out = np.empty(self.batch_size, dtype=np.float64)
         plan = self._graph_plan
+        if not plan.fits:
+            # No member has a penalty: ``data + 0.0`` is ``data``.
+            return data
         if plan.penalty_op is not None:
-            # ``u3 * st`` allocates a fresh C-contiguous array, so the
+            b, n, k = u3.shape
+            if plan.fused is not None:
+                # One ``[W; L]`` product: the ``L`` half is the
+                # penalty's, the ``W`` half the next U-step's ``W·U``.
+                both = np.asarray(plan.fused @ self._node_major(u3))
+                self._wu, self._wu_key = both[:n], (id(u3), self._gen)
+                st = both[n:].reshape(n, b, k).transpose(1, 0, 2)
+            else:
+                st = self._stacked_apply("pen_u3", plan.penalty_op, u3)
+            # The product goes into a C-contiguous buffer, so the
             # per-row axis reduction applies numpy's pairwise summation
             # in the same order as the looped ``objective_penalty``'s
             # flat ``np.sum`` — bit-identical per member.
-            st = self._stacked_apply("pen_u3", plan.penalty_op, u3)
-            prod = u3 * st
-            penalties = np.sum(prod.reshape(self.batch_size, -1), axis=1)
+            prod = self.buf("pen_prod", (b, n, k))
+            np.multiply(u3, st, out=prod)
+            penalties = np.sum(prod.reshape(b, -1), axis=1)
+            if plan.lam3 is not None:
+                # ``data + lam * max(penalty, 0)`` for every member at
+                # once: the same IEEE operations in the same order.
+                return data + plan.lam3.ravel() * np.maximum(penalties, 0.0)
+            out = data.copy()
             for i, fit in enumerate(self.fits):
                 if fit.lam != 0.0:
                     out[i] = float(data[i]) + fit.lam * max(
                         float(penalties[i]), 0.0
                     )
-                else:
-                    out[i] = float(data[i])
             return out
+        out = np.empty(self.batch_size, dtype=np.float64)
         for i, fit in enumerate(self.fits):
             out[i] = float(data[i]) + fit.objective_penalty(u3[i])
         return out
@@ -650,7 +755,7 @@ def multi_fit(
             frozen_prefix=frozen_prefix,
         )
 
-    ws = BatchedWorkspace(fits, frozen_prefix=frozen_prefix)
+    ws = BatchedWorkspace(fits, frozen_prefix=frozen_prefix, rule=update_rule)
     members = [
         _MemberState(
             monitor=ConvergenceMonitor(max_iter=max_iter, tol=tol),

@@ -16,6 +16,7 @@ from typing import Any
 
 import numpy as np
 
+from ..core.updates import frozen_column_prefix
 from .monitor import ConvergenceMonitor
 from .report import FitReport
 from .solver import Solver
@@ -64,7 +65,9 @@ class Telemetry(Callback):
         Optional landmark bookkeeping: a boolean mask over the tracked
         ``"v"`` factor plus the values its frozen cells must keep.  When
         provided, every iteration asserts the block is bit-identical;
-        the verdict lands in ``FitReport.landmark_block_intact``.
+        the verdict lands in ``FitReport.landmark_block_intact``.  A
+        mask that freezes a column prefix (the landmark layout) is
+        checked on the ``v[:, :L]`` view, without a boolean gather.
     track_deltas:
         Record the Frobenius norm of each tracked factor's change per
         iteration (costs one copy of the factors per step).
@@ -83,6 +86,14 @@ class Telemetry(Callback):
         self.method = method
         self.frozen_mask = frozen_mask
         self.frozen_values = frozen_values
+        # The boolean gather ``v[mask]`` lists a prefix block row by
+        # row, so the same values reshaped to ``(K, L)`` are the block.
+        self._frozen_block: np.ndarray | None = None
+        prefix = frozen_column_prefix(frozen_mask)
+        if prefix is not None and np.size(frozen_values) == frozen_mask.shape[0] * prefix:
+            self._frozen_block = np.reshape(
+                frozen_values, (frozen_mask.shape[0], prefix)
+            )
         self.track_deltas = track_deltas
         self.setup_seconds: float = 0.0
         self._reset()
@@ -133,8 +144,14 @@ class Telemetry(Callback):
             and self.landmark_block_intact
             and "v" in factors
         ):
-            block = factors["v"][self.frozen_mask]
-            if not np.array_equal(block, self.frozen_values):
+            v = factors["v"]
+            if self._frozen_block is not None:
+                intact = np.array_equal(
+                    v[:, : self._frozen_block.shape[1]], self._frozen_block
+                )
+            else:
+                intact = np.array_equal(v[self.frozen_mask], self.frozen_values)
+            if not intact:
                 self.landmark_block_intact = False
 
     def on_fit_end(

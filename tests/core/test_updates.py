@@ -178,3 +178,12 @@ class TestGuardedDivide:
         with np.errstate(divide="raise", invalid="raise"):
             out = guarded_divide(num, den)
         assert np.isfinite(out).all()
+
+    def test_overflow_still_warns(self):
+        # Only divide/invalid are silenced: a quotient too large for a
+        # double is a divergence signal and must stay visible.
+        from repro.core.updates import guarded_divide
+
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            out = guarded_divide(np.array([1e300]), np.array([0.0]))
+        assert np.isposinf(out).all()

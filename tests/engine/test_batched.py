@@ -30,11 +30,20 @@ def make_spatial_problem(n, m, missing, seed):
     return np.where(observed, x, np.nan)
 
 
-def fit_pair(factory, seeds, **fit_kwargs):
+def make_shared_graph_problem(n, m, missing, seed):
+    """Like :func:`make_spatial_problem`, but every seed shares one set
+    of fully observed coordinates, so the members share one cached
+    spatial graph (the runner's coalesced-cell case)."""
+    x = make_spatial_problem(n, m, missing, seed)
+    x[:, :2] = np.random.default_rng(12345).random((n, 2)) * 10.0
+    return x
+
+
+def fit_pair(factory, seeds, problem=make_spatial_problem, **fit_kwargs):
     """(batched models, looped models) fitted on identical problems."""
     batched, looped = [], []
     for seed in seeds:
-        x = make_spatial_problem(24, 8, 0.3, seed)
+        x = problem(24, 8, 0.3, seed)
         batched.append((factory(seed), x, None))
         looped.append((factory(seed), x, None))
     fit_models_batched([(m, x, mask) for m, x, mask in batched], **fit_kwargs)
@@ -55,25 +64,42 @@ def assert_models_identical(batched, looped):
         assert rb.landmark_block_intact == rl.landmark_block_intact
 
 
+def _memo_cases(names):
+    """``(name, problem, eval_every)`` params; the plain case keeps its bare id.
+
+    ``eval_every=3`` skips the objective on two of three iterations, so
+    those U-steps find no memoized ``R_O(U V)`` / ``W·U`` and compute
+    their own.  Shared-graph problems take the fused ``[W; L]`` path,
+    per-seed problems the per-member graph loop.
+    """
+    cases = []
+    for name in names:
+        for problem, tag in (
+            (make_spatial_problem, ""), (make_shared_graph_problem, "-shared")
+        ):
+            for eval_every in (1, 3):
+                suffix = tag + ("" if eval_every == 1 else f"-eval{eval_every}")
+                cases.append(pytest.param(name, problem, eval_every, id=name + suffix))
+    return cases
+
+
+MODELS = {"nmf": MaskedNMF, "smf": SMF, "smfl": SMFL}
+
+
 class TestBatchedVsLooped:
-    @pytest.mark.parametrize(
-        "factory",
-        [
-            lambda seed: MaskedNMF(
-                rank=RANK, max_iter=40, tol=0.0, random_state=seed
-            ),
-            lambda seed: SMF(rank=RANK, max_iter=40, tol=0.0, random_state=seed),
-            lambda seed: SMFL(
-                rank=RANK, max_iter=40, tol=0.0, random_state=seed
-            ),
-        ],
-        ids=["nmf", "smf", "smfl"],
-    )
-    def test_bit_identical(self, factory):
-        batched, looped = fit_pair(factory, range(4))
+    @pytest.mark.parametrize("name, problem, eval_every", _memo_cases(MODELS))
+    def test_bit_identical(self, name, problem, eval_every):
+        def factory(seed):
+            return MODELS[name](
+                rank=RANK, max_iter=40, tol=0.0, random_state=seed,
+                eval_every=eval_every,
+            )
+
+        batched, looped = fit_pair(factory, range(4), problem=problem)
         assert_models_identical(batched, looped)
 
-    def test_gradient_rule(self):
+    @staticmethod
+    def _assert_gradient_identical(problem, eval_every):
         def factory(seed):
             return SMFL(
                 rank=RANK,
@@ -82,10 +108,18 @@ class TestBatchedVsLooped:
                 random_state=seed,
                 update_rule="gradient",
                 learning_rate=1e-4,
+                eval_every=eval_every,
             )
 
-        batched, looped = fit_pair(factory, range(3))
+        batched, looped = fit_pair(factory, range(3), problem=problem)
         assert_models_identical(batched, looped)
+
+    def test_gradient_rule(self):
+        self._assert_gradient_identical(make_spatial_problem, 1)
+
+    @pytest.mark.parametrize("name, problem, eval_every", _memo_cases(["smfl"])[1:])
+    def test_gradient_rule_memo_paths(self, name, problem, eval_every):
+        self._assert_gradient_identical(problem, eval_every)
 
     def test_ragged_convergence_dropout(self):
         # A loose tolerance makes members converge at different
@@ -99,23 +133,57 @@ class TestBatchedVsLooped:
         iters = sorted({m.n_iter_ for m, _, _ in batched})
         assert len(iters) > 1, "tolerance never produced ragged convergence"
 
-    def test_mixed_methods_share_one_group(self):
+    def test_ragged_dropout_shared_graph_skipped_evaluations(self, monkeypatch):
+        # Members drop out (``compact``) while the memos hold products
+        # of the pre-compaction stack; with ``eval_every=2`` the step
+        # after a compaction also runs without an objective memo.
+        plans = []
+        compact = BatchedWorkspace.compact
+
+        def spy(ws, keep):
+            compact(ws, keep)
+            plans.append(ws._graph_plan.fused is not None)
+
+        monkeypatch.setattr(BatchedWorkspace, "compact", spy)
+
+        def factory(seed):
+            return SMF(
+                rank=RANK, max_iter=150, tol=2e-3, random_state=seed, eval_every=2
+            )
+
+        batched, looped = fit_pair(factory, range(5), problem=make_shared_graph_problem)
+        assert_models_identical(batched, looped)
+        assert plans and all(plans), "no compaction on the fused shared-graph path"
+        iters = sorted({m.n_iter_ for m, _, _ in batched})
+        assert len(iters) > 1, "tolerance never produced ragged convergence"
+
+    @staticmethod
+    def _assert_mixed_identical(problem, eval_every):
         # nmf and smf cells with the same shape/rank stack together;
         # per-fit lam keeps the graph term out of the nmf members.
         jobs, looped = [], []
         for seed in range(2):
-            x = make_spatial_problem(24, 8, 0.3, seed)
+            x = problem(24, 8, 0.3, seed)
             for cls in (MaskedNMF, SMF):
-                jobs.append(
-                    (cls(rank=RANK, max_iter=30, tol=0.0, random_state=seed), x, None)
-                )
-                looped.append(
-                    (cls(rank=RANK, max_iter=30, tol=0.0, random_state=seed), x, None)
-                )
+                for out in (jobs, looped):
+                    model = cls(
+                        rank=RANK, max_iter=30, tol=0.0, random_state=seed,
+                        eval_every=eval_every,
+                    )
+                    out.append((model, x, None))
         fit_models_batched(jobs)
         for model, x, _ in looped:
             model.fit(x)
         assert_models_identical(jobs, looped)
+
+    def test_mixed_methods_share_one_group(self):
+        self._assert_mixed_identical(make_spatial_problem, 1)
+
+    @pytest.mark.parametrize("eval_every", [1, 3])
+    def test_mixed_methods_shared_graph(self, eval_every):
+        # The shared graph is fused, but with nmf members in the stack
+        # the memoized ``W·U`` is scaled member by member.
+        self._assert_mixed_identical(make_shared_graph_problem, eval_every)
 
     def test_landmark_prefix_stays_bit_frozen(self):
         batched, _ = fit_pair(
@@ -284,3 +352,45 @@ class TestSharedOperatorFastPath:
             assert np.array_equal(ra.u, rb.u)
             assert np.array_equal(ra.v, rb.v)
             assert ra.objective_history == rb.objective_history
+
+    def test_one_recon_pair_and_one_graph_product_per_iteration(self, monkeypatch):
+        # Structural guard for the evaluate-once loop: on a shared-graph
+        # SMF batch evaluated every iteration, a steady-state iteration
+        # runs exactly two masked ``U·V`` gemms (V-step and objective;
+        # the next U-step reuses the objective's) and one sparse product
+        # (the fused ``[W; L]``; the next U-step reuses its ``W`` half).
+        import scipy.sparse as sp
+
+        from repro.engine import batched
+
+        counts = {"uv": 0, "sparse": 0}
+        fits = self._graph_fits(3, shared=True)
+        n, k = fits[0].u0.shape
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def matmul(a, b, *args, **kwargs):
+                if np.shape(a)[-2:] == (n, k):  # U (B, N, K) on the left
+                    counts["uv"] += 1
+                return np.matmul(a, b, *args, **kwargs)
+
+        spmm = sp.csr_matrix.__matmul__
+
+        def counting_spmm(op, other):
+            counts["sparse"] += 1
+            return spmm(op, other)
+
+        monkeypatch.setattr(batched, "np", CountingNumpy())
+        monkeypatch.setattr(sp.csr_matrix, "__matmul__", counting_spmm)
+
+        def run(max_iter):
+            counts.update(uv=0, sparse=0)
+            multi_fit(fits, max_iter=max_iter, tol=0.0, eval_every=1)
+            return dict(counts)
+
+        short, long = run(4), run(10)
+        assert (long["uv"] - short["uv"]) / 6 == 2
+        assert (long["sparse"] - short["sparse"]) / 6 == 1

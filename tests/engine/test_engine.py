@@ -154,6 +154,31 @@ class TestTelemetry:
         IterativeEngine(max_iter=2, tol=0.0, callbacks=(telemetry,)).run(Mutating(), 0)
         assert telemetry.report().landmark_block_intact is False
 
+    @pytest.mark.parametrize(
+        "frozen_cols, cell",
+        [((0, 1), (2, 1)), ((0, 2), (1, 2))],
+        ids=["prefix", "non-prefix"],
+    )
+    @pytest.mark.parametrize("modified", [False, True])
+    def test_one_modified_landmark_cell_flips_intact(self, frozen_cols, cell, modified):
+        v0 = np.arange(12.0).reshape(3, 4) + 1.0
+
+        class OneCell(CountingSolver):
+            def factors(self, state):
+                # Only the frozen cell ``cell`` changes, once, at step 3.
+                v = v0.copy()
+                if modified and state >= 3:
+                    v[cell] = np.nextafter(v[cell], np.inf)
+                return {"v": v}
+
+        mask = np.zeros(v0.shape, dtype=bool)
+        mask[:, list(frozen_cols)] = True
+        telemetry = Telemetry(frozen_mask=mask, frozen_values=v0[mask].copy())
+        # The prefix mask takes the gather-free view check.
+        assert (telemetry._frozen_block is not None) == (frozen_cols == (0, 1))
+        IterativeEngine(max_iter=5, tol=0.0, callbacks=(telemetry,)).run(OneCell(), 0)
+        assert telemetry.report().landmark_block_intact is (not modified)
+
     def test_frozen_requires_both_arguments(self):
         with pytest.raises(ValueError):
             Telemetry(frozen_mask=np.zeros((1, 1), dtype=bool))
