@@ -62,6 +62,10 @@ _ARRAY_FIELDS = (
     "scaler_range",
 )
 
+_FINITE_FIELDS = ("u", "v", "estimate", "landmark_values")
+"""Arrays a loaded model must hold finite; the clip bounds may be
+``+/-inf`` (a column with no observed entry)."""
+
 _SCALAR_FIELDS = (
     "method",
     "rank",
@@ -195,7 +199,8 @@ def load_model(path: str, *, verify: bool = True) -> FittedModel:
     With ``verify`` (default) every array digest and the combined
     content hash are recomputed and checked before the model is
     constructed, so a corrupted or mixed-up file pair fails loudly
-    instead of serving wrong numbers.
+    instead of serving wrong numbers.  A factor, estimate or landmark
+    array holding NaN or inf is refused either way, naming the array.
     """
     json_path, npz_path = artifact_paths(path)
     document = _read_document(json_path)
@@ -206,6 +211,11 @@ def load_model(path: str, *, verify: bool = True) -> FittedModel:
             raise ValidationError(
                 f"artifact {json_path} failed verification: "
                 + "; ".join(report["errors"])
+            )
+    for name in _FINITE_FIELDS:
+        if name in arrays and not np.isfinite(arrays[name]).all():
+            raise ValidationError(
+                f"artifact {json_path}: array {name!r} holds NaN or inf"
             )
     metadata = document.get("metadata") or {}
     fields = dict(metadata)

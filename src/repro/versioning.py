@@ -14,7 +14,7 @@ __all__ = ["__version__", "NUMERICS_VERSION", "ARTIFACT_SCHEMA_VERSION"]
 __version__ = "1.2.0"
 """The package version (single source; ``repro.__version__`` re-exports it)."""
 
-NUMERICS_VERSION = 2
+NUMERICS_VERSION = 3
 """Manual generation counter of the *numerical* contract.
 
 Bump this when a solver change is allowed to alter result bits (a new
@@ -29,7 +29,12 @@ History:
 - 2: the masked p-NN graph ranks by the elementwise distance
   ``sum_l w_il w_jl (x_il - x_jl)**2 / max(common, 1)`` instead of the
   gemm expansion ``sq + sq.T - 2 cross``, so last-ulp ties between
-  neighbours may resolve differently (DESIGN §6)."""
+  neighbours may resolve differently (DESIGN §6).
+- 3: the fold-in spatial prior selects a row's ``p`` nearest training
+  rows in (distance, index) order, the order the p-NN graph uses, and
+  weights them in that order; before, the order and the pick among
+  rows tied at the ``p``-th distance were whatever ``argpartition``
+  returned (DESIGN §6)."""
 
 ARTIFACT_SCHEMA_VERSION = 1
 """Layout generation of the model artifact files (JSON + npz).

@@ -11,6 +11,7 @@ content-based, not byte-based).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -152,6 +153,36 @@ class TestTamper:
         with open(info["npz_path"], "ab") as fh:
             fh.write(b"\0" * 16)
         assert verify_model(base)["ok"]
+
+
+class TestNonFiniteFactors:
+    @pytest.mark.parametrize("name, value", [("u", np.nan), ("v", np.inf)])
+    def test_load_refuses_and_names_the_array(self, saved, tmp_path, name, value):
+        model, _, _ = saved
+        array = np.array(getattr(model, name))
+        array[0, 0] = value
+        base = str(tmp_path / "bad")
+        save_model(FittedModel(**{**_fields(model), name: array}), base)
+        assert verify_model(base)["ok"]  # the files are intact ...
+        for verify in (True, False):  # ... the content is out of contract
+            with pytest.raises(ValidationError, match=f"array '{name}' holds NaN or inf"):
+                load_model(base, verify=verify)
+
+    def test_infinite_clip_bounds_still_load(self, tmp_path):
+        observed = np.ones((3, 2), dtype=bool)
+        observed[:, 1] = False  # a column with no observed entry
+        model = FittedModel.from_factors(
+            method="nmf", u=np.ones((3, 1)), v=np.ones((1, 2)),
+            x_observed=np.where(observed, 1.0, 0.0), observed=observed,
+        )
+        assert np.isinf(model.column_low[1]) and np.isinf(model.column_high[1])
+        save_model(model, str(tmp_path / "inf"))
+        loaded = load_model(str(tmp_path / "inf"))
+        assert np.array_equal(loaded.column_low, model.column_low)
+
+
+def _fields(model: FittedModel) -> dict:
+    return {f.name: getattr(model, f.name) for f in dataclasses.fields(model)}
 
 
 class TestCli:

@@ -4,8 +4,11 @@ The oracle for :func:`repro.serving.foldin._spatial_prior`, which
 accumulates the same squared distances one spatial column at a time
 over locations cached on the model.  This version recomputes the
 training locations ``U V[:, :L]`` per call, materializes the full
-difference block and reduces it with ``np.sum(axis=2)``; for fewer
-than eight spatial columns both must agree bit for bit.
+difference block, reduces it with ``np.sum(axis=2)`` and selects each
+row's nearest training rows with a full stable sort: (distance, index)
+order, ties to the lower index.  For fewer than eight spatial columns
+both must agree bit for bit, whichever path (scan or grid index) the
+prior takes.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ def spatial_prior(
     d2 = np.sum(diff_sq, axis=2, out=arena.rows("reference.prior_d2", n_rows, (n_train,)))
 
     p = min(int(p_neighbors), train_spatial.shape[0])
-    nearest = np.argpartition(d2, p - 1, axis=1)[:, :p]
+    nearest = np.argsort(d2, axis=1, kind="stable")[:, :p]
     weights = 1.0 / np.maximum(np.take_along_axis(d2, nearest, axis=1), 1e-12)
     weights /= weights.sum(axis=1, keepdims=True)
     u_prior = np.einsum("bp,bpk->bk", weights, model.u[nearest])
