@@ -84,7 +84,6 @@ def _prepare(model: MatrixFactorizationBase, plan: FitPlan) -> BatchedFit:
         similarity=terms["similarity"],
         degree=terms["degree"],
         laplacian=terms["laplacian"],
-        penalty_op=terms["penalty_op"],
         method=model.method,
         setup_seconds=plan.telemetry.setup_seconds,
     )

@@ -563,7 +563,6 @@ class MatrixFactorizationBase:
             "similarity": None,
             "degree": None,
             "laplacian": None,
-            "penalty_op": None,
         }
 
     def batchable(self, observed: np.ndarray) -> bool:

@@ -4,8 +4,10 @@
 
 The first term is the masked reconstruction error (Formula 5); the
 second is the graph-Laplacian smoothness penalty of Section II-C, equal
-to ``1/2 sum_ij d_ij |u_i - u_j|^2``.  These functions are the ground
-truth for the monotonicity tests of Propositions 5 and 7.
+to ``1/2 sum_ij d_ij |u_i - u_j|^2``.  :func:`masked_frobenius_sq`,
+:func:`smoothness_penalty` and :func:`total_objective` are the ground
+truth for the monotonicity tests of Propositions 5 and 7;
+:func:`graph_penalty` is the form every fit evaluates.
 """
 
 from __future__ import annotations
@@ -15,7 +17,12 @@ import numpy as np
 from ..exceptions import ValidationError
 from ..validation import as_matrix
 
-__all__ = ["masked_frobenius_sq", "smoothness_penalty", "total_objective"]
+__all__ = [
+    "graph_penalty",
+    "masked_frobenius_sq",
+    "smoothness_penalty",
+    "total_objective",
+]
 
 
 def masked_frobenius_sq(
@@ -65,6 +72,35 @@ def smoothness_penalty(u: np.ndarray, laplacian: np.ndarray) -> float:
     value = float(np.sum(u * (laplacian @ u)))
     # Floating point can produce a tiny negative value for a PSD form.
     return max(value, 0.0)
+
+
+def graph_penalty(
+    u: np.ndarray,
+    du: np.ndarray,
+    degree: np.ndarray,
+    *,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """``Tr(U^T L U)`` from the similarity product ``D U``, clamped at 0.
+
+    With ``L = W - D`` and ``W = diag(degree)`` the trace is
+    ``sum_ik (deg_i u_ik - (D U)_ik) u_ik``, so a fit that already holds
+    ``D U`` (the multiplicative U-step needs it) gets the penalty
+    without a product by ``L``.  It equals :func:`smoothness_penalty`
+    up to rounding (a few ulps).
+
+    ``degree`` is the ``(N, 1)`` degree column (or any operand that
+    broadcasts to ``u``).  ``u``/``du`` may be stacked ``(B, N, K)``,
+    giving one value per slice; the flat sum of each C-contiguous
+    ``(N, K)`` product slice adds in the same pairwise order either
+    way, so a stacked member's value equals its own 2-D evaluation bit
+    for bit.  ``out`` is an optional scratch buffer of ``u``'s shape.
+    """
+    prod = np.multiply(degree, u, out=out)
+    np.subtract(prod, du, out=prod)
+    np.multiply(prod, u, out=prod)
+    # Floating point can produce a tiny negative value for a PSD form.
+    return np.maximum(np.sum(prod.reshape(*prod.shape[:-2], -1), axis=-1), 0.0)
 
 
 def total_objective(

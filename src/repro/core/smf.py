@@ -17,11 +17,13 @@ from __future__ import annotations
 import numpy as np
 
 from ..engine.kernels import KernelContext
+from ..engine.workspace import KernelWorkspace
 from ..exceptions import NotFittedError, ValidationError
 from ..masking.mask import ObservationMask
 from ..spatial.graph_cache import SpatialGraph, spatial_graph
 from ..validation import check_in_range, check_positive_int, check_spatial_columns
 from .factorization import MatrixFactorizationBase
+from .objective import graph_penalty
 
 __all__ = ["SMF"]
 
@@ -49,9 +51,12 @@ class SMF(MatrixFactorizationBase):
         ``p = 3`` recommended).
     neighbor_method:
         k-NN search strategy (``"auto"``, ``"brute"``, ``"kdtree"``).
-        The graph's default ``"masked"`` missing strategy ignores it and
-        always brute-forces the masked distances (``O(N^2 L)``, in row
-        blocks); only the ``"column-mean"`` strategy of
+        The graph's default ``"masked"`` missing strategy ignores it:
+        a grid index settles every row whose spatial cells are all
+        observed from the rows of its neighbouring cells (about
+        ``N·c`` work for ``c`` candidates per row), and only rows with
+        a blank spatial cell or a failed exclusion bound scan all ``N``
+        rows.  Only the ``"column-mean"`` strategy of
         :func:`repro.spatial.knn_similarity_matrix` uses it, where
         ``"auto"`` switches to the KD-tree above 2048 points.
     **kwargs:
@@ -127,10 +132,17 @@ class SMF(MatrixFactorizationBase):
         value = self._data_term(x, u, v, observed)
         if self.lam != 0.0:
             graph = self._fitted_graph()
-            # Sparse quadratic form: equals smoothness_penalty(u, L)
-            # but costs O(p N K) instead of O(N^2 K) per evaluation.
-            penalty = float(np.sum(u * np.asarray(graph.laplacian_op @ u)))
-            value += self.lam * max(penalty, 0.0)
+            # Tr(U^T L U) from the sparse D·U: O(p N K), and on the
+            # workspace kernels the product is the memoized one the
+            # next U-step's lam·D U reads, so an iteration runs one
+            # graph product, not two.
+            kernel = self._kernel
+            if isinstance(kernel, KernelWorkspace) and kernel.shape == x.shape:
+                penalty = kernel.graph_penalty(u, graph.similarity_op, graph.degree)
+            else:
+                du = np.asarray(graph.similarity_op @ u)
+                penalty = float(graph_penalty(u, du, graph.degree[:, None]))
+            value += self.lam * penalty
         return value
 
     def _fitted_graph(self) -> SpatialGraph:
@@ -167,10 +179,10 @@ class SMF(MatrixFactorizationBase):
         """Batched-engine mirror of :meth:`_kernel_context` + :meth:`_objective`.
 
         Same operator choices as the looped fit: the multiplicative
-        kernel and the objective penalty consume the *sparse* views,
-        the gradient kernel the dense Laplacian — so the batched per-fit
-        graph terms run in the exact reference op order.  Fits of one
-        graph share the memoized dense Laplacian by identity.
+        kernel and the objective penalty consume the *sparse* similarity
+        view, the gradient kernel the dense Laplacian — so the batched
+        per-fit graph terms run in the exact reference op order.  Fits
+        of one graph share the memoized dense Laplacian by identity.
         """
         graph = self._fitted_graph()
         return {
@@ -178,7 +190,6 @@ class SMF(MatrixFactorizationBase):
             "similarity": graph.similarity_op,
             "degree": graph.degree,
             "laplacian": self._dense_laplacian(graph),
-            "penalty_op": graph.laplacian_op,
         }
 
     def feature_locations(self) -> np.ndarray:

@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..core.objective import graph_penalty
 from ..core.updates import guarded_divide
 from ..exceptions import ValidationError
 from ..obs.trace import get_tracer
@@ -60,37 +61,17 @@ __all__ = [
 ]
 
 
-def _fuse_csr(top: object, bottom: object) -> object | None:
-    """``vstack([top, bottom])`` as one CSR, or ``None`` if not both CSR.
-
-    Stacking keeps every row's nonzeros in their stored order, and a
-    CSR row's accumulation depends only on that row's nonzeros, so the
-    two halves of ``J @ X`` are bit-identical to ``top @ X`` and
-    ``bottom @ X`` computed apart (the argument the node-major stacked
-    products already rest on).
-    """
-    if (
-        getattr(top, "format", None) != "csr"
-        or getattr(bottom, "format", None) != "csr"
-        or top.dtype != bottom.dtype
-    ):
-        return None
-    from scipy import sparse
-
-    return sparse.vstack([top, bottom], format="csr")
-
-
 @dataclass
 class BatchedFit:
     """One member of a batched multi-fit: data, init, and graph terms.
 
-    ``similarity``/``laplacian``/``penalty_op`` may be scipy sparse
-    operators (only ``@`` is required).  ``penalty_op`` is the operator
-    the member's *objective* applies (SMF evaluates the smoothness
-    penalty through the sparse Laplacian view); ``laplacian`` is what
-    the gradient kernel consumes (the dense matrix, matching the
-    single-fit context).  ``method`` and ``setup_seconds`` are stamped
-    into the member's :class:`~repro.engine.report.FitReport`.
+    ``similarity``/``laplacian`` may be scipy sparse operators (only
+    ``@`` is required).  ``similarity`` feeds both the multiplicative
+    U-step and the objective penalty (:func:`repro.core.objective.
+    graph_penalty`); ``laplacian`` is what the gradient kernel consumes
+    (the dense matrix, matching the single-fit context).  ``method``
+    and ``setup_seconds`` are stamped into the member's
+    :class:`~repro.engine.report.FitReport`.
     """
 
     x_observed: np.ndarray
@@ -101,7 +82,6 @@ class BatchedFit:
     similarity: object | None = None
     degree: np.ndarray | None = None
     laplacian: object | None = None
-    penalty_op: object | None = None
     method: str = ""
     setup_seconds: float = 0.0
     degree_col: np.ndarray | None = field(default=None, repr=False)
@@ -113,24 +93,19 @@ class BatchedFit:
             )
         if self.degree is not None:
             # Column view of the degree vector, precomputed once so the
-            # per-iteration graph term is a pure elementwise multiply
-            # (mirrors KernelWorkspace._degree_col).
+            # per-iteration graph term is a pure elementwise multiply.
             self.degree_col = np.ascontiguousarray(
                 np.asarray(self.degree, dtype=np.float64).reshape(-1, 1)
             )
 
-    def objective_penalty(self, u: np.ndarray) -> float:
+    def objective_penalty(self, u: np.ndarray, du: np.ndarray) -> float:
         """The member's non-data objective term (SMF's Formula 9 penalty).
 
+        ``du`` is ``similarity @ u``, the product the next U-step reads.
         Matches ``SMF._objective`` operation for operation so batched
         objective values are bit-identical to looped ones.
         """
-        if self.lam == 0.0:
-            return 0.0
-        if self.penalty_op is None:
-            raise ValidationError("lam != 0 requires penalty_op for the objective")
-        penalty = float(np.sum(u * np.asarray(self.penalty_op @ u)))
-        return self.lam * max(penalty, 0.0)
+        return self.lam * float(graph_penalty(u, du, self.degree_col))
 
 
 @dataclass(frozen=True)
@@ -176,20 +151,16 @@ class _GraphPlan:
     path's elementwise ops: ``deg3`` is the shared degree column and
     ``lam_stack`` the per-member ``lam``, both repeated to ``(B, N, K)``,
     and ``lam_flat`` is ``lam`` in the node-major ``(N, B·K)`` layout of
-    a stacked sparse product.  ``fused`` is ``[W; L]`` as one CSR when
-    the multiplicative rule shares sparse ``W`` and ``L``: the
-    objective's one product then also yields the next U-step's ``W·U``.
+    a stacked sparse product.
     """
 
     fits: list[BatchedFit]
     similarity: object | None = None
     laplacian: object | None = None
-    penalty_op: object | None = None
     lam3: np.ndarray | None = None
     deg3: np.ndarray | None = None
     lam_stack: np.ndarray | None = None
     lam_flat: np.ndarray | None = None
-    fused: object | None = None
 
 
 class BatchedWorkspace(BufferArena):
@@ -205,9 +176,9 @@ class BatchedWorkspace(BufferArena):
     way.
 
     Each product is evaluated once per iteration: the objective's
-    ``R_O(U V)`` and (with a fused graph) ``W·U`` are memoized for the
-    next U-step under ``(array ids, write generation)`` keys.  Every
-    factor write goes through :meth:`out_for`, which bumps the
+    ``R_O(U V)`` and ``W·U`` (its penalty's product) are memoized for
+    the next U-step under ``(array ids, write generation)`` keys.
+    Every factor write goes through :meth:`out_for`, which bumps the
     generation, so an unchanged key means unchanged operands.
     """
 
@@ -239,13 +210,12 @@ class BatchedWorkspace(BufferArena):
         self._gen = 0
         self._recon_key: tuple[int, int, int] | None = None
         self._wu_key: tuple[int, int] | None = None
-        self._wu: np.ndarray | None = None
+        self._wu: np.ndarray | list[np.ndarray | None] | None = None
         self._refresh_graph_plan()
 
     def _refresh_graph_plan(self) -> None:
         graph = [f for f in self.fits if f.lam != 0.0]
-        sim = lap = pen = lam3 = None
-        deg3 = lam_stack = lam_flat = fused = None
+        sim = lap = lam3 = deg3 = lam_stack = lam_flat = None
         if graph:
             first = graph[0]
             if all(f.similarity is first.similarity for f in graph):
@@ -254,10 +224,6 @@ class BatchedWorkspace(BufferArena):
                 f.laplacian is first.laplacian for f in graph
             ):
                 lap = first.laplacian
-            if first.penalty_op is not None and all(
-                f.penalty_op is first.penalty_op for f in graph
-            ):
-                pen = first.penalty_op
             b, n, k = len(self.fits), *first.u0.shape
             if len(graph) == len(self.fits):
                 # Every member carries a graph term: the per-member
@@ -270,18 +236,14 @@ class BatchedWorkspace(BufferArena):
                 np.array_equal(f.degree_col, first.degree_col) for f in graph
             ):
                 deg3 = np.ascontiguousarray(np.broadcast_to(first.degree_col, (b, n, k)))
-                if self.rule == "multiplicative" and pen is not None:
-                    fused = _fuse_csr(sim, pen)
         self._graph_plan = _GraphPlan(
             graph,
             similarity=sim,
             laplacian=lap,
-            penalty_op=pen,
             lam3=lam3,
             deg3=deg3,
             lam_stack=lam_stack,
             lam_flat=lam_flat,
-            fused=fused,
         )
 
     def out_for(self, name: str, current: np.ndarray) -> np.ndarray:
@@ -313,16 +275,32 @@ class BatchedWorkspace(BufferArena):
         out = np.asarray(op @ self._node_major(u3))
         return out.reshape(n, b, k).transpose(1, 0, 2)
 
-    def _similarity_product(self, u3: np.ndarray) -> np.ndarray:
-        """Node-major ``W·U``: the objective's memoized half, else fresh.
+    def _similarity_product(self, u3: np.ndarray):
+        """``W·U`` for the graph members, memoized under ``(id(U), generation)``.
 
-        The caller scales the result in place, so a memo hit is used
-        up.
+        The objective's penalty at ``U_t`` and the U-step of iteration
+        ``t+1`` read one product.  A shared operator gives one array in
+        the layout its ``lam`` scaling runs in: node-major ``(N, B·K)``
+        for a sparse ``W`` (see :meth:`_stacked_apply`), ``(B, N, K)``
+        for a dense one.  Otherwise it is a per-member list (``None``
+        where ``lam == 0``).  A caller that scales it in place must
+        clear ``_wu_key``.
         """
-        if self._wu_key == (id(u3), self._gen):
-            wu, self._wu, self._wu_key = self._wu, None, None
-            return wu
-        return np.asarray(self._graph_plan.similarity @ self._node_major(u3))
+        key = (id(u3), self._gen)
+        if self._wu_key != key:
+            plan = self._graph_plan
+            if plan.similarity is not None and plan.deg3 is not None:
+                if isinstance(plan.similarity, np.ndarray):
+                    self._wu = self._stacked_apply("graph_wu3", plan.similarity, u3)
+                else:
+                    self._wu = np.asarray(plan.similarity @ self._node_major(u3))
+            else:
+                self._wu = [
+                    np.asarray(f.similarity @ u3[i]) if f.lam != 0.0 else None
+                    for i, f in enumerate(self.fits)
+                ]
+            self._wu_key = key
+        return self._wu
 
     @property
     def batch_size(self) -> int:
@@ -385,17 +363,18 @@ class BatchedWorkspace(BufferArena):
         if not plan.fits:
             return
         b, n, k = u3.shape
+        wu = self._similarity_product(u3)
+        # The in-place ``lam`` scaling below uses the memo up.
+        self._wu_key = None
         if plan.similarity is not None and plan.deg3 is not None:
-            t3 = self.buf("graph_du3", (b, n, k))
+            t3 = self.buf("graph_deg_u3", (b, n, k))
             np.multiply(plan.deg3, u3, out=t3)
-            if isinstance(plan.similarity, np.ndarray):
-                st = self._stacked_apply("graph_wu3", plan.similarity, u3)
-                scaled, scale = st, plan.lam_stack
+            if wu.ndim == 3:
+                st, scale = wu, plan.lam_stack
             else:
-                scaled, scale = self._similarity_product(u3), plan.lam_flat
-                st = scaled.reshape(n, b, k).transpose(1, 0, 2)
+                st, scale = wu.reshape(n, b, k).transpose(1, 0, 2), plan.lam_flat
             if scale is not None:
-                scaled *= scale
+                wu *= scale
                 num += st
                 t3 *= plan.lam_stack
                 den += t3
@@ -414,16 +393,10 @@ class BatchedWorkspace(BufferArena):
         for i, fit in enumerate(self.fits):
             if fit.lam == 0.0:
                 continue
-            sim = fit.similarity
-            ui = u3[i]
-            if isinstance(sim, np.ndarray):
-                t = self.buf("graph_num", (n, k))
-                np.matmul(sim, ui, out=t)
-            else:
-                t = np.asarray(sim @ ui)
+            t = wu[i]
             t *= fit.lam
             num[i] += t
-            np.multiply(fit.degree_col, ui, out=t2)
+            np.multiply(fit.degree_col, u3[i], out=t2)
             t2 *= fit.lam
             den[i] += t2
 
@@ -558,7 +531,8 @@ class BatchedWorkspace(BufferArena):
 
         The data term is one batched einsum (bit-identical per slice to
         the workspace's 2-D einsum); each member's penalty term is
-        added in the exact ``SMF._objective`` op order.
+        added in the exact ``SMF._objective`` op order, from the ``W·U``
+        the next U-step reuses.
         """
         recon = self._masked_recon(u3, v3)
         resid = self.buf("obj_resid", self.x3.shape)
@@ -568,37 +542,27 @@ class BatchedWorkspace(BufferArena):
         if not plan.fits:
             # No member has a penalty: ``data + 0.0`` is ``data``.
             return data
-        if plan.penalty_op is not None:
+        wu = self._similarity_product(u3)
+        out = data.copy()
+        if plan.similarity is not None and plan.deg3 is not None:
             b, n, k = u3.shape
-            if plan.fused is not None:
-                # One ``[W; L]`` product: the ``L`` half is the
-                # penalty's, the ``W`` half the next U-step's ``W·U``.
-                both = np.asarray(plan.fused @ self._node_major(u3))
-                self._wu, self._wu_key = both[:n], (id(u3), self._gen)
-                st = both[n:].reshape(n, b, k).transpose(1, 0, 2)
-            else:
-                st = self._stacked_apply("pen_u3", plan.penalty_op, u3)
-            # The product goes into a C-contiguous buffer, so the
-            # per-row axis reduction applies numpy's pairwise summation
-            # in the same order as the looped ``objective_penalty``'s
-            # flat ``np.sum`` — bit-identical per member.
-            prod = self.buf("pen_prod", (b, n, k))
-            np.multiply(u3, st, out=prod)
-            penalties = np.sum(prod.reshape(b, -1), axis=1)
+            st = wu if wu.ndim == 3 else wu.reshape(n, b, k).transpose(1, 0, 2)
+            # One stacked reduction; the product goes into a C-contiguous
+            # buffer, so each member's flat sum adds in the looped order.
+            penalties = graph_penalty(
+                u3, st, plan.deg3, out=self.buf("pen_prod", (b, n, k))
+            )
             if plan.lam3 is not None:
-                # ``data + lam * max(penalty, 0)`` for every member at
-                # once: the same IEEE operations in the same order.
-                return data + plan.lam3.ravel() * np.maximum(penalties, 0.0)
-            out = data.copy()
+                # ``data + lam * penalty`` for every member at once: the
+                # same IEEE operations in the same order.
+                return data + plan.lam3.ravel() * penalties
             for i, fit in enumerate(self.fits):
                 if fit.lam != 0.0:
-                    out[i] = float(data[i]) + fit.lam * max(
-                        float(penalties[i]), 0.0
-                    )
+                    out[i] = float(data[i]) + fit.lam * float(penalties[i])
             return out
-        out = np.empty(self.batch_size, dtype=np.float64)
         for i, fit in enumerate(self.fits):
-            out[i] = float(data[i]) + fit.objective_penalty(u3[i])
+            if fit.lam != 0.0:
+                out[i] = float(data[i]) + fit.objective_penalty(u3[i], wu[i])
         return out
 
 
@@ -624,6 +588,7 @@ def _member_report(fit: BatchedFit, member: _MemberState) -> FitReport:
         objective_history=tuple(member.monitor.history),
         n_iter=len(member.wall_times),
         converged=member.monitor.converged,
+        stop_reason=member.monitor.stop_reason,
         wall_times=tuple(member.wall_times),
         factor_deltas={},
         n_increases=member.monitor.n_increases,
@@ -693,9 +658,11 @@ def _single_fit(
             member.wall_times.append(time.perf_counter() - t0)
             sizes.append(1)
             if steps % eval_every == 0 or steps == max_iter:
-                objective = ws.masked_objective(
-                    fit.x_observed, u, v
-                ) + fit.objective_penalty(u)
+                objective = ws.masked_objective(fit.x_observed, u, v)
+                if fit.lam != 0.0:
+                    objective += fit.lam * ws.graph_penalty(
+                        u, fit.similarity, fit.degree
+                    )
                 member.monitor.record(objective)
             if frozen_prefix and member.landmark_intact:
                 if not np.array_equal(v[:, :frozen_prefix], frozen_values):

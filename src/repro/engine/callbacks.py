@@ -70,7 +70,8 @@ class Telemetry(Callback):
         checked on the ``v[:, :L]`` view, without a boolean gather.
     track_deltas:
         Record the Frobenius norm of each tracked factor's change per
-        iteration (costs one copy of the factors per step).
+        iteration (costs one in-place copy of the factors per step,
+        into buffers kept for the whole fit).
     """
 
     def __init__(
@@ -107,9 +108,11 @@ class Telemetry(Callback):
         )
         self.n_iter: int = 0
         self.converged: bool = False
+        self.stop_reason: str = "budget"
         self.n_increases: int = 0
         self.loop_seconds: float = 0.0
         self._prev_factors: dict[str, np.ndarray] = {}
+        self._diffs: dict[str, np.ndarray] = {}
         self._t_start: float = 0.0
 
     # ------------------------------------------------------------- hooks
@@ -120,7 +123,8 @@ class Telemetry(Callback):
             self.method = solver.name
         if self.track_deltas:
             self._prev_factors = {
-                key: value.copy() for key, value in solver.factors(state).items()
+                key: value.copy(order="K")
+                for key, value in solver.factors(state).items()
             }
         self._t_start = time.perf_counter()
 
@@ -131,12 +135,7 @@ class Telemetry(Callback):
         factors = solver.factors(record.state)
         if self.track_deltas and factors:
             for key, value in factors.items():
-                prev = self._prev_factors.get(key)
-                delta = (
-                    float(np.linalg.norm(value - prev)) if prev is not None else 0.0
-                )
-                self.deltas.setdefault(key, []).append(delta)
-                self._prev_factors[key] = value.copy()
+                self.deltas.setdefault(key, []).append(self._delta(key, value))
         # Once the block has been caught modified the verdict is final -
         # re-comparing the mask every remaining iteration buys nothing.
         if (
@@ -154,12 +153,34 @@ class Telemetry(Callback):
             if not intact:
                 self.landmark_block_intact = False
 
+    def _delta(self, key: str, value: np.ndarray) -> float:
+        """``‖value − previous‖_F``, then keep ``value`` as the previous.
+
+        Allocation-free after the first iteration: the difference goes
+        into a per-factor buffer and ``value`` is copied into the kept
+        one.  The norm is ``sqrt(dot(d, d))`` over ``d`` in memory
+        order, which is what :func:`numpy.linalg.norm` computes, so the
+        deltas keep its bits.
+        """
+        prev = self._prev_factors.get(key)
+        if prev is None:
+            self._prev_factors[key] = value.copy(order="K")
+            return 0.0
+        diff = self._diffs.get(key)
+        if diff is None:
+            diff = self._diffs[key] = np.empty_like(prev)
+        np.subtract(value, prev, out=diff)
+        np.copyto(prev, value)
+        flat = diff.ravel(order="K")
+        return float(np.sqrt(np.dot(flat, flat)))
+
     def on_fit_end(
         self, solver: Solver, state: Any, monitor: ConvergenceMonitor
     ) -> None:
         self.loop_seconds = time.perf_counter() - self._t_start
         self.n_iter = len(self.wall_times)
         self.converged = monitor.converged
+        self.stop_reason = monitor.stop_reason
         self.n_increases = monitor.n_increases
 
     # ------------------------------------------------------------ report
@@ -195,4 +216,5 @@ class Telemetry(Callback):
             method=self.method,
             setup_seconds=self.setup_seconds,
             loop_seconds=self.loop_seconds,
+            stop_reason=self.stop_reason,
         )

@@ -43,6 +43,9 @@ class EngineOutcome:
     converged: bool
     objective_history: tuple[float, ...]
     n_increases: int
+    stop_reason: str
+    """``"tol"``, ``"solver"`` (a custom :meth:`Solver.converged`) or
+    ``"budget"``."""
 
 
 class IterativeEngine:
@@ -103,6 +106,7 @@ class IterativeEngine:
 
         steps = 0
         converged = False
+        solver_rule = False
         with tracer.span(
             "fit", solver=getattr(solver, "name", "solver"), max_iter=self.max_iter
         ):
@@ -120,6 +124,7 @@ class IterativeEngine:
                         eval_span.set_attr("objective", objective)
                         monitor.record(objective)
                         custom = solver.converged(state, monitor)
+                        solver_rule = custom is not None
                         converged = (
                             monitor.converged if custom is None else bool(custom)
                         )
@@ -135,6 +140,10 @@ class IterativeEngine:
         # Solvers with a custom rule override the monitor's verdict so
         # downstream consumers (reports, warnings) see one truth.
         monitor.converged = converged
+        if not converged:
+            monitor.stop_reason = "budget"
+        elif solver_rule:
+            monitor.stop_reason = "solver"
         if events.enabled:
             if converged:
                 events.emit(
@@ -149,6 +158,7 @@ class IterativeEngine:
                 n_iter=steps,
                 converged=converged,
                 n_increases=monitor.n_increases,
+                stop_reason=monitor.stop_reason,
             )
         if not converged and self.warn_on_budget:
             warnings.warn(
@@ -165,4 +175,5 @@ class IterativeEngine:
             converged=converged,
             objective_history=tuple(monitor.history),
             n_increases=monitor.n_increases,
+            stop_reason=monitor.stop_reason,
         )

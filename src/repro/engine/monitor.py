@@ -62,6 +62,11 @@ class ConvergenceMonitor:
     history: list[float] = field(default_factory=list, init=False, repr=False)
     converged: bool = field(default=False, init=False)
     n_increases: int = field(default=0, init=False)
+    stop_reason: str = field(default="budget", init=False)
+    """Why the fit stopped: ``"tol"`` once the tolerance fires,
+    ``"solver"`` when a custom :meth:`~repro.engine.Solver.converged`
+    verdict stopped the engine's loop (the engine sets it), and
+    ``"budget"`` (the default) when no rule fired."""
 
     def __post_init__(self) -> None:
         # 0 is a legal budget: "run no iterations" must yield a valid
@@ -118,6 +123,7 @@ class ConvergenceMonitor:
                 denom = max(abs(prev), 1e-12)
                 if decrease / denom < self.tol:
                     self.converged = True
+                    self.stop_reason = "tol"
         self.history.append(objective)
 
     def reset(self) -> None:
@@ -125,3 +131,4 @@ class ConvergenceMonitor:
         self.history = []
         self.converged = False
         self.n_increases = 0
+        self.stop_reason = "budget"

@@ -39,6 +39,11 @@ class FitReport:
         Iterations actually run.
     converged:
         Whether the stopping rule fired before the budget ran out.
+    stop_reason:
+        Why the loop stopped: ``"tol"`` (the relative-decrease
+        tolerance), ``"solver"`` (a custom
+        :meth:`~repro.engine.Solver.converged` rule) or ``"budget"``
+        (``max_iter`` ran out).
     wall_times:
         Per-iteration wall-clock seconds of the solver step.
     factor_deltas:
@@ -83,6 +88,7 @@ class FitReport:
     method: str = ""
     setup_seconds: float = 0.0
     loop_seconds: float = 0.0
+    stop_reason: str = "budget"
 
     @property
     def final_objective(self) -> float:
@@ -142,6 +148,7 @@ class FitReport:
             "method": self.method,
             "n_iter": int(self.n_iter),
             "converged": bool(self.converged),
+            "stop_reason": self.stop_reason,
             "objective_history": [float(x) for x in self.objective_history],
             "wall_times": [float(x) for x in self.wall_times],
             "factor_deltas": {
@@ -190,6 +197,7 @@ class FitReport:
             method=str(data.get("method", "")),
             setup_seconds=float(data.get("setup_seconds", 0.0)),
             loop_seconds=float(data.get("loop_seconds", 0.0)),
+            stop_reason=str(data.get("stop_reason", "budget")),
         )
 
 

@@ -10,6 +10,11 @@ map onto this module as follows:
     numerator/denominator blocks, ping-pong factor outputs) and the
     rewritten kernels run them as ``out=``-form BLAS calls — so steady-
     state iterations allocate **no** new ``N×M`` (or ``N×K``) arrays.
+    Products shared between the objective at ``(U_t, V_t)`` and the
+    next U-step — the masked reconstruction and ``D·U_t`` (the
+    objective's penalty is :func:`repro.core.objective.graph_penalty`)
+    — are memoized on factor write generations and computed once, so
+    an iteration runs Proposition 1's one ``O(pNK)`` graph product.
 ``t2·KNL``
     The landmark-block contributions.  The landmark columns of ``V``
     are frozen for the whole fit, so their Gram products
@@ -20,7 +25,9 @@ map onto this module as follows:
 ``N²·L``
     The one-off spatial graph build — handled by
     :mod:`repro.spatial.graph_cache` (shared across runner cells) and
-    the chunked distance kernels in :mod:`repro.spatial.distances`.
+    the grid index of :mod:`repro.spatial.similarity`, which settles
+    rows with fully observed coordinates from nearby cells (about
+    ``N·c`` work) and scans all ``N`` rows only for the rest.
 
 One factory, :func:`build_kernel`, resolves ``(update_rule,
 kernel_path, observed density)`` once per fit and returns the fit's
@@ -64,7 +71,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.objective import masked_frobenius_sq
+from ..core.objective import graph_penalty, masked_frobenius_sq
 from ..core.updates import (
     gradient_update_u,
     gradient_update_v,
@@ -318,6 +325,10 @@ class KernelWorkspace(BufferArena):
         self._u_gen = 0
         self._v_gen = 0
         self._recon_key: tuple[object, object] | None = None
+        # ``D·U`` memo, same key discipline: the objective's penalty at
+        # ``U_t`` and the next U-step's ``lam·D U_t`` share one product.
+        self._du_key: tuple[int, int] | None = None
+        self._du: np.ndarray | None = None
         if mode == "sparse":
             # The Gram split needs the landmark columns fully observed
             # (true under the default injection protocol, which only
@@ -334,33 +345,51 @@ class KernelWorkspace(BufferArena):
                 self.gram = GramCache(x_observed, v0, prefix)
             self.sparse = _SparseObserved(x_observed, observed, prefix)
 
-    def _degree_col(self, degree: np.ndarray) -> np.ndarray:
-        col = self._buffers.get("degree_col")
-        if col is None or col.shape[0] != degree.shape[0]:
-            col = np.ascontiguousarray(
-                np.asarray(degree, dtype=np.float64).reshape(-1, 1)
-            )
-            self._buffers["degree_col"] = col
-        return col
+    def _degree_stack(self, degree: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+        """The degree column repeated to ``shape``, built once per fit.
+
+        An elementwise op rounds the same on any operand layout but
+        runs several times faster without a stride-0 column operand.
+        """
+        stack = self._buffers.get("degree_stack")
+        if stack is None or stack.shape != shape:
+            col = np.asarray(degree, dtype=np.float64).reshape(-1, 1)
+            stack = np.ascontiguousarray(np.broadcast_to(col, shape))
+            self._buffers["degree_stack"] = stack
+        return stack
 
     # ------------------------------------------------- shared graph terms
+
+    def _similarity_product(self, u: np.ndarray, similarity) -> np.ndarray:
+        """``D·U``, memoized on ``(id(U), write generation)``.
+
+        The objective's penalty at ``U_t`` (:meth:`graph_penalty`) and
+        the U-step of iteration ``t+1`` read the same product, so an
+        iteration evaluated every step runs one graph product.
+        ``similarity`` is the fit's one operator; callers must not
+        write to the returned array.
+        """
+        key = (id(u), self._u_gen)
+        if self._du_key != key:
+            if isinstance(similarity, np.ndarray):
+                du = self.buf("graph_du", u.shape)
+                np.matmul(similarity, u, out=du)
+            else:
+                # scipy sparse product: allocates O(N K), costs O(p N K)
+                # — the sparsity Proposition 1 assumes.
+                du = np.asarray(similarity @ u)
+            self._du, self._du_key = du, key
+        return self._du
 
     def _add_graph_terms(self, num: np.ndarray, den: np.ndarray, u, ctx) -> None:
         """Add ``lam·D U`` / ``lam·W U`` in the reference op order."""
         if ctx.similarity is None or ctx.degree is None:
             raise ValueError("lam != 0 requires similarity and degree")
-        sim = ctx.similarity
-        if isinstance(sim, np.ndarray):
-            t = self.buf("graph_num", u.shape)
-            np.matmul(sim, u, out=t)
-        else:
-            # scipy sparse product: allocates O(N K), costs O(p N K) —
-            # the sparsity Proposition 1 assumes.
-            t = np.asarray(sim @ u)
-        t *= ctx.lam
+        t = self.buf("graph_num", u.shape)
+        np.multiply(self._similarity_product(u, ctx.similarity), ctx.lam, out=t)
         num += t
         t2 = self.buf("graph_den", u.shape)
-        np.multiply(self._degree_col(ctx.degree), u, out=t2)
+        np.multiply(self._degree_stack(ctx.degree, u.shape), u, out=t2)
         t2 *= ctx.lam
         den += t2
 
@@ -588,6 +617,22 @@ class KernelWorkspace(BufferArena):
         return u_next, self._mult_v_dense(x_observed, observed, u_next, v, ctx)
 
     # -------------------------------------------------------- objective
+
+    def graph_penalty(self, u: np.ndarray, similarity, degree: np.ndarray) -> float:
+        """:func:`repro.core.objective.graph_penalty` at ``U``.
+
+        Reads the ``D·U`` memo the next U-step reuses, and runs on the
+        layout-matched degree stack and a scratch buffer: the bits of
+        the plain call, without its allocations.
+        """
+        return float(
+            graph_penalty(
+                u,
+                self._similarity_product(u, similarity),
+                self._degree_stack(degree, u.shape),
+                out=self.buf("penalty", u.shape),
+            )
+        )
 
     def masked_objective(self, x_observed, u, v) -> float:
         """``||R_O(X - U V)||²`` without allocating a fresh residual.

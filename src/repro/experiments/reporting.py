@@ -80,7 +80,7 @@ def format_fit_report(report: FitReport, *, title: str = "") -> str:
         lines.append(title)
     lines.append(
         f"method={report.method or '?'}  iters={report.n_iter}  "
-        f"converged={report.converged}"
+        f"converged={report.converged}  stop={report.stop_reason}"
     )
     if report.objective_history:
         lines.append(

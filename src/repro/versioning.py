@@ -14,7 +14,7 @@ __all__ = ["__version__", "NUMERICS_VERSION", "ARTIFACT_SCHEMA_VERSION"]
 __version__ = "1.2.0"
 """The package version (single source; ``repro.__version__`` re-exports it)."""
 
-NUMERICS_VERSION = 3
+NUMERICS_VERSION = 4
 """Manual generation counter of the *numerical* contract.
 
 Bump this when a solver change is allowed to alter result bits (a new
@@ -34,7 +34,12 @@ History:
   rows in (distance, index) order, the order the p-NN graph uses, and
   weights them in that order; before, the order and the pick among
   rows tied at the ``p``-th distance were whatever ``argpartition``
-  returned (DESIGN §6)."""
+  returned (DESIGN §6).
+- 4: SMF/SMFL objectives take the smoothness penalty from ``D U`` as
+  ``sum((deg * U - D U) * U)`` instead of ``sum(U * (L U))``, sharing
+  the product with the next multiplicative U-step.  Factors and
+  imputed outputs keep their bits; objective values (and so cached
+  ``final_objective``s) move by a few ulps (DESIGN §6)."""
 
 ARTIFACT_SCHEMA_VERSION = 1
 """Layout generation of the model artifact files (JSON + npz).

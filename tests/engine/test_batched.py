@@ -69,7 +69,7 @@ def _memo_cases(names):
 
     ``eval_every=3`` skips the objective on two of three iterations, so
     those U-steps find no memoized ``R_O(U V)`` / ``W·U`` and compute
-    their own.  Shared-graph problems take the fused ``[W; L]`` path,
+    their own.  Shared-graph problems take the stacked ``W·U`` path,
     per-seed problems the per-member graph loop.
     """
     cases = []
@@ -142,7 +142,8 @@ class TestBatchedVsLooped:
 
         def spy(ws, keep):
             compact(ws, keep)
-            plans.append(ws._graph_plan.fused is not None)
+            plan = ws._graph_plan
+            plans.append(plan.similarity is not None and plan.deg3 is not None)
 
         monkeypatch.setattr(BatchedWorkspace, "compact", spy)
 
@@ -153,7 +154,7 @@ class TestBatchedVsLooped:
 
         batched, looped = fit_pair(factory, range(5), problem=make_shared_graph_problem)
         assert_models_identical(batched, looped)
-        assert plans and all(plans), "no compaction on the fused shared-graph path"
+        assert plans and all(plans), "no compaction on the stacked shared-graph path"
         iters = sorted({m.n_iter_ for m, _, _ in batched})
         assert len(iters) > 1, "tolerance never produced ragged convergence"
 
@@ -181,7 +182,7 @@ class TestBatchedVsLooped:
 
     @pytest.mark.parametrize("eval_every", [1, 3])
     def test_mixed_methods_shared_graph(self, eval_every):
-        # The shared graph is fused, but with nmf members in the stack
+        # The shared graph is stacked, but with nmf members in the stack
         # the memoized ``W·U`` is scaled member by member.
         self._assert_mixed_identical(make_shared_graph_problem, eval_every)
 
@@ -274,14 +275,13 @@ class TestSharedOperatorFastPath:
         sim_shared = sim_shared + sim_shared.T
         deg_shared = np.asarray(sim_shared.sum(axis=1)).ravel()
         lap_shared = np.diag(deg_shared) - sim_shared.toarray()
-        pen_shared = sp.csr_matrix(lap_shared)
         fits = []
         for seed in range(b):
             frng = np.random.default_rng(100 + seed)
             x = frng.random((n, m))
             observed = frng.random((n, m)) > 0.2
             if shared:
-                sim, deg, lap, pen = sim_shared, deg_shared, lap_shared, pen_shared
+                sim, deg, lap = sim_shared, deg_shared, lap_shared
             else:
                 sim = sp.random(
                     n, n, density=0.2, random_state=10 + seed, format="csr"
@@ -289,7 +289,6 @@ class TestSharedOperatorFastPath:
                 sim = sim + sim.T
                 deg = np.asarray(sim.sum(axis=1)).ravel()
                 lap = np.diag(deg) - sim.toarray()
-                pen = sp.csr_matrix(lap)
             fits.append(
                 BatchedFit(
                     x_observed=np.where(observed, x, 0.0),
@@ -300,7 +299,6 @@ class TestSharedOperatorFastPath:
                     similarity=sim,
                     degree=deg,
                     laplacian=lap,
-                    penalty_op=pen,
                 )
             )
         return fits
@@ -310,7 +308,7 @@ class TestSharedOperatorFastPath:
         plan = ws._graph_plan
         assert plan.similarity is not None
         assert plan.laplacian is not None
-        assert plan.penalty_op is not None
+        assert plan.deg3 is not None
         assert plan.lam3 is not None
 
     def test_plan_rejects_heterogeneous_operators(self):
@@ -318,7 +316,7 @@ class TestSharedOperatorFastPath:
         plan = ws._graph_plan
         assert plan.similarity is None
         assert plan.laplacian is None
-        assert plan.penalty_op is None
+        assert plan.deg3 is None
 
     @pytest.mark.parametrize("update_rule", ["multiplicative", "gradient"])
     def test_shared_matches_per_member_loop(self, update_rule):
@@ -340,7 +338,6 @@ class TestSharedOperatorFastPath:
                     similarity=sp.csr_matrix(f.similarity.copy()),
                     degree=np.asarray(f.degree).copy(),
                     laplacian=np.asarray(f.laplacian).copy(),
-                    penalty_op=sp.csr_matrix(np.asarray(f.penalty_op.toarray())),
                 )
             )
         kwargs = dict(max_iter=25, tol=0.0, update_rule=update_rule)
@@ -358,7 +355,7 @@ class TestSharedOperatorFastPath:
         # SMF batch evaluated every iteration, a steady-state iteration
         # runs exactly two masked ``U·V`` gemms (V-step and objective;
         # the next U-step reuses the objective's) and one sparse product
-        # (the fused ``[W; L]``; the next U-step reuses its ``W`` half).
+        # (``W·U`` for the objective's penalty; the next U-step reuses it).
         import scipy.sparse as sp
 
         from repro.engine import batched

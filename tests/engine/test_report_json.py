@@ -34,6 +34,7 @@ def _full_report() -> FitReport:
         method="smfl",
         setup_seconds=0.5,
         loop_seconds=0.4375,
+        stop_reason="tol",
     )
 
 
