@@ -35,8 +35,9 @@ __all__ = ["IMPUTER_NAMES", "STOCHASTIC_VARIANTS", "make_imputer"]
 _DEFAULT_RANK = 5
 
 #: Mini-batch hyper-parameters of the registered stochastic variants —
-#: the configuration recorded in results/BENCH_stochastic.json (within
-#: 5% of full-batch RMSE at >= 2x fewer row updates per unit decrease).
+#: the configuration tests/engine/test_stochastic.py::TestAgainstFullBatch
+#: holds within 5% of full-batch RMSE at >= 2x fewer row updates per
+#: unit decrease.
 STOCHASTIC_DEFAULTS: dict[str, object] = {
     "method": "stochastic",
     "batch_size": 64,

@@ -9,15 +9,16 @@ Three pieces, one contract:
   rank x missing x kernel_path grid of volatile runner cells, emitted
   as one canonical schema-versioned JSON;
 - :mod:`~repro.bench.gate` - the regression gate CI runs: schema
-  validation of every committed ``BENCH_*.json``, accepted-metric
-  re-derivation from raw values, and a fresh-sweep-vs-baseline diff
-  that fails on slowdown, accuracy drift, or a changed generator hash.
+  validation of the committed ``results/`` baselines (``BENCH_oocore``,
+  ``BENCH_sweep``, ``SLO_serving``), accepted-metric re-derivation from
+  raw values, and a fresh-sweep-vs-baseline diff that fails on
+  slowdown, accuracy drift, or a changed generator hash.
 
 :mod:`~repro.bench.io` owns the shared ``BENCH_*.json`` envelope
-writer every benchmark in the repo (including
-:mod:`repro.engine.timing`) routes through.  Engine-facing imports stay
-lazy inside functions so ``repro.engine`` can import the writer without
-a cycle.
+writer every committed baseline routes through.  Engine-facing imports
+stay lazy inside functions so engine-side writers can import it
+without a cycle.  End-to-end and per-layer speed is measured by
+``perfbench/`` (``BENCHMARK.json``), outside the package.
 """
 
 from .gate import GateReport, compare_sweeps, run_gate

@@ -4,16 +4,18 @@
 runs three independent checks and fails (exit != 0) if any produces a
 failure string - always naming the file, cell, and metric involved:
 
-1. **Schema validation** - every committed ``BENCH_*.json`` under
-   ``--baseline`` must satisfy its declared schema
+1. **Schema validation** - every committed ``BENCH_*.json`` /
+   ``SLO_*.json`` under ``--baseline`` (``BENCH_oocore.json``,
+   ``BENCH_sweep.json`` and ``SLO_serving.json`` in ``results/``) must
+   satisfy its declared schema
    (:data:`repro.bench.schema.BENCH_SCHEMAS`), envelope included.  A
    writer that drops a key or changes a metric's type breaks here.
 2. **Accepted-metric re-derivation** - the gate recomputes each
    benchmark's acceptance verdicts from the *raw* recorded values
    (:func:`repro.bench.schema.check_metrics`).  Editing a number past
-   its contract - say ``rms_ratio`` 1.02 -> 1.22 against a 1.05 limit -
-   fails deterministically even if the file's own acceptance flags
-   were left at ``true``.
+   its contract - say the out-of-core ``objective_ratio`` past its
+   1.05 limit - fails deterministically even if the file's own
+   acceptance flags were left at ``true``.
 3. **Sweep diff** - a fresh smoke sweep (same config as the committed
    ``BENCH_sweep.json`` baseline, re-read from the baseline itself so
    the comparison is apples-to-apples by construction) is compared
@@ -28,6 +30,8 @@ Checks 1-2 are clock-free and therefore never flaky; check 3 measures
 wall time and takes the tolerance seriously - CI passes a looser
 ``--tolerance`` than the local default because absolute timings do not
 transfer across machines (accuracy and hash checks transfer as-is).
+The repo's measured speed benchmark is ``perfbench/`` (workloads
+declared in ``BENCHMARK.json``); this gate guards the committed files.
 """
 
 from __future__ import annotations

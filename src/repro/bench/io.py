@@ -4,8 +4,8 @@ Every benchmark in the repo persists through :func:`write_bench_json`,
 which stamps the payload with the envelope fields the regression gate
 and the schema suite key on:
 
-- ``bench_name`` - which benchmark this is (``engine``, ``kernels``,
-  ``sweep``, ...), so a file's identity survives being renamed;
+- ``bench_name`` - which benchmark this is (``oocore``, ``sweep``,
+  ``SLO_serving``), so a file's identity survives being renamed;
 - ``bench_schema_version`` - generation counter of the envelope
   itself; the gate refuses to compare across versions rather than
   guessing;
@@ -16,9 +16,10 @@ The write is atomic (temp file + ``os.replace``) with sorted keys and
 a trailing newline, so two writes of the same payload are byte-
 identical and a crash never leaves a torn baseline behind.
 
-This module is a dependency leaf (stdlib only) so that
-:mod:`repro.engine.timing` can route its writers through it without
-creating an import cycle with the bench layer's engine-facing modules.
+This module is a dependency leaf (stdlib only) so that any layer
+(:mod:`repro.oocore.benchmark`, :mod:`repro.obs.live.slo`) can route
+its writer through it without creating an import cycle with the bench
+layer's engine-facing modules.
 """
 
 from __future__ import annotations

@@ -1,18 +1,23 @@
-"""Declarative schemas for the ``results/BENCH_*.json`` trajectory.
+"""Declarative schemas for the committed ``results/`` baselines.
 
-Two registries, one purpose: stop a malformed or quietly-degraded
-benchmark write from corrupting the committed trajectory.
+Three files stay committed: ``BENCH_oocore.json`` (the out-of-core
+scaling curve), ``BENCH_sweep.json`` (the gate's generator data-hash
+and accuracy ratchet) and ``SLO_serving.json`` (the serving budgets
+``python -m repro.obs slo`` holds event logs to).  Speed is measured by
+``perfbench/`` (see ``BENCHMARK.json``), not by these files.  Two
+registries stop a malformed or quietly-degraded write from corrupting
+them:
 
-- :data:`BENCH_SCHEMAS` - per-benchmark required fields (dotted paths
+- :data:`BENCH_SCHEMAS` - per-file required fields (dotted paths
   with ``*`` wildcards over dict values and ``[]`` over list items)
-  and their types.  The tier-1 suite validates every committed BENCH
-  file against these, so a writer that drops a key or changes a metric
+  and their types.  The tier-1 suite validates every committed file
+  against these, so a writer that drops a key or changes a metric
   type fails tests instead of silently shipping.
 - :data:`ACCEPTED_METRICS` - the gate's contract: recorded metrics
-  with a direction and a limit (``max`` / ``min``), plus acceptance
-  flags that must be ``True``.  :func:`check_metrics` re-derives the
-  verdicts from the *raw* metrics, so perturbing a number without
-  touching its acceptance flag still fails, with the metric named.
+  with an upper limit, plus acceptance flags that must be ``True``.
+  :func:`check_metrics` re-derives the verdicts from the *raw*
+  metrics, so perturbing a number without touching its acceptance flag
+  still fails, with the metric named.
 
 Type names: ``number`` (int or float, bools excluded), ``int``,
 ``bool``, ``str``, ``dict``, ``list``.
@@ -46,76 +51,6 @@ ENVELOPE_FIELDS: tuple[tuple[str, str], ...] = (
 
 
 BENCH_SCHEMAS: dict[str, tuple[tuple[str, str], ...]] = {
-    "engine": (
-        ("dataset", "str"),
-        ("rank", "int"),
-        ("max_iter", "int"),
-        ("rows", "dict"),
-        ("rows.*.smf.median_iteration_seconds", "number"),
-        ("rows.*.smf.n_iter", "int"),
-        ("rows.*.smfl.median_iteration_seconds", "number"),
-        ("rows.*.smfl.n_iter", "int"),
-        ("rows.*.smfl_per_iter_speedup", "number"),
-    ),
-    "stochastic": (
-        ("dataset", "str"),
-        ("rms_ratio", "number"),
-        ("row_update_efficiency_gain", "number"),
-        ("full_batch.rms", "number"),
-        ("stochastic.rms", "number"),
-        ("stochastic.landmark_block_intact", "bool"),
-        ("acceptance", "dict"),
-        ("acceptance.rms_within_5pct", "bool"),
-        ("acceptance.ge_2x_fewer_row_updates_per_unit_decrease", "bool"),
-        ("acceptance.landmark_block_intact_every_epoch", "bool"),
-    ),
-    "runner": (
-        ("experiment", "str"),
-        ("n_cells", "int"),
-        ("serial.wall_seconds", "number"),
-        ("cold.wall_seconds", "number"),
-        ("warm.wall_seconds", "number"),
-        ("warm_over_cold", "number"),
-        ("parallel_speedup_over_serial", "number"),
-        ("acceptance", "dict"),
-        ("acceptance.parallel_and_warm_bit_identical_to_serial", "bool"),
-        ("acceptance.warm_cache_hit_ratio_1", "bool"),
-        ("acceptance.warm_under_10pct_of_cold", "bool"),
-    ),
-    "obs": (
-        ("null_span_ns", "number"),
-        ("median_enabled_over_disabled", "number"),
-        ("worst_disabled_over_baseline", "number"),
-        ("disabled_median_iteration_seconds", "dict"),
-        ("live", "dict"),
-        ("live.serving_off_over_plain", "number"),
-        ("live.serving_sampled_over_off", "number"),
-        ("acceptance", "dict"),
-    ),
-    "kernels": (
-        ("shape", "list"),
-        ("rank", "int"),
-        ("rates", "dict"),
-        ("rates.*.reference.iteration_seconds", "number"),
-        ("rates.*.workspace.speedup", "number"),
-        ("rates.*.workspace.bit_identical", "bool"),
-        ("rates.*.sparse.speedup", "number"),
-        ("rates.*.sparse.max_factor_deviation", "number"),
-        ("acceptance", "dict"),
-        ("acceptance.workspace_bit_identical", "bool"),
-        ("acceptance.sparse_factor_deviation_le_1e-8", "bool"),
-    ),
-    "serving": (
-        ("dataset", "str"),
-        ("accuracy.rms_ratio", "number"),
-        ("batching.batched_speedup", "number"),
-        ("serving.imputations_per_second", "number"),
-        ("serving.latency_p50_seconds", "number"),
-        ("serving.latency_p99_seconds", "number"),
-        ("acceptance", "dict"),
-        ("acceptance.foldin_rms_within_5pct_of_refit", "bool"),
-        ("acceptance.batched_ge_5x_row_loop", "bool"),
-    ),
     "oocore": (
         ("spec", "str"),
         ("cols", "int"),
@@ -142,30 +77,6 @@ BENCH_SCHEMAS: dict[str, tuple[tuple[str, str], ...]] = {
         ("acceptance.parallel_deviation_within_tolerance", "bool"),
         ("acceptance.bounded_peak_memory", "bool"),
         ("acceptance.landmark_block_intact", "bool"),
-    ),
-    "batched": (
-        ("grid", "dict"),
-        ("grid.dataset", "str"),
-        ("grid.methods", "list"),
-        ("grid.seeds", "int"),
-        ("grid.n_cells", "int"),
-        ("grid.rank", "int"),
-        ("grid.max_iter", "int"),
-        ("smoke", "bool"),
-        ("looped.total_seconds", "number"),
-        ("looped.per_cell_seconds", "number"),
-        ("batched.total_seconds", "number"),
-        ("batched.per_cell_seconds", "number"),
-        ("per_cell_speedup", "number"),
-        ("b1.plain_seconds", "number"),
-        ("b1.batched_seconds", "number"),
-        ("b1.ratio", "number"),
-        ("equivalence.bit_identical", "bool"),
-        ("equivalence.max_factor_deviation", "number"),
-        ("equivalence.n_iter_match", "bool"),
-        ("acceptance", "dict"),
-        ("acceptance.batched_bit_identical", "bool"),
-        ("acceptance.n_iter_match", "bool"),
     ),
     "SLO_serving": (
         ("slo_schema_version", "int"),
@@ -206,10 +117,8 @@ BENCH_SCHEMAS: dict[str, tuple[tuple[str, str], ...]] = {
 class MetricCheck:
     """One recorded metric the gate re-verifies from its raw value.
 
-    ``kind``: ``"max"`` (every resolved value must be <= ``limit``),
-    ``"min"`` (>= ``limit``), or ``"flag"`` (must be ``True``; ``None``
-    is skipped - some flags are conditional on a baseline being
-    available).
+    ``kind``: ``"max"`` (every resolved value must be <= ``limit``) or
+    ``"flag"`` (must be ``True``).
     """
 
     path: str
@@ -218,40 +127,9 @@ class MetricCheck:
 
 
 ACCEPTED_METRICS: dict[str, tuple[MetricCheck, ...]] = {
-    "stochastic": (
-        MetricCheck("rms_ratio", "max", 1.05),
-        MetricCheck("row_update_efficiency_gain", "min", 2.0),
-        MetricCheck("acceptance.*", "flag"),
-    ),
-    "runner": (
-        MetricCheck("warm_over_cold", "max", 0.10),
-        MetricCheck("acceptance.*", "flag"),
-    ),
-    "obs": (
-        MetricCheck("acceptance.*", "flag"),
-    ),
-    "kernels": (
-        MetricCheck("rates.*.workspace.bit_identical", "flag"),
-        MetricCheck("rates.*.sparse.max_factor_deviation", "max", 1e-8),
-        MetricCheck("acceptance.*", "flag"),
-    ),
-    "serving": (
-        MetricCheck("accuracy.rms_ratio", "max", 1.05),
-        MetricCheck("batching.batched_speedup", "min", 5.0),
-        MetricCheck("acceptance.*", "flag"),
-    ),
     "oocore": (
         MetricCheck("equivalence.objective_ratio", "max", 1.05),
         MetricCheck("equivalence.parallel_max_rel_deviation", "max", 0.05),
-        MetricCheck("acceptance.*", "flag"),
-    ),
-    "batched": (
-        # Bit-identity is the contract; the documented fallback
-        # tolerance (Gram-cache opt-in) is <= 1e-12.  Wall-clock
-        # targets are machine-dependent, so the speedup / B=1-overhead
-        # ratchets live in the recorded acceptance flags (computed
-        # in-run, where both sides ran on the same machine).
-        MetricCheck("equivalence.max_factor_deviation", "max", 1e-12),
         MetricCheck("acceptance.*", "flag"),
     ),
     "SLO_serving": (
@@ -261,9 +139,9 @@ ACCEPTED_METRICS: dict[str, tuple[MetricCheck, ...]] = {
 }
 """Accuracy-ratio / invariant metrics the gate re-checks per benchmark.
 
-``engine`` and ``sweep`` carry no entry: their numbers are wall-clock
-measurements whose regression semantics live in the gate's sweep diff,
-not in a fixed limit.
+``sweep`` carries no entry: its numbers are wall-clock measurements
+whose regression semantics live in the gate's sweep diff, not in a
+fixed limit.
 """
 
 
@@ -376,8 +254,6 @@ def check_metrics(name: str, payload: dict[str, Any]) -> list[str]:
                 failures.append(f"{name}: accepted metric {concrete} is missing")
                 continue
             if check.kind == "flag":
-                if value is None:
-                    continue
                 if value is not True:
                     failures.append(
                         f"{name}: acceptance flag {concrete} is {value!r}, "
@@ -387,14 +263,9 @@ def check_metrics(name: str, payload: dict[str, Any]) -> list[str]:
                 failures.append(
                     f"{name}: accepted metric {concrete} is not numeric ({value!r})"
                 )
-            elif check.kind == "max" and value > check.limit:
+            elif value > check.limit:
                 failures.append(
                     f"{name}: metric {concrete} = {value:.6g} exceeds "
-                    f"limit {check.limit:g}"
-                )
-            elif check.kind == "min" and value < check.limit:
-                failures.append(
-                    f"{name}: metric {concrete} = {value:.6g} below "
                     f"limit {check.limit:g}"
                 )
     return failures

@@ -37,11 +37,11 @@ Architecture (see DESIGN.md section "Engine layer")::
 - :mod:`repro.engine.batched` - the batched multi-fit kernel:
   :func:`multi_fit` stacks ``B`` same-shape fits into 3-D gemms with
   per-fit convergence dropout, bit-identical to looped single fits
-  (``python -m repro.engine.timing --batched`` measures it);
-- :mod:`repro.engine.timing` - telemetry-driven timing helpers, the
-  SMF-vs-SMFL micro-benchmark (Figure 9's per-iteration cost claim),
-  and the stochastic-vs-full-batch benchmark
-  (``python -m repro.engine.timing --stochastic``).
+  (``perfbench``'s ``grid_table7`` workload runs it end to end).
+
+Speed is measured outside the package by ``perfbench/``
+(``BENCHMARK.json``): its ``engine.member_iter_us.{nmf,smf,smfl}``
+metrics carry Figure 9's SMF-vs-SMFL per-iteration question.
 
 ``FitReport`` supersedes the seed repo's ``FactorizationResult``; the
 old name is an alias of the new class.

@@ -29,7 +29,7 @@ clock), the factorization kernels (``kernel:<rule>``), every
 :class:`repro.baselines.base.Imputer` (``fit_impute`` spans), and
 :func:`repro.runner.execute.run_grid` (``run:<experiment>`` / ``cell``
 spans merged across worker processes).  Enable with ``--trace <path>``
-on the ``repro.experiments`` and ``repro.engine.timing`` CLIs, or
+on the ``repro.experiments`` and ``repro.bench sweep`` CLIs, or
 programmatically via :func:`trace_to` / :func:`use_tracer`.
 """
 

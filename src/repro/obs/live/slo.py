@@ -18,7 +18,7 @@ committed in ``results/SLO_serving.json``:
 The committed baseline rides the shared bench envelope
 (:func:`repro.bench.io.write_bench_json` under the name
 ``SLO_serving``), so the schema suite and ``bench gate`` validate it
-alongside the ``BENCH_*.json`` trajectory.
+alongside ``BENCH_oocore.json`` and ``BENCH_sweep.json``.
 """
 
 from __future__ import annotations

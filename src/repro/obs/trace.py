@@ -11,7 +11,7 @@ Two design rules keep the layer zero-cost where it matters:
 
 - **One clock.**  A span measures its own duration and exposes it as
   ``Span.duration``, so instrumented code (the engine loop,
-  :func:`repro.engine.timing.timed_fit_impute`) reads the span instead
+  :func:`repro.runner.cells.timed_fit_impute`) reads the span instead
   of keeping a second ``perf_counter`` pair.  Telemetry and traces can
   never disagree about how long a step took.
 - **Null by default.**  The ambient tracer is :data:`NULL_TRACER`
@@ -279,9 +279,8 @@ def collecting_tracer(**meta: Any) -> Tracer:
 def timed_call(name: str, fn: Any, **attrs: Any) -> float:
     """Run ``fn()`` under a span and return the span's duration.
 
-    The one-line best-of-N timing primitive the benchmark layer uses
-    (:mod:`repro.engine.timing`, :mod:`repro.bench.sweep`): everything
-    runs on the span clock, so with tracing active the measurement
+    A one-line best-of-N timing primitive: everything runs on the
+    span clock, so with tracing active the measurement
     itself shows up in the trace under ``name``, and with the null
     tracer it still measures (a :class:`NullSpan` records duration).
     """

@@ -21,10 +21,11 @@ MF line (Mensch et al., PAPERS.md):
   block)-derived sampling, so ``jobs=1`` is bit-identical to the
   serial path and ``jobs=N`` deviates only through documented
   within-round ``V`` staleness;
-- :mod:`repro.oocore.benchmark` — the ``--oocore`` timing baseline:
+- :mod:`repro.oocore.benchmark` — the out-of-core baseline:
   rows-vs-peak-RSS scaling curve plus sharded-vs-in-core equivalence
   checks, written through the shared bench envelope into
-  ``results/BENCH_oocore.json`` and ratcheted by the bench gate.
+  ``results/BENCH_oocore.json`` (by :func:`record_oocore_baseline`)
+  and ratcheted by the bench gate.
 """
 
 from .blocks import (

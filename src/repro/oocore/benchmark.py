@@ -1,4 +1,4 @@
-"""The ``--oocore`` benchmark: rows-vs-peak-RSS scaling + equivalence.
+"""The out-of-core benchmark: rows-vs-peak-RSS scaling + equivalence.
 
 Two halves, both landing in ``results/BENCH_oocore.json`` through the
 shared envelope writer and ratcheted by ``python -m repro.bench gate``:
@@ -24,10 +24,12 @@ shared envelope writer and ratcheted by ``python -m repro.bench gate``:
   deviation of ``jobs=1`` (the documented within-round ``V``
   staleness).
 
-Acceptance flags (``--check`` turns failures into a nonzero exit):
-``serial_matches_incore_bit_exact``,
+Acceptance flags: ``serial_matches_incore_bit_exact``,
 ``parallel_deviation_within_tolerance``, ``bounded_peak_memory``, and
-``landmark_block_intact``.
+``landmark_block_intact``.  ``tests/oocore/test_benchmark.py`` runs the
+smoke configuration (``oocore_benchmark(smoke=True, jobs=2)``) and
+checks the schema, the accepted metrics and every flag; refresh the
+committed file with ``record_oocore_baseline()``.
 """
 
 from __future__ import annotations

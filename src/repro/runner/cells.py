@@ -258,6 +258,26 @@ def _feature_locations(params: dict[str, Any]) -> dict[str, Any]:
     }
 
 
+def timed_fit_impute(imputer: Any, x: Any, mask: Any = None) -> tuple[Any, float, Any]:
+    """Run ``fit_impute`` and report ``(estimate, seconds, report)``.
+
+    Engine-driven methods are timed by their own telemetry
+    (``report.total_seconds``); one-shot imputers (kNN, DLM, ...) have
+    no iteration loop, so the call is measured as a whole by an obs span
+    on the same clock, and ``report`` is ``None``.
+    """
+    from ..engine.report import FitReport
+    from ..obs.trace import get_tracer
+
+    method = getattr(imputer, "name", None) or getattr(imputer, "method", "")
+    with get_tracer().span("timed_fit_impute", method=str(method)) as span:
+        estimate = imputer.fit_impute(x, mask)
+    report = getattr(imputer, "fit_report_", None)
+    if isinstance(report, FitReport) and report.wall_times:
+        return estimate, report.total_seconds, report
+    return estimate, span.duration, None
+
+
 def _timing(params: dict[str, Any]) -> dict[str, Any]:
     """One ``(dataset, method, n_rows)`` wall-clock cell of Figure 9.
 
@@ -267,7 +287,6 @@ def _timing(params: dict[str, Any]) -> dict[str, Any]:
     """
     from ..baselines.registry import make_imputer
     from ..data.registry import DEFAULT_SEEDS, load_dataset
-    from ..engine.timing import timed_fit_impute
     from ..experiments.protocol import DATASET_RANKS
     from ..masking.injection import MissingSpec, inject_missing
 

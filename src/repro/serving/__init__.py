@@ -13,8 +13,10 @@ refit:
   lifetime :class:`~repro.engine.workspace.BufferArena` (steady-state
   batches allocate no scratch), and obs instrumentation (spans, an
   imputation counter, p50/p99 request-latency quantiles);
-- ``python -m repro.engine.timing --serving`` - the benchmark that
-  records throughput and latency into ``results/BENCH_serving.json``.
+- ``perfbench``'s ``serve_foldin`` workload (``BENCHMARK.json``) -
+  the measured benchmark: closed-loop 1/16/256-row requests against a
+  frozen SMFL model, with throughput, p50/p99 latency and per-layer
+  fold-in and prior timings.
 """
 
 from .foldin import (

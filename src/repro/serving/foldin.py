@@ -44,8 +44,9 @@ Batching: ``B`` requests stack into two gemms - ``rhs = X_z V^T``
 (``B x K``) and the batched Gram build ``G_b = (m_b * V) V^T``
 (``B x K x K`` via one ``matmul``) - followed by one batched
 ``solve``.  When every request shares the observation pattern (the
-common "sensor column dropped out" case) the Gram matrix is built and
-factorised once for the whole batch.  Scratch memory comes from a
+common "sensor column dropped out" case) and the prior weight, the
+Gram matrix is built and factorised once for the whole batch.
+Scratch memory comes from a
 :class:`~repro.engine.workspace.BufferArena`, so a long-lived server
 (see :mod:`repro.serving.service`) reaches zero steady-state
 allocations for same-shape batches.  The spatial prior ranks each
@@ -117,7 +118,8 @@ class FoldInResult:
     imputed: np.ndarray
     #: Boolean ``(B, M)`` observation mask the request carried.
     observed: np.ndarray
-    #: Whether all rows shared one observation pattern (fast path).
+    #: Whether all rows shared one observation pattern and one prior
+    #: weight, so one Gram matrix served the batch (fast path).
     shared_pattern: bool
     #: Ridge weight used by the solve.
     ridge: float
@@ -468,13 +470,15 @@ def fold_in(
 
     masks_f = arena.buf("foldin.masks", (n_rows, n_cols))
     np.copyto(masks_f, observed)
+    # One Gram matrix serves the batch only when the masks *and* the
+    # smoothing weights agree: a row whose prior distances all overflow
+    # gets no prior, so equal masks do not imply equal weights.
     shared_pattern = n_rows > 1 and bool(
-        np.all(observed == observed[0][None, :])
+        np.all(observed == observed[0][None, :]) and np.all(smooth == smooth[0])
     )
 
     if n_rows == 1 or shared_pattern:
-        # One K x K system, every right-hand side at once (identical
-        # masks mean identical smoothing weights too).
+        # One K x K system, every right-hand side at once.
         vm = arena.buf("foldin.vm_shared", (rank, n_cols))
         np.multiply(v, masks_f[0][None, :], out=vm)
         gram = np.matmul(vm, v.T, out=arena.buf("foldin.gram_shared", (rank, rank)))

@@ -62,7 +62,7 @@ class TestGatePasses:
         assert report.failures == []
         assert report.passed
         assert report.compared_cells == baseline_sweep["n_cells"]
-        assert len(report.checked_files) == 10
+        assert len(report.checked_files) == 3
 
     def test_unmodified_tree_passes_via_cli(self):
         proc = _gate_cli(RESULTS_DIR, "--sweep", bench_path("sweep", RESULTS_DIR))
@@ -77,17 +77,18 @@ class TestGatePasses:
 
 class TestGateFailsOnPerturbation:
     def test_perturbed_accuracy_metric_fails_cli_with_name(self, results_copy):
-        # Push rms_ratio >15% past its recorded value (and past the
-        # 1.05 contract); the gate must exit non-zero naming the metric.
-        path = results_copy / "BENCH_stochastic.json"
+        # Push objective_ratio >15% past its recorded value (and past
+        # the 1.05 contract); the gate must exit non-zero naming it.
+        path = results_copy / "BENCH_oocore.json"
         payload = json.loads(path.read_text())
-        payload["rms_ratio"] = round(payload["rms_ratio"] * 1.25, 6)
+        equivalence = payload["equivalence"]
+        equivalence["objective_ratio"] = round(equivalence["objective_ratio"] * 1.25, 6)
         path.write_text(json.dumps(payload))
         proc = _gate_cli(
             results_copy, "--sweep", bench_path("sweep", str(results_copy))
         )
         assert proc.returncode != 0
-        assert "rms_ratio" in proc.stdout
+        assert "objective_ratio" in proc.stdout
 
     def test_perturbed_sweep_timing_fails_with_name(self, results_copy):
         # Fresh run 1.25x slower than baseline > the 15% tolerance.
@@ -104,15 +105,15 @@ class TestGateFailsOnPerturbation:
         )
 
     def test_missing_required_field_fails(self, results_copy):
-        path = results_copy / "BENCH_runner.json"
+        path = results_copy / "BENCH_oocore.json"
         payload = json.loads(path.read_text())
-        del payload["warm_over_cold"]
+        del payload["peak_rss_growth_bytes"]
         path.write_text(json.dumps(payload))
         report = run_gate(str(results_copy), skip_sweep=True)
-        assert any("warm_over_cold" in failure for failure in report.failures)
+        assert any("peak_rss_growth_bytes" in failure for failure in report.failures)
 
     def test_stale_envelope_version_fails(self, results_copy):
-        path = results_copy / "BENCH_engine.json"
+        path = results_copy / "SLO_serving.json"
         payload = json.loads(path.read_text())
         payload["bench_schema_version"] = 99
         path.write_text(json.dumps(payload))

@@ -19,49 +19,49 @@ class TestWriteBenchJson:
     def test_round_trip_preserves_payload_and_stamps_envelope(self, tmp_path):
         payload = {"metric": 1.25, "nested": {"flag": True}, "items": [1, 2]}
         destination = write_bench_json(
-            "engine", payload, path=str(tmp_path / "BENCH_engine.json")
+            "sweep", payload, path=str(tmp_path / "BENCH_sweep.json")
         )
         on_disk = read_bench_json(destination)
         for key, value in payload.items():
             assert on_disk[key] == value
-        assert on_disk["bench_name"] == "engine"
+        assert on_disk["bench_name"] == "sweep"
         assert on_disk["bench_schema_version"] == BENCH_SCHEMA_VERSION
         assert isinstance(on_disk["python"], str)
         assert isinstance(on_disk["machine"], str)
 
     def test_caller_dict_not_mutated(self, tmp_path):
         payload = {"metric": 1.0}
-        write_bench_json("engine", payload, path=str(tmp_path / "b.json"))
+        write_bench_json("sweep", payload, path=str(tmp_path / "b.json"))
         assert payload == {"metric": 1.0}
 
     def test_envelope_collision_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="bench_name"):
             write_bench_json(
-                "engine", {"bench_name": "spoof"}, path=str(tmp_path / "b.json")
+                "sweep", {"bench_name": "spoof"}, path=str(tmp_path / "b.json")
             )
 
     def test_default_location_is_canonical(self, tmp_path):
         destination = write_bench_json(
-            "kernels", {"x": 1}, directory=str(tmp_path / "results")
+            "oocore", {"x": 1}, directory=str(tmp_path / "results")
         )
-        assert destination == bench_path("kernels", str(tmp_path / "results"))
+        assert destination == bench_path("oocore", str(tmp_path / "results"))
         assert os.path.exists(destination)
 
     def test_rewrite_is_byte_identical_and_leaves_no_temp_files(self, tmp_path):
-        path = str(tmp_path / "BENCH_obs.json")
-        write_bench_json("obs", {"x": 1}, path=path)
+        path = str(tmp_path / "BENCH_oocore.json")
+        write_bench_json("oocore", {"x": 1}, path=path)
         first = open(path, "rb").read()
-        write_bench_json("obs", {"x": 1}, path=path)
+        write_bench_json("oocore", {"x": 1}, path=path)
         assert open(path, "rb").read() == first
         assert first.endswith(b"\n")
-        assert [p.name for p in tmp_path.iterdir()] == ["BENCH_obs.json"]
+        assert [p.name for p in tmp_path.iterdir()] == ["BENCH_oocore.json"]
 
     def test_sorted_keys_deterministic_serialisation(self, tmp_path):
         a = write_bench_json(
-            "runner", {"b": 1, "a": 2}, path=str(tmp_path / "one.json")
+            "sweep", {"b": 1, "a": 2}, path=str(tmp_path / "one.json")
         )
         b = write_bench_json(
-            "runner", {"a": 2, "b": 1}, path=str(tmp_path / "two.json")
+            "sweep", {"a": 2, "b": 1}, path=str(tmp_path / "two.json")
         )
         assert open(a).read() == open(b).read()
 
@@ -73,26 +73,18 @@ class TestWriteBenchJson:
 
 
 class TestTimingWritersRouteThroughEnvelope:
-    """Satellite 3: every --kernels/--serving/... writer uses the helper."""
+    """Every writer of a committed baseline uses the envelope helper."""
 
     def test_no_writer_bypasses_the_envelope(self):
         import inspect
 
-        from repro.engine import timing
+        from repro.bench import sweep
+        from repro.obs.live import slo
+        from repro.oocore import benchmark
 
-        source = inspect.getsource(timing)
-        assert "_write_json" not in source
-        for name in ("engine", "stochastic", "runner", "obs", "kernels", "serving"):
+        for module, name in (
+            (benchmark, "oocore"), (sweep, "sweep"), (slo, "SLO_serving")
+        ):
+            source = inspect.getsource(module)
             assert f'write_bench_json("{name}"' in source
-
-    def test_kernel_writer_round_trips_with_envelope(self, tmp_path):
-        from repro.engine.timing import record_kernel_baseline
-
-        path = str(tmp_path / "BENCH_kernels.json")
-        results = record_kernel_baseline(
-            path=path, n_rows=60, n_cols=8, rank=3, missing_rates=(0.3,),
-            max_iter=4, repeats=1
-        )
-        on_disk = read_bench_json(path)
-        assert on_disk["bench_name"] == "kernels"
-        assert on_disk["rates"] == json.loads(json.dumps(results["rates"]))
+            assert "json.dump(" not in source

@@ -1,4 +1,4 @@
-"""Satellite 2: schema validation of the committed BENCH trajectory."""
+"""Schema validation of the committed ``results/`` baselines."""
 
 from __future__ import annotations
 
@@ -23,10 +23,8 @@ COMMITTED = sorted(
     glob.glob(os.path.join(RESULTS_DIR, "BENCH_*.json"))
     + glob.glob(os.path.join(RESULTS_DIR, "SLO_*.json"))
 )
-EXPECTED_NAMES = (
-    "SLO_serving", "batched", "engine", "kernels", "obs", "oocore", "runner",
-    "serving", "stochastic", "sweep",
-)
+EXPECTED_NAMES = ("SLO_serving", "oocore", "sweep")
+OOCORE_PATH = os.path.join(RESULTS_DIR, "BENCH_oocore.json")
 
 
 class TestCommittedTrajectory:
@@ -53,25 +51,26 @@ class TestCommittedTrajectory:
 
 class TestValidateBenchPayload:
     def test_missing_field_named(self):
-        payload = read_bench_json(os.path.join(RESULTS_DIR, "BENCH_stochastic.json"))
-        del payload["rms_ratio"]
-        problems = validate_bench_payload("stochastic", payload)
-        assert any("rms_ratio" in problem for problem in problems)
+        payload = read_bench_json(OOCORE_PATH)
+        del payload["dense_growth_bytes"]
+        problems = validate_bench_payload("oocore", payload)
+        assert any("dense_growth_bytes" in problem for problem in problems)
 
     def test_wrong_type_named(self):
-        payload = read_bench_json(os.path.join(RESULTS_DIR, "BENCH_runner.json"))
-        payload["n_cells"] = "twelve"
-        problems = validate_bench_payload("runner", payload)
-        assert any("n_cells" in problem and "int" in problem for problem in problems)
+        payload = read_bench_json(OOCORE_PATH)
+        payload["rank"] = "six"
+        problems = validate_bench_payload("oocore", payload)
+        assert any("rank" in problem and "int" in problem for problem in problems)
 
     def test_wildcard_expands_over_dict_values(self):
-        payload = read_bench_json(os.path.join(RESULTS_DIR, "BENCH_kernels.json"))
-        rate = next(iter(payload["rates"]))
-        del payload["rates"][rate]["workspace"]["bit_identical"]
-        problems = validate_bench_payload("kernels", payload)
-        assert any(
-            f"rates.{rate}.workspace.bit_identical" in problem
-            for problem in problems
+        payload = read_bench_json(OOCORE_PATH)
+        resolved = dict(iter_paths(payload, "acceptance.*"))
+        assert sorted(resolved) == [
+            f"acceptance.{flag}" for flag in sorted(payload["acceptance"])
+        ]
+        del payload["acceptance"]["bounded_peak_memory"]
+        assert "acceptance.bounded_peak_memory" not in dict(
+            iter_paths(payload, "acceptance.*")
         )
 
     def test_list_wildcard_expands_over_items(self):
@@ -81,9 +80,9 @@ class TestValidateBenchPayload:
         assert any("cells[1].metrics.rms" in problem for problem in problems)
 
     def test_spoofed_bench_name_rejected(self):
-        payload = read_bench_json(os.path.join(RESULTS_DIR, "BENCH_obs.json"))
-        payload["bench_name"] = "engine"
-        problems = validate_bench_payload("obs", payload)
+        payload = read_bench_json(OOCORE_PATH)
+        payload["bench_name"] = "sweep"
+        problems = validate_bench_payload("oocore", payload)
         assert any("bench_name" in problem for problem in problems)
 
     def test_unknown_name_lists_known(self):
@@ -91,32 +90,27 @@ class TestValidateBenchPayload:
         assert problems and "sweep" in problems[0]
 
     def test_non_object_payload(self):
-        assert validate_bench_payload("engine", [1, 2]) != []
+        assert validate_bench_payload("sweep", [1, 2]) != []
 
 
 class TestCheckMetrics:
     def test_perturbed_metric_fails_with_name_and_limit(self):
-        payload = read_bench_json(os.path.join(RESULTS_DIR, "BENCH_stochastic.json"))
-        payload["rms_ratio"] = 1.22  # > the 1.05 contract
-        failures = check_metrics("stochastic", payload)
-        assert any("rms_ratio" in f and "1.05" in f for f in failures)
-
-    def test_min_direction(self):
-        payload = read_bench_json(os.path.join(RESULTS_DIR, "BENCH_serving.json"))
-        payload["batching"]["batched_speedup"] = 1.5  # contract: >= 5x
-        failures = check_metrics("serving", payload)
-        assert any("batched_speedup" in f for f in failures)
+        payload = read_bench_json(OOCORE_PATH)
+        payload["equivalence"]["objective_ratio"] = 1.22  # > the 1.05 contract
+        failures = check_metrics("oocore", payload)
+        assert any("objective_ratio" in f and "1.05" in f for f in failures)
 
     def test_false_acceptance_flag_fails(self):
-        payload = read_bench_json(os.path.join(RESULTS_DIR, "BENCH_kernels.json"))
-        payload["acceptance"]["workspace_bit_identical"] = False
-        failures = check_metrics("kernels", payload)
-        assert any("workspace_bit_identical" in f for f in failures)
+        payload = read_bench_json(OOCORE_PATH)
+        payload["acceptance"]["bounded_peak_memory"] = False
+        failures = check_metrics("oocore", payload)
+        assert any("bounded_peak_memory" in f for f in failures)
 
-    def test_null_flag_skipped(self):
-        payload = read_bench_json(os.path.join(RESULTS_DIR, "BENCH_obs.json"))
-        payload["acceptance"]["disabled_within_5pct_of_baseline"] = None
-        assert check_metrics("obs", payload) == []
+    def test_null_flag_fails(self):
+        payload = read_bench_json(OOCORE_PATH)
+        payload["acceptance"]["landmark_block_intact"] = None
+        failures = check_metrics("oocore", payload)
+        assert any("landmark_block_intact" in f and "None" in f for f in failures)
 
     def test_every_accepted_metric_resolves_in_its_baseline(self):
         # The contract table must not drift away from what writers emit.

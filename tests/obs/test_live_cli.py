@@ -1,5 +1,8 @@
 """The live halves of ``python -m repro.obs``: tail, expose, serve, slo.
 
+``TestLiveLoop`` runs them in sequence on a real sampled serving log,
+the way an operator would after a run.
+
 Exit codes are the contract CI keys on: 0 clean, 1 for a failed gate,
 2 for malformed input — always a one-line ``error:`` on stderr, never
 a traceback.
@@ -8,6 +11,7 @@ a traceback.
 from __future__ import annotations
 
 import json
+import os
 import urllib.request
 
 import pytest
@@ -215,3 +219,49 @@ class TestSloCommand:
     def test_missing_baseline_is_an_error(self, tmp_path, capsys):
         assert main(["slo", "--baseline", str(tmp_path / "nope.json")]) == 2
         assert "no such file" in capsys.readouterr().err
+
+
+class TestLiveLoop:
+    """A sampled serving run end to end: log, tail, expose, SLO gate."""
+
+    SLO_BASELINE = os.path.join(
+        os.path.dirname(__file__), "..", "..", "results", "SLO_serving.json"
+    )
+
+    def test_sampled_server_log_feeds_every_reader(self, tmp_path, capsys):
+        import numpy as np
+
+        from repro.core import SMFL
+        from repro.obs.live import Sampler, event_log_to
+        from repro.serving import FoldInServer
+
+        rng = np.random.default_rng(0)
+        x = np.hstack([rng.random((40, 2)) * 4.0,
+                       np.abs(rng.normal(1.0, 0.3, size=(40, 5)))])
+        fitted = SMFL(rank=4, n_spatial=2, max_iter=40, random_state=0).fit(
+            x
+        ).fitted_model()
+        requests = np.abs(rng.normal(1.0, 0.4, size=(16, 7)))
+        requests[rng.random(requests.shape) < 0.2] = np.nan
+        requests[:, :2] = x[:16, :2]
+
+        path = str(tmp_path / "serving_events.jsonl")
+        registry = MetricsRegistry()
+        with event_log_to(path) as log:
+            server = FoldInServer(
+                fitted, metrics=registry, sampler=Sampler(0.1, seed=0)
+            )
+            for _ in range(8):
+                server.impute_rows(requests)
+            log.emit_metrics(registry)
+
+        assert main(["report", path, "--tail", "5"]) == 0
+        tail = capsys.readouterr().out.strip().splitlines()
+        assert len(tail) == 5
+        assert json.loads(tail[-1])["event"] == "metrics.snapshot"
+        assert main(["expose", path, "--check"]) == 0
+        assert "repro_serving_requests_total 8.0" in capsys.readouterr().out
+        assert main(
+            ["slo", "--baseline", self.SLO_BASELINE, "--events", path]
+        ) == 0
+        assert "over 8 requests" in capsys.readouterr().out

@@ -269,3 +269,27 @@ class TestRunSpec:
     def test_config_excludes_volatility_and_position(self):
         spec = RunSpec("timing", {"dataset": "lake"}, volatile=True)
         assert spec.config() == {"kind": "timing", "params": {"dataset": "lake"}}
+
+
+class TestTimedFitImpute:
+    """The Figure 9 ``timing`` cell's clock: telemetry, else one span."""
+
+    def test_engine_driven_method_uses_its_own_clock(self, tiny_trial):
+        from repro.core import MaskedNMF
+        from repro.runner.cells import timed_fit_impute
+
+        _, x_missing, mask = tiny_trial
+        model = MaskedNMF(rank=3, max_iter=10, random_state=0)
+        estimate, seconds, report = timed_fit_impute(model, x_missing, mask)
+        assert estimate.shape == x_missing.shape
+        assert report is model.fit_report_
+        assert seconds == report.total_seconds
+
+    def test_one_shot_method_falls_back_to_stopwatch(self, tiny_trial):
+        from repro.baselines.meanimpute import MeanImputer
+        from repro.runner.cells import timed_fit_impute
+
+        _, x_missing, mask = tiny_trial
+        _, seconds, report = timed_fit_impute(MeanImputer(), x_missing, mask)
+        assert report is None
+        assert seconds >= 0

@@ -5,7 +5,8 @@ the per-row loop to machine precision (with and without the shared
 observation pattern fast path); embeddings respect the nonnegativity
 projection; the zero-observed row folds to the zero embedding; the
 spatial-neighbour prior activates only for spatial models and closes
-the held-out gap the plain solve leaves open.
+the held-out gap the plain solve leaves open; on held-out rows fold-in
+stays within 5% of a full refit's RMS.
 """
 
 from __future__ import annotations
@@ -80,6 +81,44 @@ class TestFoldIn:
         for i in range(x.shape[0]):
             _, imputed_row = fold_in_row(model, x[i])
             np.testing.assert_allclose(result.imputed[i], imputed_row, atol=1e-12)
+
+    def test_unequal_smoothing_leaves_the_shared_path(self):
+        # Equal masks, unequal prior weights: every prior distance of
+        # the 1e200 row overflows, so it gets no prior while its
+        # neighbour does.  The batch must match each row alone in
+        # either order, not reuse row 0's weight for both.
+        fitted = _fit_model(n=60)
+        rng = np.random.default_rng(5)
+        x = np.abs(rng.normal(1.0, 0.5, size=(2, fitted.n_cols)))
+        x[:, 3] = np.nan
+        x[0, 0] = 1e200
+        for order in ([0, 1], [1, 0]):
+            batch = fold_in(fitted, x[order])
+            for i, row in enumerate(x[order]):
+                alone = fold_in(fitted, row[None, :])
+                np.testing.assert_allclose(
+                    batch.u_new[i], alone.u_new[0], rtol=1e-12, atol=1e-12
+                )
+                np.testing.assert_allclose(
+                    batch.imputed[i], alone.imputed[0], atol=1e-12
+                )
+            assert not batch.shared_pattern
+
+    def test_varying_masks_make_one_solve(self, model, monkeypatch):
+        # A 256-row batch with per-row masks is one batched solve over
+        # the stacked K x K systems, not one solve per row.
+        x = _requests(model, b=256)
+        solve = np.linalg.solve
+        calls = []
+
+        def counting_solve(*args, **kwargs):
+            calls.append(args[0].shape)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        result = fold_in(model, x)
+        assert not result.shared_pattern
+        assert calls == [(256, model.rank, model.rank)]
 
     def test_nonnegative_projection(self, model):
         result = fold_in(model, _requests(model))
@@ -165,6 +204,36 @@ class TestSpatialPrior:
     def test_negative_smoothing_rejected(self, model):
         with pytest.raises(ValidationError):
             fold_in(model, _requests(model), spatial_smoothing=-0.1)
+
+
+class TestHeldOutAccuracy:
+    def test_foldin_rms_within_5pct_of_refit(self):
+        # Hold out the last 60 of 360 lake rows, fit SMFL on the rest,
+        # and impute the held-out rows' injected cells two ways: fold-in
+        # against the frozen V, and a full refit over all 360 rows.
+        from repro.experiments.protocol import prepare_trial
+        from repro.masking.mask import ObservationMask
+        from repro.metrics.rms import rms_over_mask
+
+        trial = prepare_trial("lake", missing_rate=0.1, seed=0, n_rows=360)
+        n_train = 300
+        truth = trial.dataset.values[n_train:]
+        held_mask = ObservationMask(trial.mask.observed[n_train:])
+
+        def smfl():
+            return SMFL(
+                rank=6, n_spatial=trial.dataset.n_spatial, max_iter=200,
+                random_state=0,
+            )
+
+        fitted = smfl().fit(
+            trial.x_missing[:n_train], ObservationMask(trial.mask.observed[:n_train])
+        ).fitted_model()
+        folded = fold_in(fitted, trial.x_missing[n_train:], held_mask).imputed
+        refit = smfl().fit_impute(trial.x_missing, trial.mask)[n_train:]
+        foldin_rms = rms_over_mask(folded, truth, held_mask)
+        refit_rms = rms_over_mask(refit, truth, held_mask)
+        assert foldin_rms <= 1.05 * refit_rms
 
 
 class TestValidation:
