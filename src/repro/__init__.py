@@ -36,6 +36,7 @@ from .exceptions import (
     ConvergenceWarning,
     DegenerateDataError,
     NotFittedError,
+    NumericalDivergenceError,
     ReproError,
     ValidationError,
 )
@@ -53,6 +54,7 @@ __all__ = [
     "ValidationError",
     "NotFittedError",
     "DegenerateDataError",
+    "NumericalDivergenceError",
     "ConvergenceWarning",
     "__version__",
 ]

@@ -13,17 +13,19 @@ mask)`` jobs it:
    landmarks, and initial factors match bit for bit,
 3. groups the prepared fits by everything the stacked loop shares —
    shape, rank, update rule, frozen landmark prefix, and the
-   convergence/step hyper-parameters — and hands each group to
-   :func:`~repro.engine.batched.multi_fit` (``B = 1`` groups take its
-   single-fit fast path),
+   convergence/step hyper-parameters — and hands each group of two or
+   more to :func:`~repro.engine.batched.multi_fit`,
 4. installs each per-member :class:`~repro.engine.report.FitReport`
    back into its model via :meth:`_fit_finish` — the identical
    post-loop code — so ``impute()``, ``fitted_model()``, and
    ``fit_report_`` behave exactly as after a looped ``fit``.
 
+A one-member group runs :meth:`_run_fit_plan` on its prepared plan —
+the path ``model.fit`` runs, 2-D kernel and engine loop included — so
+it leaves the model exactly as ``fit`` does (factor deltas too).
 Models that are not batchable (stochastic solvers, sparse kernel path,
-non-prefix frozen masks, customized steps) simply run their own
-``fit`` — callers never need to pre-sort.
+customized steps) simply run their own ``fit``, and non-prefix frozen
+masks run their prepared plan — callers never need to pre-sort.
 
 The per-fit numerics are independent of which other fits share a
 stack (the batched gemms are bit-identical per slice), so grouping is
@@ -115,22 +117,23 @@ def fit_models_batched(
         plan = model._fit_setup(x, mask)
         prefix = 0
         if plan.frozen is not None and bool(plan.frozen.any()):
-            layout = frozen_column_prefix(plan.frozen)
-            if layout is None:
-                # General (non-prefix) frozen mask: the stacked loop
-                # only freezes whole leading columns — run it looped
-                # on the plan we already built.
-                model._run_fit_plan(plan)
-                reports[index] = model.fit_report_
-                continue
-            prefix = int(layout)
-
+            prefix = frozen_column_prefix(plan.frozen)
+        # A general (non-prefix) frozen mask runs alone: the stacked
+        # loop only freezes whole leading columns.
+        key = ("alone", index) if prefix is None else _group_key(model, plan, prefix)
         prepared = _Prepared(
             index=index, model=model, plan=plan, fit=_prepare(model, plan)
         )
-        groups.setdefault(_group_key(model, plan, prefix), []).append(prepared)
+        groups.setdefault(key, []).append(prepared)
 
     for key, members in groups.items():
+        if len(members) == 1:
+            # A one-member stack would pay 3-D dispatch for nothing: run
+            # the plan on the path ``model.fit`` runs.
+            only = members[0]
+            only.model._run_fit_plan(only.plan)
+            reports[only.index] = only.model.fit_report_
+            continue
         _, _, update_rule, prefix, max_iter, tol, eval_every, lr = key
         result = multi_fit(
             [m.fit for m in members],

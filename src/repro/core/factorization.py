@@ -60,7 +60,6 @@ from ..validation import (
 )
 from .convergence import DEFAULT_MAX_ITER
 from .initialization import init_factors
-from .objective import masked_frobenius_sq
 from .updates import frozen_column_prefix
 
 __all__ = [
@@ -125,6 +124,7 @@ class _FactorSolver(Solver):
         self.x_observed = x_observed
         self.observed = observed
         self.name = model.method
+        self.update_rule = model.update_rule
 
     def step(self, state: tuple[np.ndarray, np.ndarray]):
         u, v = state
@@ -354,6 +354,16 @@ class MatrixFactorizationBase:
                 x_observed, observed, u, v, self._cached_kernel_context(v.shape)
             )
 
+    def _objective_kernel(self, x: np.ndarray, observed: np.ndarray):
+        """The kernel object the objective terms run through: the fit's
+        (the workspace's are allocation-free; dense mode bit-identical to
+        the reference expressions), or the reference rules outside a fit
+        or on another matrix."""
+        kernel = self._kernel
+        if kernel is not None and kernel.shape == x.shape:
+            return kernel
+        return ReferenceKernel(observed)
+
     def _data_term(
         self,
         x: np.ndarray,
@@ -361,13 +371,8 @@ class MatrixFactorizationBase:
         v: np.ndarray,
         observed: np.ndarray,
     ) -> float:
-        """Masked reconstruction error, via the fit's kernel object when
-        one is active (the workspace's is allocation-free; dense mode
-        bit-identical to the reference expression)."""
-        kernel = self._kernel
-        if kernel is not None and kernel.shape == x.shape:
-            return kernel.masked_objective(x, u, v)
-        return masked_frobenius_sq(x, u, v, observed)
+        """Masked reconstruction error ``||R_O(X - U V)||²``."""
+        return self._objective_kernel(x, observed).masked_objective(x, u, v)
 
     def _objective(
         self,

@@ -17,13 +17,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..engine.kernels import KernelContext
-from ..engine.workspace import KernelWorkspace
 from ..exceptions import NotFittedError, ValidationError
 from ..masking.mask import ObservationMask
 from ..spatial.graph_cache import SpatialGraph, spatial_graph
 from ..validation import check_in_range, check_positive_int, check_spatial_columns
 from .factorization import MatrixFactorizationBase
-from .objective import graph_penalty
 
 __all__ = ["SMF"]
 
@@ -136,13 +134,10 @@ class SMF(MatrixFactorizationBase):
             # workspace kernels the product is the memoized one the
             # next U-step's lam·D U reads, so an iteration runs one
             # graph product, not two.
-            kernel = self._kernel
-            if isinstance(kernel, KernelWorkspace) and kernel.shape == x.shape:
-                penalty = kernel.graph_penalty(u, graph.similarity_op, graph.degree)
-            else:
-                du = np.asarray(graph.similarity_op @ u)
-                penalty = float(graph_penalty(u, du, graph.degree[:, None]))
-            value += self.lam * penalty
+            kernel = self._objective_kernel(x, observed)
+            value += self.lam * kernel.graph_penalty(
+                u, graph.similarity_op, graph.degree
+            )
         return value
 
     def _fitted_graph(self) -> SpatialGraph:

@@ -25,7 +25,9 @@ Architecture (see DESIGN.md section "Engine layer")::
   - :class:`KernelWorkspace` (:mod:`repro.engine.workspace`) - the
     allocation-free dense and sparse-observed paths of the
     multiplicative/gradient rules (preallocated fused update buffers,
-    the frozen-landmark Gram cache, gather/scatter kernels);
+    the frozen-landmark Gram cache, gather/scatter kernels).  Its
+    dense mode is the one dense kernel: it runs a single 2-D fit or a
+    3-D stack of same-shape fits with the same operations;
   - :class:`StochasticWorkspace` (:mod:`repro.engine.stochastic`) - the
     ``sgd``/``svrg`` mini-batch epochs planned by a
     :class:`BatchScheduler`;
@@ -34,10 +36,14 @@ Architecture (see DESIGN.md section "Engine layer")::
 
 - :mod:`repro.engine.kernels` - the legal ``update_rule`` names and the
   frozen per-fit :class:`KernelContext` every kernel object consumes;
-- :mod:`repro.engine.batched` - the batched multi-fit kernel:
-  :func:`multi_fit` stacks ``B`` same-shape fits into 3-D gemms with
-  per-fit convergence dropout, bit-identical to looped single fits
-  (``perfbench``'s ``grid_table7`` workload runs it end to end).
+- :mod:`repro.engine.batched` - the batched multi-fit loop:
+  :func:`multi_fit` runs ``B`` same-shape fits through one stacked
+  :class:`KernelWorkspace` with per-fit convergence dropout,
+  bit-identical to looped single fits (``perfbench``'s ``grid_table7``
+  workload runs it end to end).
+
+Both loops raise :class:`~repro.exceptions.NumericalDivergenceError`
+at the first non-finite evaluated objective.
 
 Speed is measured outside the package by ``perfbench/``
 (``BENCHMARK.json``): its ``engine.member_iter_us.{nmf,smf,smfl}``
@@ -47,7 +53,7 @@ metrics carry Figure 9's SMF-vs-SMFL per-iteration question.
 old name is an alias of the new class.
 """
 
-from .batched import BatchedFit, BatchedWorkspace, MultiFitReport, multi_fit
+from .batched import BatchedFit, MultiFitReport, multi_fit
 from .callbacks import Callback, IterationRecord, Telemetry
 from .core import EngineOutcome, IterativeEngine
 from .kernels import UPDATE_RULES, KernelContext
@@ -74,7 +80,6 @@ from .workspace import (
 __all__ = [
     "BatchScheduler",
     "BatchedFit",
-    "BatchedWorkspace",
     "BufferArena",
     "Callback",
     "MultiFitReport",

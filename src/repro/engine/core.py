@@ -19,11 +19,12 @@ old stopwatch did.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Any, Iterable
 
-from ..exceptions import ConvergenceWarning
+from ..exceptions import ConvergenceWarning, NumericalDivergenceError
 from ..obs.live.events import get_event_log
 from ..obs.trace import get_tracer
 from ..validation import check_in_range, check_positive_int
@@ -91,7 +92,10 @@ class IterativeEngine:
         The default rule is the monitor's relative objective decrease;
         a solver returning a bool from :meth:`Solver.converged` takes
         full control of stopping (residual thresholds, shrinkage paths,
-        fixed-epoch training).
+        fixed-epoch training).  The first non-finite evaluated objective
+        raises :class:`~repro.exceptions.NumericalDivergenceError`
+        naming the iteration and the solver's ``update_rule`` (its
+        ``name`` when it has none).
         """
         monitor = ConvergenceMonitor(max_iter=self.max_iter, tol=self.tol)
         tracer = get_tracer()
@@ -122,6 +126,12 @@ class IterativeEngine:
                     with tracer.span("evaluate", index=steps) as eval_span:
                         objective = float(solver.objective(state))
                         eval_span.set_attr("objective", objective)
+                        if not math.isfinite(objective):
+                            raise NumericalDivergenceError.at(
+                                iteration=steps,
+                                update_rule=getattr(solver, "update_rule", solver_name),
+                                objective=objective,
+                            )
                         monitor.record(objective)
                         custom = solver.converged(state, monitor)
                         solver_rule = custom is not None

@@ -44,7 +44,7 @@ from ..core.objective import masked_frobenius_sq
 from ..exceptions import ValidationError
 from ..validation import check_in_range, check_positive_int
 from .kernels import KernelContext
-from .workspace import BufferArena
+from .workspace import BufferArena, ReferenceKernel
 
 __all__ = [
     "DEFAULT_BATCH_SIZE",
@@ -182,6 +182,8 @@ class StochasticWorkspace(BufferArena):
     def masked_objective(self, x_observed, u, v) -> float:
         """:func:`repro.core.objective.masked_frobenius_sq` itself."""
         return masked_frobenius_sq(x_observed, u, v, self.observed)
+
+    graph_penalty = staticmethod(ReferenceKernel.graph_penalty)
 
 
 def _masked_residual(

@@ -33,15 +33,18 @@ One factory, :func:`build_kernel`, resolves ``(update_rule,
 kernel_path, observed density)`` once per fit and returns the fit's
 *kernel object* — the only seam an update step runs through.  Every
 kernel object exposes ``step(x_observed, observed, u, v, ctx)`` (one
-Algorithm 1 iteration: U, then V with the landmark block frozen) and
-``masked_objective(x_observed, u, v)``:
+Algorithm 1 iteration: U, then V with the landmark block frozen),
+``masked_objective(x_observed, u, v)`` and ``graph_penalty(u,
+similarity, degree)`` (the ``Tr(Uᵀ L U)`` term of SMF's objective):
 
 :class:`KernelWorkspace`, ``mode="dense"`` (``kernel_path="workspace"``)
     The allocation-free path for the multiplicative and gradient
-    rules.  Every floating-point operation is performed in the same
-    order and on the same operand layouts as the reference rules, so
-    the two paths are **bit-identical** — the golden fixtures do not
-    move.
+    rules, and the only dense implementation of them: the same class
+    runs one fit or, through :meth:`KernelWorkspace.stacked`, the
+    ``B``-member stacks of :func:`repro.engine.batched.multi_fit`.
+    Every floating-point operation is performed in the same order and
+    on the same operand layouts as the reference rules, so the two
+    paths are **bit-identical** — the golden fixtures do not move.
 :class:`KernelWorkspace`, ``mode="sparse"`` (``kernel_path="sparse"``)
     The sparse-observed fast path for high missing rates (Figure 7's
     sweep axis): observed entries of the live block are stored as
@@ -68,6 +71,8 @@ most the threshold — and to ``"workspace"`` otherwise.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -269,14 +274,77 @@ class _SparseObserved:
         )
 
 
+@dataclass
+class _GraphPlan:
+    """How the kernel evaluates the graph terms ``lam·D U`` / ``lam·W U``.
+
+    ``terms`` holds what each member's graph terms read (``lam``,
+    ``similarity``, ``degree``, ``laplacian``): the fit's
+    :class:`~repro.engine.kernels.KernelContext` for one fit, the
+    :class:`~repro.engine.batched.BatchedFit` members for a stack.
+
+    The operator fields are set when every member with ``lam != 0``
+    holds the **same operator object** (``is`` identity) — always for
+    one fit, and for a stack when the runner coalesced cells of one
+    cached graph.  Then the graph products run once for the whole
+    stack, and the elementwise ops run on operands of one layout:
+    ``deg3`` is the shared degree column and ``lam_stack`` each
+    member's ``lam`` (0 for members without a graph term, whose
+    finite contributions are then exact zeros), both repeated to ``U``'s
+    shape; ``lam3`` is ``lam`` per member and ``lam_flat`` is ``lam``
+    in the node-major ``(N, B·K)`` layout of a stacked sparse product.
+    For one fit all three ``lam`` fields are the plain float.
+    Members with their own operators fall back to a per-member loop.
+    """
+
+    terms: list
+    active: bool = False
+    similarity: object | None = None
+    laplacian: object | None = None
+    deg3: np.ndarray | None = None
+    lam3: object = None
+    lam_stack: object = None
+    lam_flat: object = None
+
+    @classmethod
+    def build(cls, terms, shape: tuple[int, ...]) -> "_GraphPlan":
+        graph = [t for t in terms if t.lam != 0.0]
+        plan = cls(list(terms), active=bool(graph))
+        if not graph:
+            return plan
+        first = graph[0]
+        if (
+            first.similarity is not None
+            and first.degree is not None
+            and all(t.similarity is first.similarity for t in graph)
+            and all(np.array_equal(t.degree, first.degree) for t in graph)
+        ):
+            plan.similarity = first.similarity
+            col = np.asarray(first.degree, dtype=np.float64).reshape(-1, 1)
+            plan.deg3 = np.ascontiguousarray(np.broadcast_to(col, shape))
+        if first.laplacian is not None and all(
+            t.laplacian is first.laplacian for t in graph
+        ):
+            plan.laplacian = first.laplacian
+        if len(shape) == 2:
+            plan.lam3 = plan.lam_stack = plan.lam_flat = float(first.lam)
+        else:
+            n, k = shape[-2:]
+            lams = np.array([t.lam for t in terms], dtype=np.float64)
+            plan.lam3 = lams.reshape(-1, 1, 1)
+            plan.lam_stack = np.ascontiguousarray(np.broadcast_to(plan.lam3, shape))
+            plan.lam_flat = np.tile(np.repeat(lams, k), (n, 1))
+        return plan
+
+
 class KernelWorkspace(BufferArena):
-    """Per-fit buffer arena + fused full-batch kernels.
+    """Per-fit buffer arena + the full-batch update kernels.
 
     Owns every array a steady-state iteration needs: named scratch
     buffers (allocated on first use, reused forever after), ping-pong
     output buffers for each factor (the engine's previous state is
     still readable by callbacks while the next state is written), the
-    precomputed ``~observed`` mask, and — in sparse mode — the
+    float observation mask, and — in sparse mode — the
     :class:`_SparseObserved` index structure and :class:`GramCache`.
 
     ``rule`` picks what :meth:`step` runs: the multiplicative rule
@@ -285,6 +353,23 @@ class KernelWorkspace(BufferArena):
     operation for operation (same op order, same operand layouts),
     which makes them bit-identical; the equivalence tests enforce this
     per iteration.
+
+    Dense mode runs one fit (``X`` ``(N, M)``, ``U`` ``(N, K)``) or a
+    stack of ``B`` same-shape fits (``(B, N, M)``, ``(B, N, K)``; see
+    :meth:`stacked`) through the same batch-agnostic operations:
+    ``swapaxes(-1, -2)`` transposes, ``[..., live]`` column slices and
+    ``...ij`` reductions.  NumPy's stacked ``matmul`` applies the 2-D
+    gemm to each slice, so every member of a stack gets the bits of
+    its own 2-D fit.  A single fit's graph terms come from the
+    :class:`~repro.engine.kernels.KernelContext` passed to :meth:`step`;
+    a stack's from its members (see :class:`_GraphPlan`).
+
+    Each product is evaluated once per iteration: the objective's
+    ``R_O(U V)`` and ``D·U`` (its penalty's product) are memoized for
+    the next U-step under ``(array ids, write generation)`` keys.  The
+    workspace is the only writer of the factors it hands out and every
+    write goes through :meth:`out_for`, which bumps the generation, so
+    an unchanged key means unchanged operands.
     """
 
     def __init__(
@@ -296,6 +381,7 @@ class KernelWorkspace(BufferArena):
         rule: str = "multiplicative",
         frozen_prefix: int | None = None,
         v0: np.ndarray | None = None,
+        members: list | None = None,
     ) -> None:
         if mode not in ("dense", "sparse"):
             raise ValidationError(f"unknown workspace mode {mode!r}")
@@ -304,8 +390,8 @@ class KernelWorkspace(BufferArena):
         super().__init__()
         self.mode = mode
         self.rule = rule
+        self.x_observed = x_observed
         self.shape = x_observed.shape
-        self.unobserved = ~observed
         # Float mask for branchless masking: multiplying the raw
         # reconstruction by {0.0, 1.0} is bit-identical to the
         # reference ``np.where(observed, recon, 0.0)`` because the
@@ -316,19 +402,16 @@ class KernelWorkspace(BufferArena):
         self.observed_f = observed.astype(np.float64)
         self.gram: GramCache | None = None
         self.sparse: _SparseObserved | None = None
-        # Reconstruction memo: (array id, write generation) keys.  The
-        # workspace is the only writer of the factors it hands out, so
-        # bumping the generation on every factor write makes identity +
-        # generation a sound content key — the masked reconstruction of
-        # an unchanged (U, V) pair (objective at iteration end, U-update
-        # at the start of the next) is computed once, not twice.
-        self._u_gen = 0
-        self._v_gen = 0
-        self._recon_key: tuple[object, object] | None = None
-        # ``D·U`` memo, same key discipline: the objective's penalty at
-        # ``U_t`` and the next U-step's ``lam·D U_t`` share one product.
+        self._gen = 0
+        self._recon_key: tuple[int, int, int] | None = None
         self._du_key: tuple[int, int] | None = None
-        self._du: np.ndarray | None = None
+        self._du = None
+        self._live_mask: tuple[int, np.ndarray] | None = None
+        self.members = None if members is None else list(members)
+        self._ctx: KernelContext | None = None
+        self._graph_plan = _GraphPlan([])
+        if self.members is not None:
+            self._graph_plan = _GraphPlan.build(self.members, self._u_shape())
         if mode == "sparse":
             # The Gram split needs the landmark columns fully observed
             # (true under the default injection protocol, which only
@@ -345,179 +428,255 @@ class KernelWorkspace(BufferArena):
                 self.gram = GramCache(x_observed, v0, prefix)
             self.sparse = _SparseObserved(x_observed, observed, prefix)
 
-    def _degree_stack(self, degree: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-        """The degree column repeated to ``shape``, built once per fit.
+    @classmethod
+    def stacked(cls, fits, *, rule: str = "multiplicative") -> "KernelWorkspace":
+        """The dense kernel over ``B`` same-shape fits (``BatchedFit``-like
+        members: ``x_observed``, ``observed``, ``u0`` and graph terms)."""
+        shapes = {f.x_observed.shape for f in fits}
+        kshapes = {f.u0.shape[1] for f in fits}
+        if len(shapes) != 1 or len(kshapes) != 1:
+            raise ValidationError(
+                f"batched fits must share (N, M, K); got shapes {sorted(shapes)} "
+                f"and ranks {sorted(kshapes)}"
+            )
+        return cls(
+            np.ascontiguousarray(np.stack([f.x_observed for f in fits])),
+            np.stack([f.observed for f in fits]),
+            rule=rule,
+            members=fits,
+        )
 
-        An elementwise op rounds the same on any operand layout but
-        runs several times faster without a stride-0 column operand.
+    def _u_shape(self) -> tuple[int, int, int]:
+        return (len(self.members), *self.members[0].u0.shape)
+
+    def out_for(self, name: str, current: np.ndarray) -> np.ndarray:
+        """Ping-pong factor output; bumps the memo write generation."""
+        self._gen += 1
+        return super().out_for(name, current)
+
+    def compact(self, keep: list[int]) -> None:
+        """Drop stacked members: pure ``np.take`` row-block copies.
+
+        ``np.take`` along axis 0 copies whole contiguous slices, so the
+        surviving members' data/mask bits are untouched; the named
+        scratch buffers re-allocate lazily at the new batch size (the
+        shape check in :meth:`BufferArena.buf`).  The memos are
+        dropped: the factors the caller passes next are new arrays.
         """
-        stack = self._buffers.get("degree_stack")
-        if stack is None or stack.shape != shape:
-            col = np.asarray(degree, dtype=np.float64).reshape(-1, 1)
-            stack = np.ascontiguousarray(np.broadcast_to(col, shape))
-            self._buffers["degree_stack"] = stack
-        return stack
+        self.x_observed = np.take(self.x_observed, keep, axis=0)
+        self.observed_f = np.take(self.observed_f, keep, axis=0)
+        self.shape = self.x_observed.shape
+        self.members = [self.members[i] for i in keep]
+        self._recon_key = self._du_key = self._du = self._live_mask = None
+        self._graph_plan = _GraphPlan.build(self.members, self._u_shape())
 
     # ------------------------------------------------- shared graph terms
 
-    def _similarity_product(self, u: np.ndarray, similarity) -> np.ndarray:
+    def _apply(self, name: str, op, u: np.ndarray):
+        """``op @ U`` for every member: ``(product, product in U's shape)``.
+
+        A dense ``op`` broadcasts over a stack into a named buffer.  A
+        sparse one runs one product on the node-major ``(N, B·K)``
+        operand (a 2-D ``U`` is its own), **bit-identical** per member
+        to separate products: a sparse row's accumulation order depends
+        only on the operator's nonzero structure, never on how many
+        dense columns sit next to each other.  The product allocates
+        ``O(N K)`` and costs ``O(p N K)`` — the sparsity Proposition 1
+        assumes.
+        """
+        if isinstance(op, np.ndarray):
+            out = self.buf(name, u.shape)
+            np.matmul(op, u, out=out)
+            return out, out
+        if u.ndim == 2:
+            out = np.asarray(op @ u)
+            return out, out
+        b, n, k = u.shape
+        flat = self.buf("u_node", (n, b * k))
+        np.copyto(flat.reshape(n, b, k), u.transpose(1, 0, 2))
+        out = np.asarray(op @ flat)
+        return out, out.reshape(n, b, k).transpose(1, 0, 2)
+
+    def _similarity_product(self, u: np.ndarray):
         """``D·U``, memoized on ``(id(U), write generation)``.
 
-        The objective's penalty at ``U_t`` (:meth:`graph_penalty`) and
-        the U-step of iteration ``t+1`` read the same product, so an
-        iteration evaluated every step runs one graph product.
-        ``similarity`` is the fit's one operator; callers must not
-        write to the returned array.
+        The objective's penalty at ``U_t`` and the U-step of iteration
+        ``t+1`` read the same product, so an iteration evaluated every
+        step runs one graph product.  A shared operator gives
+        :meth:`_apply`'s pair; otherwise a per-member list (``None``
+        where ``lam == 0``).  A caller that scales it in place must
+        clear ``_du_key``.
         """
-        key = (id(u), self._u_gen)
+        key = (id(u), self._gen)
         if self._du_key != key:
-            if isinstance(similarity, np.ndarray):
-                du = self.buf("graph_du", u.shape)
-                np.matmul(similarity, u, out=du)
+            plan = self._graph_plan
+            if plan.deg3 is not None:
+                self._du = self._apply("graph_du", plan.similarity, u)
             else:
-                # scipy sparse product: allocates O(N K), costs O(p N K)
-                # — the sparsity Proposition 1 assumes.
-                du = np.asarray(similarity @ u)
-            self._du, self._du_key = du, key
+                graph = [(i, t) for i, t in enumerate(plan.terms) if t.lam != 0.0]
+                if any(t.similarity is None or t.degree is None for _, t in graph):
+                    raise ValueError("lam != 0 requires similarity and degree")
+                self._du = [None] * len(plan.terms)
+                for i, t in graph:
+                    self._du[i] = np.asarray(t.similarity @ u[i])
+            self._du_key = key
         return self._du
 
-    def _add_graph_terms(self, num: np.ndarray, den: np.ndarray, u, ctx) -> None:
-        """Add ``lam·D U`` / ``lam·W U`` in the reference op order."""
-        if ctx.similarity is None or ctx.degree is None:
-            raise ValueError("lam != 0 requires similarity and degree")
-        t = self.buf("graph_num", u.shape)
-        np.multiply(self._similarity_product(u, ctx.similarity), ctx.lam, out=t)
-        num += t
-        t2 = self.buf("graph_den", u.shape)
-        np.multiply(self._degree_stack(ctx.degree, u.shape), u, out=t2)
-        t2 *= ctx.lam
-        den += t2
+    def _add_graph_terms(self, num: np.ndarray, den: np.ndarray, u: np.ndarray) -> None:
+        """Add ``lam·D U`` / ``lam·W U`` in the reference op order.
+
+        The ``lam`` scaling runs in the product's own layout (the
+        node-major one for a stacked sparse product) and the degree
+        term on the layout-matched ``deg3``: they round the same as
+        with a strided or broadcast operand, and run several times
+        faster.
+        """
+        plan = self._graph_plan
+        if not plan.active:
+            return
+        du = self._similarity_product(u)
+        # The in-place ``lam`` scaling below uses the memo up.
+        self._du_key = None
+        if plan.deg3 is not None:
+            raw, view = du
+            raw *= plan.lam_stack if raw.ndim == u.ndim else plan.lam_flat
+            num += view
+            t = self.buf("graph_den", u.shape)
+            np.multiply(plan.deg3, u, out=t)
+            t *= plan.lam_stack
+            den += t
+            return
+        t = self.buf("graph_den", u.shape[1:])
+        for i, term in enumerate(plan.terms):
+            if term.lam == 0.0:
+                continue
+            du[i] *= term.lam
+            num[i] += du[i]
+            np.multiply(np.asarray(term.degree).reshape(-1, 1), u[i], out=t)
+            t *= term.lam
+            den[i] += t
 
     # --------------------------------------------------- dense mult rules
 
-    def _masked_recon(self, name: str, u, v, col_slice: slice | None = None):
-        """``R_O(U V)`` (optionally a column slice) into a named buffer.
-
-        The full-matrix variant is memoized on the factor generation
-        keys: calling it again with an unchanged ``(U, V)`` pair (the
-        U-update right after an objective evaluation) returns the
-        buffer without redoing the ``NMK`` gemm.
-        """
-        if col_slice is None:
-            key = ((id(u), self._u_gen), (id(v), self._v_gen))
-            recon = self.buf(name, (u.shape[0], v.shape[1]))
-            if name == "recon" and self._recon_key == key:
-                return recon
+    def _masked_recon(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """``R_O(U V)``, memoized: the U-step right after an objective at
+        the same ``(U, V)`` reuses its buffer without redoing the ``NMK``
+        gemm.  A caller that overwrites the buffer must clear
+        ``_recon_key``."""
+        key = (id(u), id(v), self._gen)
+        recon = self.buf("recon", (*u.shape[:-1], v.shape[-1]))
+        if self._recon_key != key:
             np.matmul(u, v, out=recon)
             np.multiply(recon, self.observed_f, out=recon)
-            if name == "recon":
-                self._recon_key = key
-        else:
-            v_part = v[:, col_slice]
-            recon = self.buf(name, (u.shape[0], v_part.shape[1]))
-            np.matmul(u, v_part, out=recon)
-            np.multiply(recon, self.observed_f[:, col_slice], out=recon)
+            self._recon_key = key
         return recon
 
-    def _mult_u_dense(self, x_observed, observed, u, v, ctx):
-        n, k = u.shape
-        recon = self._masked_recon("recon", u, v)
-        num = self.buf("num_u", (n, k))
-        den = self.buf("den_u", (n, k))
-        np.matmul(x_observed, v.T, out=num)
-        np.matmul(recon, v.T, out=den)
-        if ctx.lam != 0.0:
-            self._add_graph_terms(num, den, u, ctx)
-        out = self.out_for("u", u)
+    def _live_observed(self, prefix: int) -> np.ndarray:
+        """The float mask's live columns, copied contiguous once per fit.
+
+        The elementwise mask multiply rounds the same on any layout but
+        runs several times faster than on the strided column view.
+        """
+        if self._live_mask is None or self._live_mask[0] != prefix:
+            live = np.ascontiguousarray(self.observed_f[..., prefix:])
+            self._live_mask = (prefix, live)
+        return self._live_mask[1]
+
+    def _multiply_out(self, name: str, current, num, den) -> np.ndarray:
+        """``current ⊙ num / (den + ε)`` into ``current``'s ping-pong slot."""
+        out = self.out_for(name, current)
         guarded_divide(num, den, out=num, denominator_is_scratch=True)
-        np.multiply(u, num, out=out)
-        self._u_gen += 1
+        np.multiply(current, num, out=out)
         return out
 
-    def _mult_v_dense(self, x_observed, observed, u, v, ctx):
-        k = u.shape[1]
-        m = v.shape[1]
-        out = self.out_for("v", v)
+    def _mult_u_dense(self, x_observed, u, v):
+        vt = v.swapaxes(-1, -2)
+        recon = self._masked_recon(u, v)
+        num = self.buf("num_u", u.shape)
+        den = self.buf("den_u", u.shape)
+        np.matmul(x_observed, vt, out=num)
+        np.matmul(recon, vt, out=den)
+        self._add_graph_terms(num, den, u)
+        return self._multiply_out("u", u, num, den)
+
+    def _mult_v_dense(self, x_observed, u, v, ctx):
+        ut = u.swapaxes(-1, -2)
         prefix = ctx.frozen_prefix
         if ctx.frozen_v is not None and prefix is not None:
-            if prefix >= m:
-                np.copyto(out, v)
-                self._v_gen += 1
-                return out
-            live = slice(prefix, None)
+            out = self.out_for("v", v)
             np.copyto(out, v)  # carries the frozen landmark block
-            recon_live = self._masked_recon("recon_live", u, v, live)
-            num = self.buf("num_v", (k, m - prefix))
-            den = self.buf("den_v", (k, m - prefix))
-            np.matmul(u.T, x_observed[:, live], out=num)
-            np.matmul(u.T, recon_live, out=den)
+            m_live = v.shape[-1] - prefix
+            if m_live <= 0:
+                return out
+            recon = self.buf("recon_live", (*u.shape[:-1], m_live))
+            np.matmul(u, v[..., prefix:], out=recon)
+            np.multiply(recon, self._live_observed(prefix), out=recon)
+            num = self.buf("num_v", (*v.shape[:-1], m_live))
+            den = self.buf("den_v", (*v.shape[:-1], m_live))
+            np.matmul(ut, x_observed[..., prefix:], out=num)
+            np.matmul(ut, recon, out=den)
             guarded_divide(num, den, out=num, denominator_is_scratch=True)
-            np.multiply(v[:, live], num, out=out[:, live])
-            self._v_gen += 1
+            np.multiply(v[..., prefix:], num, out=out[..., prefix:])
             return out
-        recon = self._masked_recon("recon", u, v)
-        num = self.buf("num_v_full", (k, m))
-        den = self.buf("den_v_full", (k, m))
-        np.matmul(u.T, x_observed, out=num)
-        np.matmul(u.T, recon, out=den)
-        guarded_divide(num, den, out=num, denominator_is_scratch=True)
-        np.multiply(v, num, out=out)
+        recon = self._masked_recon(u, v)
+        num = self.buf("num_v_full", v.shape)
+        den = self.buf("den_v_full", v.shape)
+        np.matmul(ut, x_observed, out=num)
+        np.matmul(ut, recon, out=den)
+        out = self._multiply_out("v", v, num, den)
         if ctx.frozen_v is not None:
             np.copyto(out, v, where=ctx.frozen_v)
-        self._v_gen += 1
         return out
 
     # ------------------------------------------------ dense gradient rules
 
-    def _grad_u_dense(self, x_observed, observed, u, v, ctx):
-        n, k = u.shape
-        recon = self._masked_recon("recon", u, v)
+    def _grad_u_dense(self, x_observed, u, v, ctx):
+        recon = self._masked_recon(u, v)
         # The in-place residual overwrite invalidates the recon memo.
         self._recon_key = None
         np.subtract(recon, x_observed, out=recon)
         recon *= 2.0
-        grad = self.buf("grad_u", (n, k))
-        np.matmul(recon, v.T, out=grad)
-        if ctx.lam != 0.0:
-            if ctx.laplacian is None:
-                raise ValueError("lam != 0 requires a laplacian")
-            lap = ctx.laplacian
-            if isinstance(lap, np.ndarray):
-                t = self.buf("lap_u", (n, k))
-                np.matmul(lap, u, out=t)
-            else:
-                t = np.asarray(lap @ u)
-            t *= 2.0 * ctx.lam
+        grad = self.buf("grad_u", u.shape)
+        np.matmul(recon, v.swapaxes(-1, -2), out=grad)
+        plan = self._graph_plan
+        if plan.active and plan.laplacian is not None:
+            _, t = self._apply("lap_u", plan.laplacian, u)
+            t *= 2.0 * plan.lam3
             grad += t
+        elif plan.active:
+            for i, term in enumerate(plan.terms):
+                if term.lam == 0.0:
+                    continue
+                if term.laplacian is None:
+                    raise ValueError("lam != 0 requires a laplacian")
+                t = np.asarray(term.laplacian @ u[i])
+                t *= 2.0 * term.lam
+                grad[i] += t
         out = self.out_for("u", u)
         grad *= ctx.learning_rate
         np.subtract(u, grad, out=out)
         np.maximum(out, 0.0, out=out)
-        self._u_gen += 1
         return out
 
-    def _grad_v_dense(self, x_observed, observed, u, v, ctx):
-        n, k = u.shape
-        m = v.shape[1]
-        recon = self._masked_recon("recon", u, v)
+    def _grad_v_dense(self, x_observed, u, v, ctx):
+        recon = self._masked_recon(u, v)
         self._recon_key = None
         np.subtract(recon, x_observed, out=recon)
         # The reference computes ``(2.0 * u.T) @ residual``; the scaled
         # transpose is an **F-ordered** temporary (ufuncs preserve the
         # transposed layout) and gemm bits depend on operand layout, so
-        # scale into an (n, k) C buffer and pass its transpose view —
-        # the exact reference layout.
-        u2 = self.buf("u_x2", (n, k))
+        # scale into a C buffer of ``U``'s shape and pass its transpose
+        # view — the exact reference layout.
+        u2 = self.buf("u_x2", u.shape)
         np.multiply(u, 2.0, out=u2)
-        grad = self.buf("grad_v", (k, m))
-        np.matmul(u2.T, recon, out=grad)
+        grad = self.buf("grad_v", v.shape)
+        np.matmul(u2.swapaxes(-1, -2), recon, out=grad)
         out = self.out_for("v", v)
         grad *= ctx.learning_rate
         np.subtract(v, grad, out=out)
         np.maximum(out, 0.0, out=out)
         if ctx.frozen_v is not None:
             np.copyto(out, v, where=ctx.frozen_v)
-        self._v_gen += 1
         return out
 
     # ------------------------------------------------------- sparse rules
@@ -534,7 +693,7 @@ class KernelWorkspace(BufferArena):
         (objective, then next U-update) pays the gemm once.
         """
         sp = self.sparse
-        key = ((id(u), self._u_gen), (id(v), self._v_gen))
+        key = (id(u), id(v), self._gen)
         if self._recon_key == key:
             return sp.recon_data
         dense = self.buf("sddmm_dense", (u.shape[0], sp.n_live_cols))
@@ -551,7 +710,7 @@ class KernelWorkspace(BufferArena):
         np.copyto(vt, v[:, sp.offset:].T)
         return vt
 
-    def _mult_u_sparse(self, x_observed, observed, u, v, ctx):
+    def _mult_u_sparse(self, u, v):
         sp = self.sparse
         n, k = u.shape
         vt_live = self._vt_live(v)
@@ -569,21 +728,15 @@ class KernelWorkspace(BufferArena):
         else:
             num = sp.x_csr @ vt_live
             den = sp.recon_csr @ vt_live
-        if ctx.lam != 0.0:
-            self._add_graph_terms(num, den, u, ctx)
-        out = self.out_for("u", u)
-        guarded_divide(num, den, out=num, denominator_is_scratch=True)
-        np.multiply(u, num, out=out)
-        self._u_gen += 1
-        return out
+        self._add_graph_terms(num, den, u)
+        return self._multiply_out("u", u, num, den)
 
-    def _mult_v_sparse(self, x_observed, observed, u, v, ctx):
+    def _mult_v_sparse(self, u, v, ctx):
         sp = self.sparse
         m = v.shape[1]
         out = self.out_for("v", v)
         np.copyto(out, v)  # frozen landmark block (if any) carried over
         if sp.offset >= m:
-            self._v_gen += 1
             return out
         self._sparse_recon_data(u, v)
         # (k, m_live) numerator/denominator via the transposed products
@@ -600,42 +753,51 @@ class KernelWorkspace(BufferArena):
             # V update is column-separable, making this equivalent to
             # the reference's general path.
             np.copyto(out, v, where=ctx.frozen_v)
-        self._v_gen += 1
         return out
 
     # ------------------------------------------------------- kernel entry
 
     def step(self, x_observed, observed, u, v, ctx: KernelContext):
-        """One Algorithm 1 iteration under the fit's rule: U, then V."""
+        """One Algorithm 1 iteration under the fit's rule: U, then V.
+
+        The masked passes read the workspace's own float mask, so a
+        stack passes ``observed=None``.
+        """
+        if self.members is None and ctx is not self._ctx:
+            self._ctx = ctx
+            self._graph_plan = _GraphPlan.build([ctx], u.shape)
         if self.rule == "gradient":
-            u_next = self._grad_u_dense(x_observed, observed, u, v, ctx)
-            return u_next, self._grad_v_dense(x_observed, observed, u_next, v, ctx)
+            u_next = self._grad_u_dense(x_observed, u, v, ctx)
+            return u_next, self._grad_v_dense(x_observed, u_next, v, ctx)
         if self.mode == "sparse":
-            u_next = self._mult_u_sparse(x_observed, observed, u, v, ctx)
-            return u_next, self._mult_v_sparse(x_observed, observed, u_next, v, ctx)
-        u_next = self._mult_u_dense(x_observed, observed, u, v, ctx)
-        return u_next, self._mult_v_dense(x_observed, observed, u_next, v, ctx)
+            u_next = self._mult_u_sparse(u, v)
+            return u_next, self._mult_v_sparse(u_next, v, ctx)
+        u_next = self._mult_u_dense(x_observed, u, v)
+        return u_next, self._mult_v_dense(x_observed, u_next, v, ctx)
 
     # -------------------------------------------------------- objective
 
-    def graph_penalty(self, u: np.ndarray, similarity, degree: np.ndarray) -> float:
-        """:func:`repro.core.objective.graph_penalty` at ``U``.
-
-        Reads the ``D·U`` memo the next U-step reuses, and runs on the
-        layout-matched degree stack and a scratch buffer: the bits of
-        the plain call, without its allocations.
-        """
-        return float(
-            graph_penalty(
-                u,
-                self._similarity_product(u, similarity),
-                self._degree_stack(degree, u.shape),
-                out=self.buf("penalty", u.shape),
-            )
+    def _penalties(self, u: np.ndarray):
+        """:func:`repro.core.objective.graph_penalty` per member, from the
+        shared plan's memoized ``D·U`` and its layout-matched degree
+        stack, into a scratch buffer: the bits of the plain call,
+        without its allocations."""
+        _, du = self._similarity_product(u)
+        return graph_penalty(
+            u, du, self._graph_plan.deg3, out=self.buf("penalty", u.shape)
         )
 
-    def masked_objective(self, x_observed, u, v) -> float:
-        """``||R_O(X - U V)||²`` without allocating a fresh residual.
+    def graph_penalty(self, u: np.ndarray, similarity, degree: np.ndarray) -> float:
+        """``Tr(Uᵀ L U)`` of one fit, reading the ``D·U`` memo the next
+        U-step reuses (the plain form until a step has bound
+        ``similarity``)."""
+        if self._graph_plan.deg3 is None or self._graph_plan.similarity is not similarity:
+            return ReferenceKernel.graph_penalty(u, similarity, degree)
+        return float(self._penalties(u))
+
+    def masked_objective(self, x_observed, u, v):
+        """``||R_O(X - U V)||²`` without allocating a fresh residual; one
+        value per member for a stack.
 
         Dense mode is bit-identical to
         :func:`repro.core.objective.masked_frobenius_sq`; sparse mode
@@ -664,10 +826,29 @@ class KernelWorkspace(BufferArena):
         # zero so the residual is ``0 - 0 = +0`` either way.  Going
         # through ``_masked_recon`` shares the memoized gemm with the
         # next iteration's U-update.
-        recon = self._masked_recon("recon", u, v)
-        resid = self.buf("obj_resid", self.shape)
+        recon = self._masked_recon(u, v)
+        resid = self.buf("obj_resid", recon.shape)
         np.subtract(x_observed, recon, out=resid)
-        return float(np.einsum("ij,ij->", resid, resid))
+        data = np.einsum("...ij,...ij->...", resid, resid)
+        return data if data.ndim else float(data)
+
+    def objective(self, x_observed, u, v):
+        """Each stacked member's objective: the data term plus its
+        ``lam``·penalty, in ``SMF._objective``'s op order."""
+        data = self.masked_objective(x_observed, u, v)
+        plan = self._graph_plan
+        if not plan.active:
+            return data
+        if plan.deg3 is not None:
+            return data + plan.lam3.ravel() * self._penalties(u)
+        du = self._similarity_product(u)
+        out = data.copy()
+        for i, term in enumerate(plan.terms):
+            if term.lam != 0.0:
+                degree = np.asarray(term.degree).reshape(-1, 1)
+                penalty = float(graph_penalty(u[i], du[i], degree))
+                out[i] = float(data[i]) + term.lam * penalty
+        return out
 
 
 class ReferenceKernel:
@@ -715,6 +896,11 @@ class ReferenceKernel:
     def masked_objective(self, x_observed, u, v) -> float:
         """:func:`repro.core.objective.masked_frobenius_sq` itself."""
         return masked_frobenius_sq(x_observed, u, v, self.observed)
+
+    @staticmethod
+    def graph_penalty(u: np.ndarray, similarity, degree: np.ndarray) -> float:
+        """:func:`repro.core.objective.graph_penalty` with its own ``D·U``."""
+        return float(graph_penalty(u, np.asarray(similarity @ u), degree[:, None]))
 
 
 def build_kernel(

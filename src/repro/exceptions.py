@@ -39,3 +39,28 @@ class DegenerateDataError(ReproError, ValueError):
     imputing a column with no observed entries, or building a k-NN
     graph with fewer points than requested neighbours.
     """
+
+
+class NumericalDivergenceError(ReproError, ArithmeticError):
+    """An iterative fit produced a non-finite objective: it diverged.
+
+    Raised at the first non-finite evaluated objective instead of
+    running out the iteration budget on NaN/inf factors.  The message
+    names the iteration, the update rule and, for a member of a
+    stacked fit, the member's index in the stack.
+    """
+
+    @classmethod
+    def at(
+        cls,
+        *,
+        iteration: int,
+        update_rule: str,
+        objective: float,
+        member: int | None = None,
+    ) -> "NumericalDivergenceError":
+        where = "" if member is None else f" for stacked member {member}"
+        return cls(
+            f"objective is {objective!r} at iteration {iteration} of "
+            f"update_rule {update_rule!r}{where}: the fit diverged"
+        )

@@ -90,7 +90,6 @@ from .trace import (
     collecting_tracer,
     get_tracer,
     set_tracer,
-    timed_call,
     trace_to,
     traced,
     use_tracer,
@@ -141,7 +140,6 @@ __all__ = [
     "serving_stats_from_events",
     "set_event_log",
     "set_tracer",
-    "timed_call",
     "to_chrome_trace",
     "trace_to",
     "traced",

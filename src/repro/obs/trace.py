@@ -276,19 +276,6 @@ def collecting_tracer(**meta: Any) -> Tracer:
     return Tracer(MemorySink(), meta=meta or None)
 
 
-def timed_call(name: str, fn: Any, **attrs: Any) -> float:
-    """Run ``fn()`` under a span and return the span's duration.
-
-    A one-line best-of-N timing primitive: everything runs on the
-    span clock, so with tracing active the measurement
-    itself shows up in the trace under ``name``, and with the null
-    tracer it still measures (a :class:`NullSpan` records duration).
-    """
-    with get_tracer().span(name, **attrs) as span:
-        fn()
-    return span.duration
-
-
 def traced(name: str | None = None) -> Any:
     """Span-decorate a method: one line of instrumentation per entry point.
 

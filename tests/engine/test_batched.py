@@ -14,8 +14,8 @@ import pytest
 from repro.core import SMF, SMFL, MaskedNMF
 from repro.core.batched_fit import fit_models_batched
 from repro.engine import BatchedFit, MultiFitReport, multi_fit
-from repro.engine.batched import BatchedWorkspace
-from repro.exceptions import ValidationError
+from repro.engine.workspace import KernelWorkspace
+from repro.exceptions import NumericalDivergenceError, ValidationError
 
 RANK = 3
 
@@ -138,14 +138,14 @@ class TestBatchedVsLooped:
         # of the pre-compaction stack; with ``eval_every=2`` the step
         # after a compaction also runs without an objective memo.
         plans = []
-        compact = BatchedWorkspace.compact
+        compact = KernelWorkspace.compact
 
         def spy(ws, keep):
             compact(ws, keep)
             plan = ws._graph_plan
             plans.append(plan.similarity is not None and plan.deg3 is not None)
 
-        monkeypatch.setattr(BatchedWorkspace, "compact", spy)
+        monkeypatch.setattr(KernelWorkspace, "compact", spy)
 
         def factory(seed):
             return SMF(
@@ -182,8 +182,8 @@ class TestBatchedVsLooped:
 
     @pytest.mark.parametrize("eval_every", [1, 3])
     def test_mixed_methods_shared_graph(self, eval_every):
-        # The shared graph is stacked, but with nmf members in the stack
-        # the memoized ``W·U`` is scaled member by member.
+        # The shared graph is stacked; the nmf members' ``lam`` of 0
+        # turns their share of the stacked graph terms into exact zeros.
         self._assert_mixed_identical(make_shared_graph_problem, eval_every)
 
     def test_landmark_prefix_stays_bit_frozen(self):
@@ -256,11 +256,23 @@ class TestMultiFitAPI:
             assert member.n_iter == 0
             assert not member.converged
 
-    def test_b1_delegates_without_3d_dispatch(self):
-        fits = self._fits(1)
-        report = multi_fit(fits, max_iter=4, tol=0.0)
-        assert report.n_fits == 1
-        assert report.batch_sizes == (1, 1, 1, 1)
+    @pytest.mark.parametrize("cls", [MaskedNMF, SMF, SMFL])
+    def test_one_job_leaves_the_model_as_fit_does(self, cls):
+        # A one-member group runs the model's own engine path, so the
+        # model ends exactly as after ``fit``, factor deltas included
+        # (only the engine's telemetry records them).
+        x = make_spatial_problem(24, 8, 0.3, 0)
+        alone = cls(rank=RANK, max_iter=25, tol=0.0, random_state=0)
+        looped = cls(rank=RANK, max_iter=25, tol=0.0, random_state=0)
+        (report,) = fit_models_batched([(alone, x, None)])
+        looped.fit(x)
+        assert report is alone.fit_report_
+        assert np.array_equal(alone.u_, looped.u_)
+        assert np.array_equal(alone.v_, looped.v_)
+        assert alone.objective_history_ == looped.objective_history_
+        assert alone.n_iter_ == looped.n_iter_ == 25
+        deltas = alone.fit_report_.factor_deltas
+        assert deltas and deltas == looped.fit_report_.factor_deltas
 
 
 class TestSharedOperatorFastPath:
@@ -304,7 +316,7 @@ class TestSharedOperatorFastPath:
         return fits
 
     def test_plan_detects_shared_operators(self):
-        ws = BatchedWorkspace(self._graph_fits(3, shared=True))
+        ws = KernelWorkspace.stacked(self._graph_fits(3, shared=True))
         plan = ws._graph_plan
         assert plan.similarity is not None
         assert plan.laplacian is not None
@@ -312,7 +324,7 @@ class TestSharedOperatorFastPath:
         assert plan.lam3 is not None
 
     def test_plan_rejects_heterogeneous_operators(self):
-        ws = BatchedWorkspace(self._graph_fits(3, shared=False))
+        ws = KernelWorkspace.stacked(self._graph_fits(3, shared=False))
         plan = ws._graph_plan
         assert plan.similarity is None
         assert plan.laplacian is None
@@ -358,7 +370,7 @@ class TestSharedOperatorFastPath:
         # (``W·U`` for the objective's penalty; the next U-step reuses it).
         import scipy.sparse as sp
 
-        from repro.engine import batched
+        from repro.engine import workspace
 
         counts = {"uv": 0, "sparse": 0}
         fits = self._graph_fits(3, shared=True)
@@ -380,7 +392,7 @@ class TestSharedOperatorFastPath:
             counts["sparse"] += 1
             return spmm(op, other)
 
-        monkeypatch.setattr(batched, "np", CountingNumpy())
+        monkeypatch.setattr(workspace, "np", CountingNumpy())
         monkeypatch.setattr(sp.csr_matrix, "__matmul__", counting_spmm)
 
         def run(max_iter):
@@ -391,3 +403,22 @@ class TestSharedOperatorFastPath:
         short, long = run(4), run(10)
         assert (long["uv"] - short["uv"]) / 6 == 2
         assert (long["sparse"] - short["sparse"]) / 6 == 1
+
+
+class TestDivergenceGuard:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_stacked_loop_names_the_diverging_member(self):
+        from .test_engine import diverging_lake
+
+        bad = diverging_lake()
+        good = bad.copy()
+        good[5, 4] = good[6, 4]
+        jobs = [
+            (SMFL(rank=4, max_iter=50, random_state=seed), x, None)
+            for seed, x in enumerate((good, bad))
+        ]
+        with pytest.raises(NumericalDivergenceError) as info:
+            fit_models_batched(jobs)
+        message = str(info.value)
+        assert "iteration 1 " in message and "'multiplicative'" in message
+        assert "stacked member 1" in message

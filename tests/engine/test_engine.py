@@ -22,7 +22,11 @@ from repro.engine import (
     Telemetry,
     build_kernel,
 )
-from repro.exceptions import ConvergenceWarning, ValidationError
+from repro.exceptions import (
+    ConvergenceWarning,
+    NumericalDivergenceError,
+    ValidationError,
+)
 
 
 class CountingSolver(Solver):
@@ -118,6 +122,40 @@ class TestIterativeEngine:
             IterativeEngine(tol=-1.0)
         with pytest.raises(ValidationError):
             IterativeEngine(eval_every=0)
+
+
+def diverging_lake(n_rows=120):
+    """Lake rows with one huge cell: the first objective is non-finite."""
+    from repro.data import load_dataset
+
+    x = np.array(load_dataset("lake", n_rows=n_rows, random_state=0).values)
+    x[5, 4] = 1e300
+    return x
+
+
+class TestDivergenceGuard:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_model_fit_raises_at_the_first_evaluation(self):
+        from repro.core import SMFL
+
+        model = SMFL(rank=4, max_iter=50, random_state=0)
+        with pytest.raises(NumericalDivergenceError) as info:
+            model.fit(diverging_lake())
+        message = str(info.value)
+        assert "iteration 1 " in message and "'multiplicative'" in message
+        assert "member" not in message
+        assert model.fit_report_ is None  # no fitted state was installed
+
+    def test_generic_solver_is_named_by_its_name(self):
+        class Blowup(CountingSolver):
+            name = "blowup"
+
+            def objective(self, state):
+                return float("inf") if state >= 4 else 1.0 / state
+
+        engine = IterativeEngine(max_iter=10, tol=0.0, eval_every=2)
+        with pytest.raises(NumericalDivergenceError, match="iteration 4 .*'blowup'"):
+            engine.run(Blowup(), 0)
 
 
 class TestTelemetry:

@@ -178,25 +178,3 @@ class TestWallClockAnchor:
         first = _spans(parent.sink.events)[0]
         second = _spans(worker.sink.events)[0]
         assert second["start"] >= first["start"]
-
-
-class TestTimedCall:
-    def test_returns_span_duration_without_tracer(self):
-        from repro.obs import timed_call
-
-        seconds = timed_call("unit", lambda: sum(range(1000)))
-        assert seconds >= 0.0
-
-    def test_emits_named_span_when_tracing(self):
-        from repro.obs import timed_call
-        from repro.obs.trace import collecting_tracer, use_tracer
-
-        tracer = collecting_tracer()
-        with use_tracer(tracer):
-            seconds = timed_call("bench:unit", lambda: None, label="x")
-        spans = [e for e in tracer.sink.events if e.get("type") == "span"]
-        assert len(spans) == 1
-        assert spans[0]["name"] == "bench:unit"
-        assert spans[0]["attrs"]["label"] == "x"
-        assert spans[0]["duration"] >= 0.0
-        assert seconds == spans[0]["duration"]
