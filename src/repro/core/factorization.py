@@ -125,6 +125,7 @@ class _FactorSolver(Solver):
         self.observed = observed
         self.name = model.method
         self.update_rule = model.update_rule
+        self.learning_rate = model.learning_rate
 
     def step(self, state: tuple[np.ndarray, np.ndarray]):
         u, v = state
@@ -137,6 +138,11 @@ class _FactorSolver(Solver):
     def factors(self, state: tuple[np.ndarray, np.ndarray]):
         u, v = state
         return {"u": u, "v": v}
+
+    def step_deltas(self, state: tuple[np.ndarray, np.ndarray]):
+        # A single-fit KernelWorkspace measures both factors in its step;
+        # the other kernels have no such attribute and leave it to Telemetry.
+        return getattr(self.model._kernel, "step_deltas", {})
 
 
 class MatrixFactorizationBase:

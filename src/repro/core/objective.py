@@ -20,6 +20,7 @@ from ..validation import as_matrix
 __all__ = [
     "graph_penalty",
     "masked_frobenius_sq",
+    "masked_residual_sq",
     "smoothness_penalty",
     "total_objective",
 ]
@@ -53,6 +54,21 @@ def masked_frobenius_sq(
         raise ValidationError(
             f"U V would be {(u.shape[0], v.shape[1])}, but X is {x.shape}"
         )
+    return masked_residual_sq(x, u, v, observed)
+
+
+def masked_residual_sq(
+    x: np.ndarray,
+    u: np.ndarray,
+    v: np.ndarray,
+    observed: np.ndarray,
+) -> float:
+    """:func:`masked_frobenius_sq` without its input checks.
+
+    The form a running fit evaluates on its own iterates: a diverged
+    iterate gives a non-finite value, which the engine's divergence
+    guard reports, instead of a :class:`ValidationError` about ``u``.
+    """
     residual = np.where(observed, x - u @ v, 0.0)
     return float(np.einsum("ij,ij->", residual, residual))
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..core.updates import frozen_column_prefix
 from .monitor import ConvergenceMonitor
-from .report import FitReport
+from .report import FitReport, factor_delta
 from .solver import Solver
 
 __all__ = ["Callback", "IterationRecord", "Telemetry"]
@@ -70,8 +70,10 @@ class Telemetry(Callback):
         checked on the ``v[:, :L]`` view, without a boolean gather.
     track_deltas:
         Record the Frobenius norm of each tracked factor's change per
-        iteration (costs one in-place copy of the factors per step,
-        into buffers kept for the whole fit).
+        iteration.  A change the solver's step already measured
+        (:meth:`Solver.step_deltas`) is taken as is; any other costs
+        one in-place copy of the factor per step, into buffers kept for
+        the whole fit.
     """
 
     def __init__(
@@ -134,8 +136,12 @@ class Telemetry(Callback):
             self.objectives.append(record.objective)
         factors = solver.factors(record.state)
         if self.track_deltas and factors:
+            measured = solver.step_deltas(record.state)
             for key, value in factors.items():
-                self.deltas.setdefault(key, []).append(self._delta(key, value))
+                delta = measured.get(key)
+                if delta is None:
+                    delta = self._delta(key, value)
+                self.deltas.setdefault(key, []).append(delta)
         # Once the block has been caught modified the verdict is final -
         # re-comparing the mask every remaining iteration buys nothing.
         if (
@@ -158,9 +164,7 @@ class Telemetry(Callback):
 
         Allocation-free after the first iteration: the difference goes
         into a per-factor buffer and ``value`` is copied into the kept
-        one.  The norm is ``sqrt(dot(d, d))`` over ``d`` in memory
-        order, which is what :func:`numpy.linalg.norm` computes, so the
-        deltas keep its bits.
+        one.  The norm is :func:`~repro.engine.report.factor_delta`.
         """
         prev = self._prev_factors.get(key)
         if prev is None:
@@ -169,10 +173,9 @@ class Telemetry(Callback):
         diff = self._diffs.get(key)
         if diff is None:
             diff = self._diffs[key] = np.empty_like(prev)
-        np.subtract(value, prev, out=diff)
+        delta = factor_delta(value, prev, diff)
         np.copyto(prev, value)
-        flat = diff.ravel(order="K")
-        return float(np.sqrt(np.dot(flat, flat)))
+        return delta
 
     def on_fit_end(
         self, solver: Solver, state: Any, monitor: ConvergenceMonitor

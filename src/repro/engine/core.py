@@ -93,9 +93,10 @@ class IterativeEngine:
         a solver returning a bool from :meth:`Solver.converged` takes
         full control of stopping (residual thresholds, shrinkage paths,
         fixed-epoch training).  The first non-finite evaluated objective
-        raises :class:`~repro.exceptions.NumericalDivergenceError`
-        naming the iteration and the solver's ``update_rule`` (its
-        ``name`` when it has none).
+        emits ``fit.diverged`` on the live event log and raises
+        :class:`~repro.exceptions.NumericalDivergenceError` naming the
+        iteration, the solver's ``update_rule`` (its ``name`` when it
+        has none) and its ``learning_rate``, if it has one.
         """
         monitor = ConvergenceMonitor(max_iter=self.max_iter, tol=self.tol)
         tracer = get_tracer()
@@ -127,11 +128,20 @@ class IterativeEngine:
                         objective = float(solver.objective(state))
                         eval_span.set_attr("objective", objective)
                         if not math.isfinite(objective):
-                            raise NumericalDivergenceError.at(
+                            rule = getattr(solver, "update_rule", solver_name)
+                            error = NumericalDivergenceError.at(
                                 iteration=steps,
-                                update_rule=getattr(solver, "update_rule", solver_name),
+                                update_rule=rule,
                                 objective=objective,
+                                learning_rate=getattr(solver, "learning_rate", None),
                             )
+                            if events.enabled:
+                                events.emit(
+                                    "fit.diverged", level="error",
+                                    solver=solver_name, iteration=steps,
+                                    update_rule=rule, message=str(error),
+                                )
+                            raise error
                         monitor.record(objective)
                         custom = solver.converged(state, monitor)
                         solver_rule = custom is not None

@@ -21,7 +21,22 @@ from typing import Any
 
 import numpy as np
 
-__all__ = ["FitReport", "FactorizationResult"]
+__all__ = ["FitReport", "FactorizationResult", "factor_delta"]
+
+
+def factor_delta(new: np.ndarray, old: np.ndarray, out: np.ndarray) -> float:
+    """``‖new − old‖_F``, one entry of :attr:`FitReport.factor_deltas`.
+
+    The difference goes into the scratch ``out`` (``new``'s shape) and
+    the norm is ``sqrt(dot(d, d))`` over ``d`` in memory order, which is
+    what :func:`numpy.linalg.norm` computes, so the value keeps its
+    bits.  :class:`~repro.engine.Telemetry` and the dense kernels (which
+    measure the change while both iterates are still in cache) share
+    this one function, so their deltas cannot drift apart.
+    """
+    np.subtract(new, old, out=out)
+    flat = out.ravel(order="K")
+    return float(np.sqrt(np.dot(flat, flat)))
 
 
 @dataclass(frozen=True)

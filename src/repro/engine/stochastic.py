@@ -40,7 +40,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ..core.objective import masked_frobenius_sq
+from ..core.objective import masked_residual_sq
 from ..exceptions import ValidationError
 from ..validation import check_in_range, check_positive_int
 from .kernels import KernelContext
@@ -180,8 +180,8 @@ class StochasticWorkspace(BufferArena):
         return _sgd_epoch(self, x_observed, observed, u, v, ctx)
 
     def masked_objective(self, x_observed, u, v) -> float:
-        """:func:`repro.core.objective.masked_frobenius_sq` itself."""
-        return masked_frobenius_sq(x_observed, u, v, self.observed)
+        """:func:`repro.core.objective.masked_residual_sq` itself."""
+        return masked_residual_sq(x_observed, u, v, self.observed)
 
     graph_penalty = staticmethod(ReferenceKernel.graph_penalty)
 

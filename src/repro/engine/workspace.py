@@ -42,9 +42,11 @@ similarity, degree)`` (the ``Tr(Uᵀ L U)`` term of SMF's objective):
     rules, and the only dense implementation of them: the same class
     runs one fit or, through :meth:`KernelWorkspace.stacked`, the
     ``B``-member stacks of :func:`repro.engine.batched.multi_fit`.
-    Every floating-point operation is performed in the same order and
-    on the same operand layouts as the reference rules, so the two
-    paths are **bit-identical** — the golden fixtures do not move.
+    Every floating-point operation is performed in the same order as
+    in the reference rules, on operand layouts that keep their bits
+    (a layout is changed only where that is measured to be faster and
+    bit-exact, e.g. the U-step's contiguous ``Vᵀ``), so the two paths
+    are **bit-identical** — the golden fixtures do not move.
 :class:`KernelWorkspace`, ``mode="sparse"`` (``kernel_path="sparse"``)
     The sparse-observed fast path for high missing rates (Figure 7's
     sweep axis): observed entries of the live block are stored as
@@ -76,7 +78,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.objective import graph_penalty, masked_frobenius_sq
+from ..core.objective import graph_penalty, masked_residual_sq
 from ..core.updates import (
     gradient_update_u,
     gradient_update_v,
@@ -86,6 +88,7 @@ from ..core.updates import (
 )
 from ..exceptions import ValidationError
 from .kernels import FULL_BATCH_RULES, UPDATE_RULES, KernelContext
+from .report import factor_delta
 
 __all__ = [
     "KERNEL_PATHS",
@@ -350,9 +353,9 @@ class KernelWorkspace(BufferArena):
     ``rule`` picks what :meth:`step` runs: the multiplicative rule
     (dense or sparse) or the gradient rule (dense only).  The dense
     kernels replicate the reference rules of :mod:`repro.core.updates`
-    operation for operation (same op order, same operand layouts),
-    which makes them bit-identical; the equivalence tests enforce this
-    per iteration.
+    operation for operation (same op order, operand layouts that keep
+    the reference's bits), which makes them bit-identical; the
+    equivalence tests enforce this per iteration.
 
     Dense mode runs one fit (``X`` ``(N, M)``, ``U`` ``(N, K)``) or a
     stack of ``B`` same-shape fits (``(B, N, M)``, ``(B, N, K)``; see
@@ -408,6 +411,7 @@ class KernelWorkspace(BufferArena):
         self._du = None
         self._live_mask: tuple[int, np.ndarray] | None = None
         self.members = None if members is None else list(members)
+        self.step_deltas: dict[str, float] = {}
         self._ctx: KernelContext | None = None
         self._graph_plan = _GraphPlan([])
         if self.members is not None:
@@ -589,8 +593,23 @@ class KernelWorkspace(BufferArena):
         np.multiply(current, num, out=out)
         return out
 
+    def _vt(self, v: np.ndarray) -> np.ndarray:
+        """``Vᵀ`` copied C-contiguous into a ``(…, M, K)`` buffer.
+
+        The U-step's ``N×M×K`` gemms run 2-3x faster on this operand
+        than on the strided ``swapaxes`` view (which OpenBLAS sends
+        down a slow path), and one copy of ``K·M`` doubles per step
+        serves both.  The bits are the same wherever numpy runs a gemm
+        either way, i.e. at every shape a fit admits: only a 1-row
+        ``X`` with ``K > 1`` would go to gemv, and ``K <= min(N, M)``.
+        The V-step's ``Uᵀ`` stays a view: a copy there changes bits.
+        """
+        vt = self.buf("vt", (*v.shape[:-2], v.shape[-1], v.shape[-2]))
+        np.copyto(vt, v.swapaxes(-1, -2))
+        return vt
+
     def _mult_u_dense(self, x_observed, u, v):
-        vt = v.swapaxes(-1, -2)
+        vt = self._vt(v)
         recon = self._masked_recon(u, v)
         num = self.buf("num_u", u.shape)
         den = self.buf("den_u", u.shape)
@@ -637,7 +656,7 @@ class KernelWorkspace(BufferArena):
         np.subtract(recon, x_observed, out=recon)
         recon *= 2.0
         grad = self.buf("grad_u", u.shape)
-        np.matmul(recon, v.swapaxes(-1, -2), out=grad)
+        np.matmul(recon, self._vt(v), out=grad)
         plan = self._graph_plan
         if plan.active and plan.laplacian is not None:
             _, t = self._apply("lap_u", plan.laplacian, u)
@@ -761,19 +780,28 @@ class KernelWorkspace(BufferArena):
         """One Algorithm 1 iteration under the fit's rule: U, then V.
 
         The masked passes read the workspace's own float mask, so a
-        stack passes ``observed=None``.
+        stack passes ``observed=None``.  A single fit also leaves
+        ``‖U_{t+1} − U_t‖_F`` and ``‖V_{t+1} − V_t‖_F`` in
+        :attr:`step_deltas` (Telemetry's factor deltas, measured while
+        both iterates are in cache); a stack reports none.
         """
         if self.members is None and ctx is not self._ctx:
             self._ctx = ctx
             self._graph_plan = _GraphPlan.build([ctx], u.shape)
         if self.rule == "gradient":
             u_next = self._grad_u_dense(x_observed, u, v, ctx)
-            return u_next, self._grad_v_dense(x_observed, u_next, v, ctx)
-        if self.mode == "sparse":
+            v_next = self._grad_v_dense(x_observed, u_next, v, ctx)
+        elif self.mode == "sparse":
             u_next = self._mult_u_sparse(u, v)
-            return u_next, self._mult_v_sparse(u_next, v, ctx)
-        u_next = self._mult_u_dense(x_observed, u, v)
-        return u_next, self._mult_v_dense(x_observed, u_next, v, ctx)
+            v_next = self._mult_v_sparse(u_next, v, ctx)
+        else:
+            u_next = self._mult_u_dense(x_observed, u, v)
+            v_next = self._mult_v_dense(x_observed, u_next, v, ctx)
+        if self.members is None:
+            d = self.step_deltas
+            d["u"] = factor_delta(u_next, u, self.buf("delta_u", u.shape))
+            d["v"] = factor_delta(v_next, v, self.buf("delta_v", v.shape))
+        return u_next, v_next
 
     # -------------------------------------------------------- objective
 
@@ -833,12 +861,15 @@ class KernelWorkspace(BufferArena):
         return data if data.ndim else float(data)
 
     def objective(self, x_observed, u, v):
-        """Each stacked member's objective: the data term plus its
-        ``lam``·penalty, in ``SMF._objective``'s op order."""
+        """The data term plus ``lam``·penalty, in ``SMF._objective``'s op
+        order: a float for a single fit (its graph term bound by the
+        last :meth:`step`), one value per member for a stack."""
         data = self.masked_objective(x_observed, u, v)
         plan = self._graph_plan
         if not plan.active:
             return data
+        if u.ndim == 2:
+            return data + plan.lam3 * float(self._penalties(u))
         if plan.deg3 is not None:
             return data + plan.lam3.ravel() * self._penalties(u)
         du = self._similarity_product(u)
@@ -894,8 +925,8 @@ class ReferenceKernel:
         return u, v
 
     def masked_objective(self, x_observed, u, v) -> float:
-        """:func:`repro.core.objective.masked_frobenius_sq` itself."""
-        return masked_frobenius_sq(x_observed, u, v, self.observed)
+        """:func:`repro.core.objective.masked_residual_sq` itself."""
+        return masked_residual_sq(x_observed, u, v, self.observed)
 
     @staticmethod
     def graph_penalty(u: np.ndarray, similarity, degree: np.ndarray) -> float:

@@ -46,7 +46,8 @@ class NumericalDivergenceError(ReproError, ArithmeticError):
 
     Raised at the first non-finite evaluated objective instead of
     running out the iteration budget on NaN/inf factors.  The message
-    names the iteration, the update rule and, for a member of a
+    names the iteration, the update rule, the step size of a
+    step-size rule (gradient, SGD, SVRG) and, for a member of a
     stacked fit, the member's index in the stack.
     """
 
@@ -58,9 +59,16 @@ class NumericalDivergenceError(ReproError, ArithmeticError):
         update_rule: str,
         objective: float,
         member: int | None = None,
+        learning_rate: float | None = None,
     ) -> "NumericalDivergenceError":
         where = "" if member is None else f" for stacked member {member}"
+        # The multiplicative rule has no step size to blame.
+        step = (
+            ""
+            if learning_rate is None or update_rule == "multiplicative"
+            else f" with learning_rate {learning_rate!r}"
+        )
         return cls(
             f"objective is {objective!r} at iteration {iteration} of "
-            f"update_rule {update_rule!r}{where}: the fit diverged"
+            f"update_rule {update_rule!r}{step}{where}: the fit diverged"
         )

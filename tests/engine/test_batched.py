@@ -13,7 +13,7 @@ import pytest
 
 from repro.core import SMF, SMFL, MaskedNMF
 from repro.core.batched_fit import fit_models_batched
-from repro.engine import BatchedFit, MultiFitReport, multi_fit
+from repro.engine import BatchedFit, KernelContext, MultiFitReport, multi_fit
 from repro.engine.workspace import KernelWorkspace
 from repro.exceptions import NumericalDivergenceError, ValidationError
 
@@ -404,6 +404,53 @@ class TestSharedOperatorFastPath:
         assert (long["uv"] - short["uv"]) / 6 == 2
         assert (long["sparse"] - short["sparse"]) / 6 == 1
 
+    @pytest.mark.parametrize("update_rule", ["multiplicative", "gradient"])
+    @pytest.mark.parametrize("stacked", [False, True], ids=["2d", "stacked"])
+    def test_u_step_gemms_read_a_contiguous_vt(self, monkeypatch, update_rule, stacked):
+        # Operand-layout rule: the U-step's N×M×K products (X·Vᵀ and
+        # R_O(UV)·Vᵀ; the gradient rule's residual·Vᵀ) multiply a
+        # C-contiguous (…, M, K) copy of Vᵀ, not the strided view.
+        from repro.engine import workspace
+
+        fits = self._graph_fits(3, shared=True)
+        n, m = fits[0].x_observed.shape
+        k = fits[0].u0.shape[1]
+        rights = []
+
+        class RecordingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def matmul(a, b, *args, **kwargs):
+                if np.shape(a)[-2:] == (n, m):  # X or R_O(U V) on the left
+                    rights.append(b)
+                return np.matmul(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(workspace, "np", RecordingNumpy())
+        if stacked:
+            ws = KernelWorkspace.stacked(fits, rule=update_rule)
+            x, observed = ws.x_observed, None
+            u = np.stack([f.u0 for f in fits])
+            v = np.stack([f.v0 for f in fits])
+            ctx = KernelContext(learning_rate=1e-4)
+        else:
+            f = fits[0]
+            ws = KernelWorkspace(f.x_observed, f.observed, rule=update_rule)
+            x, observed, u, v = f.x_observed, f.observed, f.u0, f.v0
+            ctx = KernelContext(
+                lam=f.lam, similarity=f.similarity, degree=f.degree,
+                laplacian=f.laplacian, learning_rate=1e-4,
+            )
+        steps = 3
+        for _ in range(steps):
+            u, v = ws.step(x, observed, u, v, ctx)
+        per_step = 2 if update_rule == "multiplicative" else 1
+        assert len(rights) == per_step * steps
+        for b in rights:
+            assert b.shape == (*u.shape[:-2], m, k)
+            assert b.flags.c_contiguous
+
 
 class TestDivergenceGuard:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -422,3 +469,38 @@ class TestDivergenceGuard:
         message = str(info.value)
         assert "iteration 1 " in message and "'multiplicative'" in message
         assert "stacked member 1" in message
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_stacked_loop_emits_fit_diverged_with_the_step_size(self):
+        from repro.obs.live.events import EventLog, RingBufferSink, use_event_log
+
+        from .test_engine import diverging_lake
+
+        bad = diverging_lake()
+        good = bad.copy()
+        good[5, 4] = good[6, 4]
+        jobs = [
+            (
+                SMFL(
+                    rank=4, max_iter=50, random_state=seed,
+                    update_rule="gradient", learning_rate=2.5e-4,
+                ),
+                x,
+                None,
+            )
+            for seed, x in enumerate((good, bad))
+        ]
+        sink = RingBufferSink()
+        with use_event_log(EventLog(sink)):
+            with pytest.raises(NumericalDivergenceError) as info:
+                fit_models_batched(jobs)
+        message = str(info.value)
+        assert "'gradient' with learning_rate 0.00025" in message
+        assert "stacked member 1" in message
+        diverged = [r for r in sink.tail() if r["event"] == "fit.diverged"]
+        assert len(diverged) == 1
+        attrs = diverged[0]["attrs"]
+        assert diverged[0]["level"] == "error"
+        assert attrs["member"] == 1 and attrs["iteration"] == 1
+        assert attrs["update_rule"] == "gradient"
+        assert attrs["message"] == message

@@ -144,7 +144,39 @@ class TestDivergenceGuard:
         message = str(info.value)
         assert "iteration 1 " in message and "'multiplicative'" in message
         assert "member" not in message
+        assert "learning_rate" not in message  # no step size to blame
         assert model.fit_report_ is None  # no fitted state was installed
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_emits_fit_diverged_before_raising(self):
+        from repro.core import SMFL
+        from repro.obs.live.events import EventLog, RingBufferSink, use_event_log
+
+        sink = RingBufferSink()
+        with use_event_log(EventLog(sink)):
+            with pytest.raises(NumericalDivergenceError) as info:
+                SMFL(rank=4, max_iter=50, random_state=0).fit(diverging_lake())
+        diverged = [r for r in sink.tail() if r["event"] == "fit.diverged"]
+        assert len(diverged) == 1
+        record = diverged[0]
+        assert record["level"] == "error"
+        assert record["attrs"]["iteration"] == 1
+        assert record["attrs"]["update_rule"] == "multiplicative"
+        assert record["attrs"]["message"] == str(info.value)
+        assert sink.tail()[-1] is record  # the last event before the raise
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("rule", ["gradient", "sgd", "svrg"])
+    def test_step_size_rules_name_the_learning_rate(self, rule):
+        from repro.core import SMFL
+
+        model = SMFL(
+            rank=4, max_iter=5, random_state=0, update_rule=rule,
+            learning_rate=2.5e-4,
+        )
+        with pytest.raises(NumericalDivergenceError) as info:
+            model.fit(diverging_lake())
+        assert f"'{rule}' with learning_rate 0.00025" in str(info.value)
 
     def test_generic_solver_is_named_by_its_name(self):
         class Blowup(CountingSolver):

@@ -94,6 +94,41 @@ class TestWorkspaceBitIdentity:
         assert np.array_equal(ref.v_, ws.v_)
 
 
+class TestGemvShapes:
+    """Shapes on which numpy runs a U- or V-step product as a
+    matrix-vector call (rank 1, one live column, two rows): the
+    operand-layout rules must keep the workspace's bits there too."""
+
+    @pytest.mark.parametrize("rule", ["multiplicative", "gradient"])
+    @pytest.mark.parametrize(
+        "n, m, rank, n_spatial",
+        [
+            (20, 6, 1, 2),  # rank 1: X·Vᵀ is a gemv
+            (20, 3, 2, 2),  # one live column after the landmark block
+            (20, 3, 1, 2),  # both
+            (2, 4, 1, 1),  # two rows
+            (2, 4, 2, 2),  # two rows, full rank
+        ],
+    )
+    def test_smfl_and_nmf_bit_identical(self, rule, n, m, rank, n_spatial):
+        x_missing = make_spatial_problem(n, m, 0.2, seed=n * 100 + m * 10 + rank)
+        for factory in (
+            lambda path: SMFL(
+                rank=rank, n_spatial=n_spatial, lam=0.05, p_neighbors=1,
+                update_rule=rule, learning_rate=1e-3, max_iter=12, tol=0.0,
+                random_state=0, kernel_path=path,
+            ),
+            lambda path: MaskedNMF(
+                rank=rank, update_rule=rule, learning_rate=1e-3, max_iter=12,
+                tol=0.0, random_state=0, kernel_path=path,
+            ),
+        ):
+            ref, ws = fit_pair(factory, x_missing, "reference", "workspace")
+            assert list(ref.objective_history_) == list(ws.objective_history_)
+            assert np.array_equal(ref.u_, ws.u_)
+            assert np.array_equal(ref.v_, ws.v_)
+
+
 class TestSparseEquivalence:
     @given(problem=problem)
     @EQUIVALENCE_SETTINGS

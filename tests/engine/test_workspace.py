@@ -23,7 +23,7 @@ from repro.engine.workspace import (
     build_kernel,
     resolve_kernel_path,
 )
-from repro.core import MaskedNMF
+from repro.core import SMF, SMFL, MaskedNMF
 from repro.core.objective import masked_frobenius_sq
 from repro.exceptions import ValidationError
 
@@ -256,6 +256,29 @@ class TestMaskedObjective:
         assert ws.masked_objective(x_observed, u, v) == pytest.approx(
             expected, rel=1e-12
         )
+
+
+class TestFullObjective:
+    """``KernelWorkspace.objective`` on a single fit with a graph term."""
+
+    @pytest.mark.parametrize("cls", [SMF, SMFL])
+    @pytest.mark.parametrize("rule", ["multiplicative", "gradient"])
+    def test_single_fit_matches_model_objective(self, rng, cls, rule):
+        x = rng.random((40, 6)) * 3
+        x[rng.random(x.shape) < 0.2] = np.nan
+        x[:, :2] = rng.random((40, 2)) * 10
+        model = cls(
+            rank=3, n_spatial=2, max_iter=4, tol=0.0, random_state=0,
+            update_rule=rule, learning_rate=1e-3, kernel_path="workspace",
+        ).fit(x)
+        kernel = model._kernel
+        x_observed = model._fit_mask.project(model._fit_x)
+        observed = model._fit_mask.observed
+        # The fit's last iterate (memoized products) and fresh copies.
+        for u, v in ((model.u_, model.v_), (model.u_.copy(), model.v_.copy())):
+            value = kernel.objective(x_observed, u, v)
+            assert isinstance(value, float)
+            assert value == model._objective(x_observed, u, v, observed)
 
 
 class TestBuildKernelWorkspace:

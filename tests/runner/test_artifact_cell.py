@@ -11,10 +11,6 @@ from __future__ import annotations
 
 import os
 
-import numpy as np
-import pytest
-
-from repro.exceptions import ValidationError
 from repro.model import load_model, verify_model
 from repro.runner import RunnerConfig, RunSpec, run_cell, run_grid
 from repro.runner.spec import RunGrid

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import os
 
-import pytest
-
 from repro.runner import RunnerConfig, RunSpec, cache_key, execute_cell, run_grid
 from repro.runner.coalesce import (
     MF_BATCHABLE_METHODS,
