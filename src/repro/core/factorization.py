@@ -473,9 +473,11 @@ class MatrixFactorizationBase:
             )
 
         frozen = self._frozen_v_mask(v.shape)
+        self._ctx_cache = None  # graph/landmark structures rebuilt
         # One kernel object per fit: buffer arena + (for SMFL on the
         # sparse path) the Gram-cached landmark block, the stochastic
-        # epoch state, or the reference rules.
+        # epoch state, or the reference rules.  A workspace binds the
+        # fit's graph terms from the context its steps will receive.
         self._kernel = build_kernel(
             x_observed,
             observed,
@@ -484,8 +486,8 @@ class MatrixFactorizationBase:
             frozen_prefix=frozen_column_prefix(frozen),
             v0=v,
             scheduler=scheduler,
+            ctx=self._cached_kernel_context(v.shape),
         )
-        self._ctx_cache = None  # graph/landmark structures rebuilt
 
         if frozen is not None and frozen.any():
             telemetry = Telemetry(

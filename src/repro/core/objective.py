@@ -21,6 +21,7 @@ __all__ = [
     "graph_penalty",
     "masked_frobenius_sq",
     "masked_residual_sq",
+    "penalty_from_products",
     "smoothness_penalty",
     "total_objective",
 ]
@@ -112,8 +113,24 @@ def graph_penalty(
     way, so a stacked member's value equals its own 2-D evaluation bit
     for bit.  ``out`` is an optional scratch buffer of ``u``'s shape.
     """
-    prod = np.multiply(degree, u, out=out)
-    np.subtract(prod, du, out=prod)
+    wu = np.multiply(degree, u, out=out)
+    return penalty_from_products(u, du, wu, out=wu)
+
+
+def penalty_from_products(
+    u: np.ndarray,
+    du: np.ndarray,
+    wu: np.ndarray,
+    *,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """:func:`graph_penalty` from both products, ``D U`` and ``W U =
+    deg ⊙ U``: for a fit that keeps ``W U`` for its next U-step.
+
+    ``out`` (``u``'s shape) may be ``wu`` itself; otherwise ``wu`` and
+    ``du`` are left unchanged.
+    """
+    prod = np.subtract(wu, du, out=out)
     np.multiply(prod, u, out=prod)
     # Floating point can produce a tiny negative value for a PSD form.
     return np.maximum(np.sum(prod.reshape(*prod.shape[:-2], -1), axis=-1), 0.0)

@@ -11,10 +11,12 @@ map onto this module as follows:
     rewritten kernels run them as ``out=``-form BLAS calls — so steady-
     state iterations allocate **no** new ``N×M`` (or ``N×K``) arrays.
     Products shared between the objective at ``(U_t, V_t)`` and the
-    next U-step — the masked reconstruction and ``D·U_t`` (the
-    objective's penalty is :func:`repro.core.objective.graph_penalty`)
-    — are memoized on factor write generations and computed once, so
-    an iteration runs Proposition 1's one ``O(pNK)`` graph product.
+    next U-step — the masked reconstruction, ``D·U_t`` and
+    ``W·U_t = deg ⊙ U_t`` (the objective's penalty is
+    :func:`repro.core.objective.graph_penalty`) — are memoized on
+    factor write generations and computed once, so an iteration runs
+    Proposition 1's one ``O(pNK)`` graph product; a stack sharing one
+    graph runs it as one CSR product on a block-diagonal copy.
 ``t2·KNL``
     The landmark-block contributions.  The landmark columns of ``V``
     are frozen for the whole fit, so their Gram products
@@ -78,7 +80,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.objective import graph_penalty, masked_residual_sq
+from ..core.objective import graph_penalty, masked_residual_sq, penalty_from_products
 from ..core.updates import (
     gradient_update_u,
     gradient_update_v,
@@ -277,6 +279,37 @@ class _SparseObserved:
         )
 
 
+def _block_diagonal(op, b: int):
+    """``diag(op, …, op)`` with ``b`` blocks, as one CSR matrix.
+
+    Row ``i·N + r`` holds row ``r`` of ``op`` (its CSR form): the same
+    nonzeros in the same order, columns shifted to member ``i``'s block.
+    scipy accumulates a CSR row's products in stored order whatever the
+    number of dense columns, so ``block @ U.reshape(B·N, K)`` gives
+    every member the bits of its own ``op @ U[i]``.
+    """
+    from scipy import sparse
+
+    op = op.tocsr()
+    n_rows, n_cols = op.shape
+    nnz = int(op.indptr[-1])
+    shift = np.arange(b, dtype=np.int64)[:, None]
+    indptr = np.append((op.indptr[:-1] + nnz * shift).ravel(), b * nnz)
+    indices = (op.indices + n_cols * shift).ravel()
+    return sparse.csr_matrix(
+        (np.tile(op.data, b), indices, indptr), shape=(b * n_rows, b * n_cols)
+    )
+
+
+def _stack_operator(op, shape: tuple[int, ...]):
+    """The operator a ``U`` of ``shape`` is multiplied by: ``op`` itself
+    for one fit or a dense ``op`` (``matmul`` broadcasts it over a
+    stack), else its block-diagonal copy over the member-major rows."""
+    if len(shape) == 2 or isinstance(op, np.ndarray):
+        return op
+    return _block_diagonal(op, shape[0])
+
+
 @dataclass
 class _GraphPlan:
     """How the kernel evaluates the graph terms ``lam·D U`` / ``lam·W U``.
@@ -289,15 +322,17 @@ class _GraphPlan:
     The operator fields are set when every member with ``lam != 0``
     holds the **same operator object** (``is`` identity) — always for
     one fit, and for a stack when the runner coalesced cells of one
-    cached graph.  Then the graph products run once for the whole
-    stack, and the elementwise ops run on operands of one layout:
-    ``deg3`` is the shared degree column and ``lam_stack`` each
-    member's ``lam`` (0 for members without a graph term, whose
-    finite contributions are then exact zeros), both repeated to ``U``'s
-    shape; ``lam3`` is ``lam`` per member and ``lam_flat`` is ``lam``
-    in the node-major ``(N, B·K)`` layout of a stacked sparse product.
-    For one fit all three ``lam`` fields are the plain float.
-    Members with their own operators fall back to a per-member loop.
+    cached graph.  Then each graph product runs once for the whole
+    stack: ``similarity``/``laplacian`` are the shared operator, or for
+    a stack its block-diagonal copy (:func:`_block_diagonal`) that
+    multiplies the member-major ``U.reshape(B·N, K)`` in one CSR
+    product whose result is already in ``U``'s layout.  ``deg3`` is
+    the shared degree column and ``lam_stack`` each member's ``lam`` (0
+    for members without a graph term, whose finite contributions are
+    then exact zeros), both repeated to ``U``'s shape; ``lam3`` is
+    ``lam`` per member.  For one fit both ``lam`` fields are the plain
+    float.  Members with their own operators fall back to a per-member
+    loop.
     """
 
     terms: list
@@ -307,7 +342,6 @@ class _GraphPlan:
     deg3: np.ndarray | None = None
     lam3: object = None
     lam_stack: object = None
-    lam_flat: object = None
 
     @classmethod
     def build(cls, terms, shape: tuple[int, ...]) -> "_GraphPlan":
@@ -322,21 +356,19 @@ class _GraphPlan:
             and all(t.similarity is first.similarity for t in graph)
             and all(np.array_equal(t.degree, first.degree) for t in graph)
         ):
-            plan.similarity = first.similarity
+            plan.similarity = _stack_operator(first.similarity, shape)
             col = np.asarray(first.degree, dtype=np.float64).reshape(-1, 1)
             plan.deg3 = np.ascontiguousarray(np.broadcast_to(col, shape))
         if first.laplacian is not None and all(
             t.laplacian is first.laplacian for t in graph
         ):
-            plan.laplacian = first.laplacian
+            plan.laplacian = _stack_operator(first.laplacian, shape)
         if len(shape) == 2:
-            plan.lam3 = plan.lam_stack = plan.lam_flat = float(first.lam)
+            plan.lam3 = plan.lam_stack = float(first.lam)
         else:
-            n, k = shape[-2:]
             lams = np.array([t.lam for t in terms], dtype=np.float64)
             plan.lam3 = lams.reshape(-1, 1, 1)
             plan.lam_stack = np.ascontiguousarray(np.broadcast_to(plan.lam3, shape))
-            plan.lam_flat = np.tile(np.repeat(lams, k), (n, 1))
         return plan
 
 
@@ -364,12 +396,14 @@ class KernelWorkspace(BufferArena):
     ``...ij`` reductions.  NumPy's stacked ``matmul`` applies the 2-D
     gemm to each slice, so every member of a stack gets the bits of
     its own 2-D fit.  A single fit's graph terms come from the
-    :class:`~repro.engine.kernels.KernelContext` passed to :meth:`step`;
-    a stack's from its members (see :class:`_GraphPlan`).
+    :class:`~repro.engine.kernels.KernelContext` it is built with
+    (``ctx``; a :meth:`step` under another context rebinds them); a
+    stack's from its members (see :class:`_GraphPlan`).
 
     Each product is evaluated once per iteration: the objective's
-    ``R_O(U V)`` and ``D·U`` (its penalty's product) are memoized for
-    the next U-step under ``(array ids, write generation)`` keys.  The
+    ``R_O(U V)``, ``D·U`` and ``W·U`` (its penalty's products) are
+    memoized for the next U-step under ``(array ids, write generation)``
+    keys.  The
     workspace is the only writer of the factors it hands out and every
     write goes through :meth:`out_for`, which bumps the generation, so
     an unchanged key means unchanged operands.
@@ -385,6 +419,7 @@ class KernelWorkspace(BufferArena):
         frozen_prefix: int | None = None,
         v0: np.ndarray | None = None,
         members: list | None = None,
+        ctx: KernelContext | None = None,
     ) -> None:
         if mode not in ("dense", "sparse"):
             raise ValidationError(f"unknown workspace mode {mode!r}")
@@ -409,6 +444,7 @@ class KernelWorkspace(BufferArena):
         self._recon_key: tuple[int, int, int] | None = None
         self._du_key: tuple[int, int] | None = None
         self._du = None
+        self._wu_key: tuple[int, int] | None = None
         self._live_mask: tuple[int, np.ndarray] | None = None
         self.members = None if members is None else list(members)
         self.step_deltas: dict[str, float] = {}
@@ -416,6 +452,10 @@ class KernelWorkspace(BufferArena):
         self._graph_plan = _GraphPlan([])
         if self.members is not None:
             self._graph_plan = _GraphPlan.build(self.members, self._u_shape())
+        elif ctx is not None:
+            if v0 is None:
+                raise ValidationError("a workspace built with ctx needs v0")
+            self._bind(ctx, (self.shape[0], v0.shape[0]))
         if mode == "sparse":
             # The Gram split needs the landmark columns fully observed
             # (true under the default injection protocol, which only
@@ -453,6 +493,11 @@ class KernelWorkspace(BufferArena):
     def _u_shape(self) -> tuple[int, int, int]:
         return (len(self.members), *self.members[0].u0.shape)
 
+    def _bind(self, ctx: KernelContext, u_shape: tuple[int, int]) -> None:
+        """Take a single fit's graph terms from ``ctx``."""
+        self._ctx = ctx
+        self._graph_plan = _GraphPlan.build([ctx], u_shape)
+
     def out_for(self, name: str, current: np.ndarray) -> np.ndarray:
         """Ping-pong factor output; bumps the memo write generation."""
         self._gen += 1
@@ -464,52 +509,46 @@ class KernelWorkspace(BufferArena):
         ``np.take`` along axis 0 copies whole contiguous slices, so the
         surviving members' data/mask bits are untouched; the named
         scratch buffers re-allocate lazily at the new batch size (the
-        shape check in :meth:`BufferArena.buf`).  The memos are
-        dropped: the factors the caller passes next are new arrays.
+        shape check in :meth:`BufferArena.buf`), and the graph plan's
+        block operators are rebuilt for it.  The memos are dropped: the
+        factors the caller passes next are new arrays.
         """
         self.x_observed = np.take(self.x_observed, keep, axis=0)
         self.observed_f = np.take(self.observed_f, keep, axis=0)
         self.shape = self.x_observed.shape
         self.members = [self.members[i] for i in keep]
-        self._recon_key = self._du_key = self._du = self._live_mask = None
+        self._recon_key = self._du_key = self._du = self._wu_key = None
+        self._live_mask = None
         self._graph_plan = _GraphPlan.build(self.members, self._u_shape())
 
     # ------------------------------------------------- shared graph terms
 
-    def _apply(self, name: str, op, u: np.ndarray):
-        """``op @ U`` for every member: ``(product, product in U's shape)``.
+    def _apply(self, name: str, op, u: np.ndarray) -> np.ndarray:
+        """``op @ U`` for every member, in ``U``'s shape.
 
         A dense ``op`` broadcasts over a stack into a named buffer.  A
-        sparse one runs one product on the node-major ``(N, B·K)``
-        operand (a 2-D ``U`` is its own), **bit-identical** per member
-        to separate products: a sparse row's accumulation order depends
-        only on the operator's nonzero structure, never on how many
-        dense columns sit next to each other.  The product allocates
-        ``O(N K)`` and costs ``O(p N K)`` — the sparsity Proposition 1
+        sparse one (a stack's block-diagonal copy, see
+        :class:`_GraphPlan`) runs one CSR product on the member-major
+        ``U.reshape(-1, K)`` — a view of ``U`` — and its result
+        reshapes back without a copy.  The product allocates ``O(N K)``
+        and costs ``O(p N K)`` per member: the sparsity Proposition 1
         assumes.
         """
         if isinstance(op, np.ndarray):
             out = self.buf(name, u.shape)
             np.matmul(op, u, out=out)
-            return out, out
-        if u.ndim == 2:
-            out = np.asarray(op @ u)
-            return out, out
-        b, n, k = u.shape
-        flat = self.buf("u_node", (n, b * k))
-        np.copyto(flat.reshape(n, b, k), u.transpose(1, 0, 2))
-        out = np.asarray(op @ flat)
-        return out, out.reshape(n, b, k).transpose(1, 0, 2)
+            return out
+        return np.asarray(op @ u.reshape(-1, u.shape[-1])).reshape(u.shape)
 
     def _similarity_product(self, u: np.ndarray):
         """``D·U``, memoized on ``(id(U), write generation)``.
 
         The objective's penalty at ``U_t`` and the U-step of iteration
         ``t+1`` read the same product, so an iteration evaluated every
-        step runs one graph product.  A shared operator gives
-        :meth:`_apply`'s pair; otherwise a per-member list (``None``
-        where ``lam == 0``).  A caller that scales it in place must
-        clear ``_du_key``.
+        step runs one graph product.  A shared operator gives one array
+        in ``U``'s shape; otherwise a per-member list (``None`` where
+        ``lam == 0``).  A caller that scales it in place must clear
+        ``_du_key``.
         """
         key = (id(u), self._gen)
         if self._du_key != key:
@@ -526,30 +565,40 @@ class KernelWorkspace(BufferArena):
             self._du_key = key
         return self._du
 
+    def _degree_product(self, u: np.ndarray) -> np.ndarray:
+        """``W·U = deg ⊙ U`` on a shared plan, memoized like
+        :meth:`_similarity_product`: the objective's penalty at ``U_t``
+        and the next U-step's ``lam·W U_t`` share one ``N×K`` pass.  A
+        caller that scales it in place must clear ``_wu_key``."""
+        wu = self.buf("graph_wu", u.shape)
+        key = (id(u), self._gen)
+        if self._wu_key != key:
+            np.multiply(self._graph_plan.deg3, u, out=wu)
+            self._wu_key = key
+        return wu
+
     def _add_graph_terms(self, num: np.ndarray, den: np.ndarray, u: np.ndarray) -> None:
         """Add ``lam·D U`` / ``lam·W U`` in the reference op order.
 
-        The ``lam`` scaling runs in the product's own layout (the
-        node-major one for a stacked sparse product) and the degree
-        term on the layout-matched ``deg3``: they round the same as
-        with a strided or broadcast operand, and run several times
-        faster.
+        On a shared plan both products come from the memos (the
+        objective's, when it ran at this ``U``) and are scaled by the
+        layout-matched ``lam_stack`` in place: the same rounding as the
+        reference's ``lam * (D @ U)`` and ``lam * (deg ⊙ U)``.
         """
         plan = self._graph_plan
         if not plan.active:
             return
         du = self._similarity_product(u)
-        # The in-place ``lam`` scaling below uses the memo up.
-        self._du_key = None
         if plan.deg3 is not None:
-            raw, view = du
-            raw *= plan.lam_stack if raw.ndim == u.ndim else plan.lam_flat
-            num += view
-            t = self.buf("graph_den", u.shape)
-            np.multiply(plan.deg3, u, out=t)
-            t *= plan.lam_stack
-            den += t
+            wu = self._degree_product(u)
+            # The in-place ``lam`` scaling below uses both memos up.
+            self._du_key = self._wu_key = None
+            du *= plan.lam_stack
+            num += du
+            wu *= plan.lam_stack
+            den += wu
             return
+        self._du_key = None
         t = self.buf("graph_den", u.shape[1:])
         for i, term in enumerate(plan.terms):
             if term.lam == 0.0:
@@ -659,7 +708,7 @@ class KernelWorkspace(BufferArena):
         np.matmul(recon, self._vt(v), out=grad)
         plan = self._graph_plan
         if plan.active and plan.laplacian is not None:
-            _, t = self._apply("lap_u", plan.laplacian, u)
+            t = self._apply("lap_u", plan.laplacian, u)
             t *= 2.0 * plan.lam3
             grad += t
         elif plan.active:
@@ -786,8 +835,7 @@ class KernelWorkspace(BufferArena):
         both iterates are in cache); a stack reports none.
         """
         if self.members is None and ctx is not self._ctx:
-            self._ctx = ctx
-            self._graph_plan = _GraphPlan.build([ctx], u.shape)
+            self._bind(ctx, u.shape)
         if self.rule == "gradient":
             u_next = self._grad_u_dense(x_observed, u, v, ctx)
             v_next = self._grad_v_dense(x_observed, u_next, v, ctx)
@@ -807,18 +855,20 @@ class KernelWorkspace(BufferArena):
 
     def _penalties(self, u: np.ndarray):
         """:func:`repro.core.objective.graph_penalty` per member, from the
-        shared plan's memoized ``D·U`` and its layout-matched degree
-        stack, into a scratch buffer: the bits of the plain call,
-        without its allocations."""
-        _, du = self._similarity_product(u)
-        return graph_penalty(
-            u, du, self._graph_plan.deg3, out=self.buf("penalty", u.shape)
+        shared plan's memoized ``D·U`` and ``W·U`` into a scratch
+        buffer: the bits of the plain call, without its allocations or
+        its ``deg ⊙ U`` pass."""
+        return penalty_from_products(
+            u,
+            self._similarity_product(u),
+            self._degree_product(u),
+            out=self.buf("penalty", u.shape),
         )
 
     def graph_penalty(self, u: np.ndarray, similarity, degree: np.ndarray) -> float:
-        """``Tr(Uᵀ L U)`` of one fit, reading the ``D·U`` memo the next
-        U-step reuses (the plain form until a step has bound
-        ``similarity``)."""
+        """``Tr(Uᵀ L U)`` of one fit, reading the ``D·U``/``W·U`` memos
+        the next U-step reuses (the plain form for a graph the
+        workspace was not bound to)."""
         if self._graph_plan.deg3 is None or self._graph_plan.similarity is not similarity:
             return ReferenceKernel.graph_penalty(u, similarity, degree)
         return float(self._penalties(u))
@@ -862,8 +912,15 @@ class KernelWorkspace(BufferArena):
 
     def objective(self, x_observed, u, v):
         """The data term plus ``lam``·penalty, in ``SMF._objective``'s op
-        order: a float for a single fit (its graph term bound by the
-        last :meth:`step`), one value per member for a stack."""
+        order: a float for a single fit, one value per member for a
+        stack.  A single fit's graph term is the bound context's, so a
+        workspace built without ``ctx`` refuses to evaluate before its
+        first :meth:`step`."""
+        if self.members is None and self._ctx is None:
+            raise ValidationError(
+                "objective needs the fit's graph terms: build the workspace "
+                "with ctx or step it first"
+            )
         data = self.masked_objective(x_observed, u, v)
         plan = self._graph_plan
         if not plan.active:
@@ -943,6 +1000,7 @@ def build_kernel(
     frozen_prefix: int | None = None,
     v0: np.ndarray | None = None,
     scheduler=None,
+    ctx: KernelContext | None = None,
 ):
     """The per-fit kernel object for ``update_rule`` on ``kernel_path``.
 
@@ -953,7 +1011,8 @@ def build_kernel(
     :func:`resolve_kernel_path`) to a :class:`ReferenceKernel` or a
     dense/sparse :class:`KernelWorkspace`.  ``frozen_prefix``/``v0``
     let the sparse path cache the frozen landmark block
-    (:class:`GramCache`).
+    (:class:`GramCache`); a workspace binds its graph terms from
+    ``ctx``, the context its steps will receive.
     """
     if update_rule not in UPDATE_RULES:
         raise ValidationError(
@@ -980,4 +1039,5 @@ def build_kernel(
         rule=update_rule,
         frozen_prefix=frozen_prefix,
         v0=v0,
+        ctx=ctx,
     )

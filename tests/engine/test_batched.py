@@ -158,6 +158,35 @@ class TestBatchedVsLooped:
         iters = sorted({m.n_iter_ for m, _, _ in batched})
         assert len(iters) > 1, "tolerance never produced ragged convergence"
 
+    @pytest.mark.parametrize("cls", [SMF, SMFL], ids=["smf", "smfl"])
+    def test_ragged_dropout_rebuilds_block_operator(self, monkeypatch, cls):
+        # A shared-graph stack evaluated every step: the objective's
+        # W·U and D·U memos are live when a member converges, and the
+        # compacted stack multiplies a block-diagonal D at its new B.
+        blocks = []
+        compact = KernelWorkspace.compact
+
+        def spy(ws, keep):
+            old = ws._graph_plan.similarity
+            compact(ws, keep)
+            assert ws._wu_key is None and ws._du_key is None
+            blocks.append((old, ws._graph_plan.similarity, len(keep)))
+
+        monkeypatch.setattr(KernelWorkspace, "compact", spy)
+
+        def factory(seed):
+            return cls(rank=RANK, max_iter=150, tol=2e-3, random_state=seed)
+
+        batched, looped = fit_pair(factory, range(5), problem=make_shared_graph_problem)
+        assert_models_identical(batched, looped)
+        assert blocks, "no compaction on the stacked shared-graph path"
+        n = batched[0][0].u_.shape[0]
+        for old, new, b in blocks:
+            assert new is not old
+            assert new.shape == (b * n, b * n)
+        iters = sorted({m.n_iter_ for m, _, _ in batched})
+        assert len(iters) > 1, "tolerance never produced ragged convergence"
+
     @staticmethod
     def _assert_mixed_identical(problem, eval_every):
         # nmf and smf cells with the same shape/rank stack together;

@@ -25,6 +25,7 @@ from repro.core.batched_fit import fit_models_batched
 from repro.core.objective import masked_frobenius_sq, smoothness_penalty
 from repro.engine import Callback, ConvergenceMonitor, IterativeEngine, Telemetry
 from repro.engine.callbacks import IterationRecord
+from repro.engine.workspace import KernelWorkspace
 from repro.obs.live.events import EventLog, RingBufferSink, use_event_log
 
 from .test_engine import CountingSolver, StopAtSolver
@@ -182,17 +183,29 @@ class TestOneGraphProductPerIteration:
     )
     def test_n_iter_plus_one_similarity_products(self, monkeypatch, name, path, batch):
         # Per graph, whether one fit uses it or a stacked batch shares
-        # it: one D·U per iteration plus the final objective's.
-        calls: list[object] = []
+        # it: one D·U per iteration plus the final objective's.  A
+        # stack sharing the graph multiplies its block-diagonal copy
+        # (built once per fit) by the member-major U; no node-major
+        # (N, B·K) copy of U exists.
+        calls: list[tuple[object, np.ndarray]] = []
         spmm = sp.csr_matrix.__matmul__
 
         def counting(op, other):
-            calls.append(op)
+            calls.append((op, other))
             return spmm(op, other)
 
+        stacks: list[KernelWorkspace] = []
+        stacked = KernelWorkspace.stacked.__func__
+
+        def spy(cls, fits, **kwargs):
+            stacks.append(stacked(cls, fits, **kwargs))
+            return stacks[-1]
+
         monkeypatch.setattr(sp.csr_matrix, "__matmul__", counting)
+        monkeypatch.setattr(KernelWorkspace, "stacked", classmethod(spy))
         for max_iter in (5, 12):
             calls.clear()
+            stacks.clear()
             jobs = [
                 (
                     _model(name, "multiplicative", path, seed, tol=0.0, eval_every=1),
@@ -208,10 +221,23 @@ class TestOneGraphProductPerIteration:
             else:
                 fit_models_batched(jobs)
             for model, _, _ in jobs:
-                graph = model._graph
                 assert model.n_iter_ == max_iter
-                assert sum(op is graph.similarity_op for op in calls) == max_iter + 1
-                assert not any(op is graph.laplacian_op for op in calls)
+                assert not any(op is model._graph.laplacian_op for op, _ in calls)
+            shared = len(set(batch or [])) == 1 and len(batch) > 1
+            if not shared:
+                for model, _, _ in jobs:
+                    graph = model._graph
+                    n = sum(op is graph.similarity_op for op, _ in calls)
+                    assert n == max_iter + 1
+                continue
+            (ws,) = stacks
+            block = ws._graph_plan.similarity
+            b, n, k = len(jobs), *jobs[0][0].u_.shape
+            assert block.shape == (b * n, b * n)
+            assert len(calls) == max_iter + 1
+            assert all(op is block for op, _ in calls)
+            assert all(u.shape == (b * n, k) for _, u in calls)
+            assert all(buf.shape != (n, b * k) for buf in ws._buffers.values())
 
 
 class TestStopReason:

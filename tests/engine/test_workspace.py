@@ -280,6 +280,35 @@ class TestFullObjective:
             assert isinstance(value, float)
             assert value == model._objective(x_observed, u, v, observed)
 
+    @staticmethod
+    def _smf_40(rng):
+        x = rng.random((40, 6)) * 3
+        x[rng.random(x.shape) < 0.2] = np.nan
+        x[:, :2] = rng.random((40, 2)) * 10
+        return SMF(rank=3, n_spatial=2, random_state=0, kernel_path="workspace"), x
+
+    def test_single_fit_before_first_step_keeps_the_penalty(self, rng):
+        # The fit's workspace binds its graph terms at construction, so
+        # an objective before any step already carries lam·penalty
+        # (binding at the first step gave the data term alone).
+        model, x = self._smf_40(rng)
+        plan = model._fit_setup(x)
+        kernel = model._kernel
+        value = kernel.objective(plan.x_observed, plan.u, plan.v)
+        data = kernel.masked_objective(plan.x_observed, plan.u, plan.v)
+        assert isinstance(value, float)
+        assert value == model._objective(
+            plan.x_observed, plan.u, plan.v, plan.observed
+        )
+        assert value > data
+
+    def test_unbound_single_fit_refuses_objective(self, rng):
+        model, x = self._smf_40(rng)
+        plan = model._fit_setup(x)
+        ws = KernelWorkspace(plan.x_observed, plan.observed)
+        with pytest.raises(ValidationError, match="graph terms"):
+            ws.objective(plan.x_observed, plan.u, plan.v)
+
 
 class TestBuildKernelWorkspace:
     def test_reference_returns_reference_kernel(self, rng):

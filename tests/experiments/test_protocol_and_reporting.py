@@ -14,7 +14,8 @@ from repro.experiments import (
     run_experiment,
     run_method_on_trial,
 )
-from repro.experiments.protocol import average_rms
+from repro.data import load_dataset
+from repro.experiments.protocol import DATASET_SEEDS, FAST_ROWS, average_rms
 from repro.experiments.reporting import format_series
 
 
@@ -47,6 +48,20 @@ class TestPrepareTrial:
     def test_unknown_task(self):
         with pytest.raises(ValueError, match="unknown task"):
             prepare_trial("lake", task="paint", fast=True)
+
+    def test_trials_share_one_read_only_dataset(self):
+        a = prepare_trial("lake", seed=0, fast=True)
+        b = prepare_trial("lake", missing_rate=0.3, seed=4, fast=True)
+        assert a.dataset is b.dataset
+        fresh = load_dataset(
+            "lake", n_rows=FAST_ROWS["lake"], random_state=DATASET_SEEDS["lake"]
+        )
+        assert a.dataset.values.dtype == fresh.values.dtype
+        assert a.dataset.values.tobytes() == fresh.values.tobytes()
+        assert a.dataset.labels.tobytes() == fresh.labels.tobytes()
+        assert a.dataset.column_names == fresh.column_names
+        assert not a.dataset.values.flags.writeable
+        assert not a.dataset.labels.flags.writeable
 
     def test_deterministic_per_seed(self):
         a = prepare_trial("lake", seed=3, fast=True)
