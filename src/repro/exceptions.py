@@ -48,7 +48,9 @@ class NumericalDivergenceError(ReproError, ArithmeticError):
     running out the iteration budget on NaN/inf factors.  The message
     names the iteration, the update rule, the step size of a
     step-size rule (gradient, SGD, SVRG) and, for a member of a
-    stacked fit, the member's index in the stack.
+    stacked fit, the member's index in the stack.  For SGD and SVRG it
+    also cites the step-size conditions under which those rules
+    converge (Zhao, Haskell and Feng, arXiv:1705.06884).
     """
 
     @classmethod
@@ -68,7 +70,15 @@ class NumericalDivergenceError(ReproError, ArithmeticError):
             if learning_rate is None or update_rule == "multiplicative"
             else f" with learning_rate {learning_rate!r}"
         )
+        # The stochastic rules converge only under step-size conditions.
+        advice = (
+            "; see the step-size conditions of Zhao, Haskell and Feng, "
+            "'A Unified Framework for Stochastic Matrix Factorization via "
+            "Variance Reduction' (arXiv:1705.06884)"
+            if update_rule in ("sgd", "svrg")
+            else ""
+        )
         return cls(
             f"objective is {objective!r} at iteration {iteration} of "
-            f"update_rule {update_rule!r}{step}{where}: the fit diverged"
+            f"update_rule {update_rule!r}{step}{where}: the fit diverged{advice}"
         )

@@ -54,8 +54,11 @@ row's candidate training rows by squared distance, one spatial
 coordinate at a time, and keeps the ``p`` nearest in (distance, index)
 order.  In a large batch a fully observed row's candidates come from
 the spatial graph's grid index (:attr:`FittedModel.training_grid`): a
-few dozen rows of its cell neighbourhood, kept only when an exclusion
-bound proves no other training row is nearer.  Every other row scans
+few dozen rows of its cell neighbourhood, read from a per-level table
+of every cell's neighbourhood that the index builds once per model
+(:meth:`~repro.spatial.similarity.GridIndex.candidates`, int32, 1.6
+MiB on the serve_foldin model), and kept only when an exclusion bound
+proves no other training row is nearer.  Every other row scans
 all ``N`` training rows, in two grow-only ``B x N`` arena blocks (the
 running sum and the current coordinate's term) that every batch size
 shares; no ``B x N x L`` block exists.  Both paths select the same
@@ -73,7 +76,7 @@ from ..exceptions import ValidationError
 from ..masking.mask import ObservationMask
 from ..model.fitted import FittedModel, coerce_observations
 from ..spatial.neighbors import smallest_p
-from ..spatial.similarity import _CANDIDATE_ELEMENTS, GridIndex, _candidate_lists
+from ..spatial.similarity import _CANDIDATE_ELEMENTS, GridIndex, _locate
 from ..validation import check_nonnegative, check_positive_int
 
 __all__ = [
@@ -163,17 +166,23 @@ def _coerce_rows(
     return x, observation, was_row
 
 
-_GRID_MIN_ROWS = 128
+_GRID_MIN_ROWS = 64
 """Smallest batch whose prior tries the model's grid index.
 
 A batch this large ranks its fully observed rows on
 :attr:`FittedModel.training_grid` instead of scanning all ``N``
 training rows; smaller batches scan.  Both paths select the same
-neighbours, so the number only moves time.  Locating a batch's rows
-and ranking their candidates is a fixed cost of about a hundred numpy
-calls per level, which the grid repays from about this many rows on
-the serve_foldin model (``N = 2000``, the only size measured):
-interleaved, the grid was slower at 112 rows and faster at 128."""
+neighbours, so the number only moves time.  With the per-level
+candidate tables built once per model (:meth:`GridIndex.candidates`),
+the grid's cost per batch is locating the rows and ranking their
+candidates.  Timed interleaved against the scan (one BLAS thread,
+medians of 60 batches per size of serve_foldin's request rows, on the
+serve_foldin model and on one fitted to 8,000 rows of the same
+generator): at ``N = 2000`` the two tied at 64 rows (1.37 against 1.35
+ms) and the grid won from 96 (1.65 against 2.10 ms); at ``N = 8000``
+they crossed at about 28 rows (1.52 against 1.57 ms, and 1.43 against
+1.39 ms at 24).  The crossover falls as the scan grows with ``N``; the
+cut-over is the ``N = 2000`` tie."""
 
 _MAX_PASSES = 8
 """Largest ``p`` selected by ``p`` passes of ``argmin``; larger ``p``
@@ -329,43 +338,43 @@ def _grid_nearest(
     """Fill ``nearest[rows]`` where the grid index settles; return the rest.
 
     ``rows`` have every spatial coordinate observed and finite.  Each
-    is ranked against its candidates, fine level to coarse: index-ordered
-    lists padded with an extra training column at +inf, the scan's
-    distance form and :func:`_nearest`'s (distance, index) selection.
-    It is settled when its ``p``-th distance is strictly below the
-    square of its exclusion bound, as no other training row can then
-    tie or beat it.  Only a row with fewer than ``p`` candidates tries
-    the next level; the other unsettled rows, and rows that run out of
-    levels, are returned for the scan.  (On clustered locations a
-    coarser neighbourhood around a row that failed its bound holds a
-    large share of the training rows: on the serve_foldin model, 39
-    such rows of a 256-row batch have 12.6k level-1 candidates, which
-    cost more to rank than scanning their 78k distances.)
+    is ranked against its candidates, fine level to coarse: its cell's
+    row of the level's table (:meth:`GridIndex.candidates`, built once
+    per model, index-ordered and padded with an extra training column
+    at +inf), the scan's distance form and :func:`_nearest`'s
+    (distance, index) selection.  It is settled when its ``p``-th
+    distance is strictly below the square of its exclusion bound, as no
+    other training row can then tie or beat it.  Every unsettled row
+    tries the next level, and rows that run out of levels are returned
+    for the scan.  Climbing beat scanning the unsettled rows at once
+    (interleaved 256-row batches: 2.11-2.14 against 2.18-2.22 ms at
+    ``N = 2000``, 4.07 against 4.73 ms at ``N = 8000``): a coarse
+    neighbourhood can hold a large share of the training rows, but its
+    candidates cost one gather, and the scan costs ``N`` per row.
     """
     n_spatial, n_train = locations.shape
     padded = np.concatenate([locations, np.full((n_spatial, 1), np.inf)], axis=1)
-    no_blank = np.empty(0, dtype=np.int64)
-    left, pending = [], rows
-    for level in index.levels:
+    pending = rows
+    for k, level in enumerate(index.levels):
         if pending.size == 0:
             break
         xq = x[pending, :n_spatial].T
-        starts, counts, bound = index.neighbourhoods(level, xq)
+        slabs, bound = _locate(xq[:len(level.shape)], level.shape, level.tables)
+        table, widths = index.candidates(k)
+        cells = np.ravel_multi_index(tuple(slabs), level.shape)
         # Pending rows by candidate width, batched under the element
-        # budget, each batch padded to its widest row.
-        width = counts.sum(axis=1)
+        # budget, each batch gathered to its widest row; rows with fewer
+        # than p candidates wait for a coarser level.
+        width = widths[cells]
         queries = np.argsort(width, kind="stable")
-        few = queries[:np.searchsorted(width[queries], p)]
-        queries = queries[few.size:]
-        unsettled = np.zeros(pending.size, dtype=bool)
-        unsettled[queries] = True
+        queries = queries[np.searchsorted(width[queries], p):]
+        unsettled = np.ones(pending.size, dtype=bool)
         start = 0
         while start < queries.size:
             load = np.arange(1, queries.size - start + 1) * width[queries[start:]]
             stop = start + max(1, int(np.searchsorted(load, _CANDIDATE_ELEMENTS, side="right")))
             q = queries[start:stop]
-            cand = _candidate_lists(starts[q], counts[q], level.members, no_blank,
-                                    int(width[q[-1]]), n_train)
+            cand = table[cells[q], :width[q[-1]]]
             dist = np.empty(cand.shape)
             _prior_distances(xq[:, q, None], np.take(padded, cand, axis=1), None, dist,
                              np.empty(cand.shape))
@@ -377,9 +386,8 @@ def _grid_nearest(
             nearest_d2[done] = vals[ok]
             unsettled[q[ok]] = False
             start = stop
-        left.append(pending[unsettled])
-        pending = pending[few]
-    return np.concatenate(left + [pending])
+        pending = pending[unsettled]
+    return pending
 
 
 def fold_in(

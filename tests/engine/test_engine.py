@@ -178,6 +178,29 @@ class TestDivergenceGuard:
             model.fit(diverging_lake())
         assert f"'{rule}' with learning_rate 0.00025" in str(info.value)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "rule, cited",
+        [("sgd", True), ("svrg", True), ("multiplicative", False), ("gradient", False)],
+    )
+    def test_stochastic_rules_cite_the_step_size_conditions(self, rule, cited):
+        from repro.core import SMFL
+
+        model = SMFL(
+            rank=4, max_iter=5, random_state=0, update_rule=rule,
+            learning_rate=2.5e-4,
+        )
+        with pytest.raises(NumericalDivergenceError) as info:
+            model.fit(diverging_lake())
+        message = str(info.value)
+        citation = (
+            "step-size conditions of Zhao, Haskell and Feng, 'A Unified "
+            "Framework for Stochastic Matrix Factorization via Variance "
+            "Reduction'"
+        )
+        assert (citation in message) == cited
+        assert ("Zhao" in message) == cited
+
     def test_generic_solver_is_named_by_its_name(self):
         class Blowup(CountingSolver):
             name = "blowup"

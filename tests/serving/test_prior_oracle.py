@@ -30,7 +30,8 @@ from repro.exceptions import ValidationError
 from repro.model import FittedModel, load_model
 from repro.serving import fold_in, foldin
 from repro.serving.foldin import _nearest, _spatial_prior
-from repro.spatial.similarity import GridIndex
+from repro.spatial import similarity
+from repro.spatial.similarity import GridIndex, _locate
 
 from . import reference_prior as ref
 
@@ -105,9 +106,14 @@ def grid_inputs(draw):
     row holding a 1e300 coordinate (all its distances overflow), or
     ``None``.
     """
+    queries = draw(st.sampled_from(
+        ["inside", "outside", "training rows", "half lattice", "holes"]))
     n_spatial = draw(st.sampled_from([1, 2, 3, 4]))
     n_train = draw(st.sampled_from([3, 40, 600]))
-    layout = draw(st.sampled_from(["uniform", "duplicates", "clustered", "lattice"]))
+    if queries == "holes":
+        layout = "clustered"
+    else:
+        layout = draw(st.sampled_from(["uniform", "duplicates", "clustered", "lattice"]))
     n_rows = draw(st.sampled_from([foldin._GRID_MIN_ROWS, 256, 300]))
     p = draw(st.sampled_from([1, 3, 7, n_train, n_train + 5]))
     rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
@@ -116,8 +122,9 @@ def grid_inputs(draw):
     locations = model.training_locations.T
     lo, span = locations.min(axis=0), np.ptp(locations, axis=0)
     x = rng.random((n_rows, model.n_cols)) * 3.0
-    queries = draw(st.sampled_from(["inside", "outside", "training rows", "half lattice"]))
-    if queries == "inside":
+    if queries == "holes":
+        x[:, :n_spatial] = _holes(model, n_rows, min(p, n_train), rng)
+    elif queries == "inside":
         x[:, :n_spatial] = lo + rng.random((n_rows, n_spatial)) * span
     elif queries == "outside":
         # The bounding box tripled: most queries fall outside it.
@@ -141,6 +148,23 @@ def grid_inputs(draw):
         x[huge_row, col], observed[huge_row, col] = 1e300, True
     x[~observed] = 0.0
     return model, x, observed, p, huge_row
+
+
+def _holes(model: FittedModel, n_rows: int, p: int, rng) -> np.ndarray:
+    """``(n_rows, L)`` points between the training locations whose
+    level-0 neighbourhood holds fewer than ``p`` training rows, so each
+    climbs to a coarser level (any points when the layout has none)."""
+    locations = model.training_locations
+    lo, span = locations.min(axis=1), np.ptp(locations, axis=1)
+    points = (lo[:, None] + rng.random((locations.shape[0], 50 * n_rows)) * span[:, None])
+    index = model.training_grid
+    if index.levels:
+        level = index.levels[0]
+        slabs, _ = _locate(points[:len(level.shape)], level.shape, level.tables)
+        width = index.candidates(0)[1][np.ravel_multi_index(tuple(slabs), level.shape)]
+        if (width < p).any():
+            points = points[:, width < p]
+    return points[:, rng.integers(0, points.shape[1], n_rows)].T
 
 
 def _prior_via(path: str, model, x, observed, p):
@@ -199,6 +223,28 @@ class TestGridPath:
         with mock.patch.object(foldin, "_grid_nearest") as spy:
             _spatial_prior(model, x[:8], observed[:8], 3, BufferArena())
         spy.assert_not_called()  # small batches scan
+
+    def test_hole_queries_climb_through_the_tables(self):
+        # Queries between the clusters find fewer than p rows around
+        # their level-0 cell, so every one is ranked on a coarser level.
+        rng = np.random.default_rng(5)
+        model = _model(2, 600, "clustered", rng)
+        x = rng.random((256, model.n_cols))
+        x[:, :2] = _holes(model, 256, 3, rng)
+        observed = np.ones(x.shape, dtype=bool)
+        index = model.training_grid
+        level = index.levels[0]
+        slabs, _ = _locate(x[:, :2].T, level.shape, level.tables)
+        assert (index.candidates(0)[1][np.ravel_multi_index(tuple(slabs), level.shape)] < 3).all()
+        with mock.patch.object(GridIndex, "candidates", autospec=True,
+                               side_effect=GridIndex.candidates) as read:
+            grid = _prior_via("grid", model, x, observed, 3)
+        assert [call.args[1] for call in read.call_args_list][:2] == [0, 1]
+        scan = _prior_via("scan", model, x, observed, 3)
+        want = ref.spatial_prior(model, x, observed, 3, BufferArena())
+        for got in (grid, scan):
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
 
 
 class TestSelection:
@@ -286,6 +332,61 @@ class TestLocationCache:
         copy = replace(model, method="smf")
         assert copy.training_grid is not index
         assert len(copy.training_grid.levels) == len(index.levels)
+
+    def test_candidate_table_built_once_on_first_use(self):
+        model = _model(2, 300, "clustered", np.random.default_rng(0))
+        index = model.training_grid
+        with mock.patch.object(similarity, "_candidate_lists",
+                               wraps=similarity._candidate_lists) as build:
+            assert index._tables == {}
+            table, width = index.candidates(1)
+            assert build.call_count == 1
+            assert set(index._tables) == {1}
+            assert index.candidates(1)[0] is table
+            assert build.call_count == 1
+        assert table.dtype == np.int32
+        assert table.shape == (int(np.prod(index.levels[1].shape)), width.max())
+        # Row c: the rows of the 3 x 3 cells around c in index order,
+        # then the padding index N.
+        level = index.levels[1]
+        slabs, _ = _locate(model.training_locations, level.shape, level.tables)
+        for cell in range(table.shape[0]):
+            centre = np.array(np.unravel_index(cell, level.shape))[:, None]
+            near = np.flatnonzero((np.abs(slabs - centre) <= 1).all(axis=0))
+            assert width[cell] == near.size
+            assert np.array_equal(table[cell, :near.size], near)
+            assert (table[cell, near.size:] == 300).all()
+
+    def test_replace_copy_builds_its_own_table(self):
+        model = _model(2, 300, "clustered", np.random.default_rng(0))
+        table = model.training_grid.candidates(0)[0]
+        copy = replace(model, method="smf")
+        assert copy.training_grid._tables == {}
+        assert copy.training_grid.candidates(0)[0] is not table
+        assert np.array_equal(copy.training_grid.candidates(0)[0], table)
+
+    def test_tables_leave_the_artifact_hash(self, tmp_path):
+        model = _model(2, 300, "clustered", np.random.default_rng(0))
+        before = model.save(str(tmp_path / "before"))["content_hash"]
+        fold_in(model, np.ones((256, model.n_cols)))
+        assert model.training_grid._tables  # the 256-row request built some
+        assert model.save(str(tmp_path / "after"))["content_hash"] == before
+
+    def test_warm_fold_in_builds_no_candidate_lists(self):
+        # A slide back to building candidate lists per request fails here
+        # by the builder's name.
+        rng = np.random.default_rng(3)
+        model = _model(2, 2000, "uniform", rng)
+        x = rng.random((256, model.n_cols))
+        fold_in(model, x)  # warm: builds the tables it reads
+        assert model.training_grid._tables
+        assert not hasattr(foldin, "_candidate_lists")
+        assert not hasattr(GridIndex, "neighbourhoods")
+        for builder in ("_candidate_lists", "_near_ranges"):
+            with mock.patch.object(similarity, builder,
+                                   wraps=getattr(similarity, builder)) as spy:
+                fold_in(model, rng.random((256, model.n_cols)))
+            assert spy.call_count == 0, f"a warm fold_in called {builder}"
 
     def test_non_finite_locations_have_no_grid_levels(self):
         model = _model(2, 30, "uniform", np.random.default_rng(0))
