@@ -15,7 +15,7 @@ import numpy as np
 from ..exceptions import NotFittedError, ValidationError
 from ..masking.mask import ObservationMask
 from ..model.fitted import FittedModel, coerce_observations
-from ..obs.trace import traced
+from ..obs.stream import traced
 from ..validation import as_matrix
 
 __all__ = ["Imputer", "column_mean_fill"]

@@ -98,15 +98,12 @@ def _sweep_kwargs(args: argparse.Namespace) -> dict[str, Any]:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from contextlib import ExitStack
 
-    from ..obs.trace import trace_to, use_tracer
+    from ..obs.stream import record_to
     from .sweep import record_sweep
 
     with ExitStack() as stack:
         if args.trace:
-            tracer = stack.enter_context(
-                trace_to(args.trace, command="bench_sweep")
-            )
-            stack.enter_context(use_tracer(tracer))
+            stack.enter_context(record_to(args.trace, command="bench_sweep"))
         payload = record_sweep(path=args.out, **_sweep_kwargs(args))
     destination = args.out or "results/BENCH_sweep.json"
     print(f"sweep: {payload['n_cells']} cells -> {destination}")

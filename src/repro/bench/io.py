@@ -17,7 +17,7 @@ a trailing newline, so two writes of the same payload are byte-
 identical and a crash never leaves a torn baseline behind.
 
 This module is a dependency leaf (stdlib only) so that any layer
-(:mod:`repro.oocore.benchmark`, :mod:`repro.obs.live.slo`) can route
+(:mod:`repro.oocore.benchmark`, :mod:`repro.obs.slo`) can route
 its writer through it without creating an import cycle with the bench
 layer's engine-facing modules.
 """

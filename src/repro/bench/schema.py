@@ -3,7 +3,7 @@
 Three files stay committed: ``BENCH_oocore.json`` (the out-of-core
 scaling curve), ``BENCH_sweep.json`` (the gate's generator data-hash
 and accuracy ratchet) and ``SLO_serving.json`` (the serving budgets
-``python -m repro.obs slo`` holds event logs to).  Speed is measured by
+``python -m repro.obs slo`` holds recordings to).  Speed is measured by
 ``perfbench/`` (see ``BENCHMARK.json``), not by these files.  Two
 registries stop a malformed or quietly-degraded write from corrupting
 them:

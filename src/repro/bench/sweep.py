@@ -24,7 +24,7 @@ from typing import Any, Mapping
 
 from ..exceptions import ValidationError
 from ..hashing import payload_digest
-from ..obs.trace import get_tracer
+from ..obs.stream import get_recorder
 from .io import write_bench_json
 from .specs import get_spec
 
@@ -182,7 +182,7 @@ def run_sweep(
         grid, spec=spec, model=model, smoke=smoke, **fixed_overrides
     )
     config = RunnerConfig(jobs=jobs) if jobs > 1 else None
-    with get_tracer().span(
+    with get_recorder().span(
         "sweep", spec=spec, model=model, n_cells=len(sweep_grid)
     ):
         outcome = execute_grid(sweep_grid, config)

@@ -50,7 +50,7 @@ from ..model.fitted import (
     impute_matrix,
     observed_column_bounds,
 )
-from ..obs.trace import get_tracer, traced
+from ..obs.stream import get_recorder, traced
 from ..validation import (
     check_in_range,
     check_nonnegative,
@@ -355,7 +355,7 @@ class MatrixFactorizationBase:
         kernel = self._kernel
         if kernel is None:
             kernel = ReferenceKernel(observed, self.update_rule)
-        with get_tracer().span(f"kernel:{self.update_rule}", method=self.method):
+        with get_recorder().span(f"kernel:{self.update_rule}", method=self.method):
             return kernel.step(
                 x_observed, observed, u, v, self._cached_kernel_context(v.shape)
             )

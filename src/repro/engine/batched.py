@@ -46,8 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..exceptions import NumericalDivergenceError, ValidationError
-from ..obs.live.events import get_event_log
-from ..obs.trace import get_tracer
+from ..obs.stream import get_recorder
 from .kernels import FULL_BATCH_RULES, KernelContext
 from .monitor import DEFAULT_MAX_ITER, ConvergenceMonitor
 from .report import FitReport
@@ -171,8 +170,8 @@ def multi_fit(
     ``n_increases``, ``landmark_block_intact``).
 
     Raises :class:`~repro.exceptions.NumericalDivergenceError` at the
-    first non-finite evaluated objective, naming the member, after
-    emitting ``fit.diverged`` on the live event log.
+    first non-finite evaluated objective, naming the member; the
+    ``batch.fit`` observation records it as a ``batch.fit_error`` event.
 
     Any ``B`` runs the stacked kernel, ``B == 1`` included; a lone fit
     is cheaper through ``model.fit``'s 2-D kernel, which is where
@@ -188,7 +187,6 @@ def multi_fit(
         )
     frozen_prefix = int(frozen_prefix or 0)
     ws = KernelWorkspace.stacked(fits, rule=update_rule)
-    events = get_event_log()
     frozen_v = None
     if frozen_prefix:
         frozen_v = np.zeros(fits[0].v0.shape, dtype=bool)
@@ -215,7 +213,7 @@ def multi_fit(
     steps = 0
     sizes: list[int] = []
     t_loop = time.perf_counter()
-    with get_tracer().span(
+    with get_recorder().observe(
         "batch.fit", size=len(fits), update_rule=update_rule,
         frozen_prefix=frozen_prefix,
     ) as span:
@@ -247,21 +245,13 @@ def multi_fit(
                 if evaluate:
                     objective = float(objectives[pos])
                     if not math.isfinite(objective):
-                        error = NumericalDivergenceError.at(
+                        raise NumericalDivergenceError.at(
                             iteration=steps,
                             update_rule=update_rule,
                             objective=objective,
                             member=orig,
                             learning_rate=learning_rate,
                         )
-                        if events.enabled:
-                            events.emit(
-                                "fit.diverged", level="error",
-                                solver=fits[orig].method, iteration=steps,
-                                update_rule=update_rule, member=orig,
-                                message=str(error),
-                            )
-                        raise error
                     member.monitor.record(objective)
                     if member.monitor.converged:
                         drop.append(pos)

@@ -7,10 +7,11 @@ rules via :meth:`Solver.converged`), budget warnings, and callback
 dispatch.  Solvers shrink to a :meth:`step`/:meth:`objective` pair;
 telemetry and convergence policy become first-class and uniform.
 
-The loop is traced: the engine opens a ``fit`` span around the whole
-iteration, an ``iteration`` span per solver step, and an ``evaluate``
-span per objective evaluation (see :mod:`repro.obs`).  The iteration
-span's duration *is* the ``seconds`` field of the
+The loop is observed: the engine runs the whole iteration under
+``observe("fit")`` (``fit_start`` / ``fit_done`` / ``fit_error`` events
+plus a ``fit`` span), with an ``iteration`` span per solver step and an
+``evaluate`` span per objective evaluation (see :mod:`repro.obs`).
+The iteration span's duration *is* the ``seconds`` field of the
 :class:`~repro.engine.callbacks.IterationRecord` handed to callbacks -
 one clock feeds both the trace and :class:`Telemetry`, and with tracing
 disabled the null span costs the same two ``perf_counter`` calls the
@@ -25,8 +26,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable
 
 from ..exceptions import ConvergenceWarning, NumericalDivergenceError
-from ..obs.live.events import get_event_log
-from ..obs.trace import get_tracer
+from ..obs.stream import get_recorder
 from ..validation import check_in_range, check_positive_int
 from .callbacks import Callback, IterationRecord
 from .monitor import DEFAULT_MAX_ITER, ConvergenceMonitor
@@ -93,55 +93,43 @@ class IterativeEngine:
         a solver returning a bool from :meth:`Solver.converged` takes
         full control of stopping (residual thresholds, shrinkage paths,
         fixed-epoch training).  The first non-finite evaluated objective
-        emits ``fit.diverged`` on the live event log and raises
-        :class:`~repro.exceptions.NumericalDivergenceError` naming the
-        iteration, the solver's ``update_rule`` (its ``name`` when it
-        has none) and its ``learning_rate``, if it has one.
+        raises :class:`~repro.exceptions.NumericalDivergenceError` naming
+        the iteration, the solver's ``update_rule`` (its ``name`` when it
+        has none) and its ``learning_rate``, if it has one; the ``fit``
+        observation records it as a ``fit_error`` event.
         """
         monitor = ConvergenceMonitor(max_iter=self.max_iter, tol=self.tol)
-        tracer = get_tracer()
-        events = get_event_log()
+        recorder = get_recorder()
         solver_name = getattr(solver, "name", "solver")
-        if events.enabled:
-            events.emit(
-                "engine.fit_start", solver=solver_name, max_iter=self.max_iter
-            )
-        for callback in self.callbacks:
-            callback.on_fit_start(solver, state)
-
         steps = 0
         converged = False
         solver_rule = False
-        with tracer.span(
-            "fit", solver=getattr(solver, "name", "solver"), max_iter=self.max_iter
-        ):
+        with recorder.observe(
+            "fit", solver=solver_name, max_iter=self.max_iter
+        ) as fit_span:
+            for callback in self.callbacks:
+                callback.on_fit_start(solver, state)
             while steps < self.max_iter and not converged:
                 # One clock: the iteration span both appears in the trace
                 # and supplies the seconds Telemetry records - the engine
                 # never times a step twice.
-                with tracer.span("iteration", index=steps + 1) as step_span:
+                with recorder.span("iteration", index=steps + 1) as step_span:
                     state = solver.step(state)
                 steps += 1
                 objective: float | None = None
                 if steps % self.eval_every == 0 or steps == self.max_iter:
-                    with tracer.span("evaluate", index=steps) as eval_span:
+                    with recorder.span("evaluate", index=steps) as eval_span:
                         objective = float(solver.objective(state))
                         eval_span.set_attr("objective", objective)
                         if not math.isfinite(objective):
-                            rule = getattr(solver, "update_rule", solver_name)
-                            error = NumericalDivergenceError.at(
+                            raise NumericalDivergenceError.at(
                                 iteration=steps,
-                                update_rule=rule,
+                                update_rule=getattr(
+                                    solver, "update_rule", solver_name
+                                ),
                                 objective=objective,
                                 learning_rate=getattr(solver, "learning_rate", None),
                             )
-                            if events.enabled:
-                                events.emit(
-                                    "fit.diverged", level="error",
-                                    solver=solver_name, iteration=steps,
-                                    update_rule=rule, message=str(error),
-                                )
-                            raise error
                         monitor.record(objective)
                         custom = solver.converged(state, monitor)
                         solver_rule = custom is not None
@@ -157,29 +145,17 @@ class IterativeEngine:
                 for callback in self.callbacks:
                     callback.on_iteration(solver, record)
 
-        # Solvers with a custom rule override the monitor's verdict so
-        # downstream consumers (reports, warnings) see one truth.
-        monitor.converged = converged
-        if not converged:
-            monitor.stop_reason = "budget"
-        elif solver_rule:
-            monitor.stop_reason = "solver"
-        if events.enabled:
-            if converged:
-                events.emit(
-                    "engine.converged",
-                    solver=solver_name,
-                    n_iter=steps,
-                    objective=monitor.history[-1] if monitor.history else None,
-                )
-            events.emit(
-                "engine.fit_end",
-                solver=solver_name,
-                n_iter=steps,
-                converged=converged,
-                n_increases=monitor.n_increases,
-                stop_reason=monitor.stop_reason,
-            )
+            # Solvers with a custom rule override the monitor's verdict so
+            # downstream consumers (reports, warnings) see one truth.
+            monitor.converged = converged
+            if not converged:
+                monitor.stop_reason = "budget"
+            elif solver_rule:
+                monitor.stop_reason = "solver"
+            fit_span.set_attr("n_iter", steps)
+            fit_span.set_attr("converged", converged)
+            fit_span.set_attr("n_increases", monitor.n_increases)
+            fit_span.set_attr("stop_reason", monitor.stop_reason)
         if not converged and self.warn_on_budget:
             warnings.warn(
                 f"iteration budget of {self.max_iter} exhausted without "

@@ -1,59 +1,36 @@
-"""repro.obs: the unified tracing + metrics layer.
+"""repro.obs: one telemetry stream, its metrics and its readers.
 
-One observability subsystem instead of three ad-hoc mechanisms
-(engine wall-time lists, runner cache counters, ``timing`` stopwatches):
-
-- :mod:`repro.obs.trace` - :class:`Tracer` with nested, attributed
-  spans over one monotonic clock; a no-op-cheap :class:`NullTracer` is
-  ambient by default, so instrumented hot paths cost two
-  ``perf_counter`` calls per span when tracing is off;
+- :mod:`repro.obs.stream` - the record stream: one envelope for spans,
+  events, metrics snapshots and run metadata; one :class:`Sink`
+  protocol with three sinks (append-only JSONL, ring buffer, memory);
+  one truncation-tolerant reader (:func:`read_records`); the ambient
+  :class:`Recorder` (:func:`get_recorder` / :func:`set_recorder` /
+  :func:`use_recorder`, :func:`record_to` for a file) and
+  :func:`observe`, the lifecycle context manager instrumented code
+  uses, plus the per-request :class:`Sampler`;
 - :mod:`repro.obs.metrics` - counters / gauges / histograms in a
-  :class:`MetricsRegistry`, plus the opt-in :func:`profiled` memory
-  hook (``tracemalloc`` / peak RSS);
-- :mod:`repro.obs.sink` - the JSONL event sink (atomic writes), the
-  in-memory sink workers ship spans through, and the summary / Chrome
-  ``trace_event`` exporters;
-- :mod:`repro.obs.analyze` + ``python -m repro.obs report`` - span
-  tree reconstruction, self-time accounting, coverage, and the text
-  flamegraph CLI;
-- :mod:`repro.obs.live` - the operational half: a schema-versioned
-  structured :class:`EventLog` (append-only JSONL, live-tailable),
-  Prometheus text exposition (``python -m repro.obs expose``),
-  per-request trace :class:`Sampler` for the fold-in server, a stdlib
-  ``/metrics`` scrape endpoint, and the ``slo`` gate that holds a
-  recorded serving run to committed latency/error/stall budgets.
+  :class:`MetricsRegistry` (:func:`get_metrics` is the ambient one),
+  the label escaper, and the opt-in :func:`profiled` memory hook;
+- readers of the stream: :mod:`repro.obs.analyze` (span tree, self
+  time, coverage, Chrome export), :mod:`repro.obs.prometheus` (text
+  exposition and its strict parser), :mod:`repro.obs.slo` (serving
+  budgets), :mod:`repro.obs.serve` (a stdlib ``/metrics`` endpoint)
+  and the ``python -m repro.obs`` CLI (``report``, ``summary``,
+  ``chrome``, ``expose``, ``slo``, ``report --tail``).
 
 Producers: :class:`repro.engine.IterativeEngine` (``fit`` /
-``iteration`` / ``evaluate`` spans, feeding ``Telemetry`` from the same
-clock), the factorization kernels (``kernel:<rule>``), every
-:class:`repro.baselines.base.Imputer` (``fit_impute`` spans), and
-:func:`repro.runner.execute.run_grid` (``run:<experiment>`` / ``cell``
-spans merged across worker processes).  Enable with ``--trace <path>``
-on the ``repro.experiments`` and ``repro.bench sweep`` CLIs, or
-programmatically via :func:`trace_to` / :func:`use_tracer`.
+``iteration`` / ``evaluate`` spans feeding ``Telemetry`` from the same
+clock), :func:`repro.engine.batched.multi_fit` (``batch.fit``), the
+factorization kernels (``kernel:<rule>``), every
+:class:`repro.baselines.base.Imputer` (``fit_impute``),
+:func:`repro.runner.run_grid` (``run`` / ``cell``, merged across worker
+processes), :class:`repro.serving.FoldInServer` (``serving.request``),
+the spatial graph cache (``spatial.graph``) and the out-of-core fits
+(``oocore.fit`` / ``oocore.epoch``).  Enable with ``--trace <path>`` on
+the ``repro.experiments`` and ``repro.bench sweep`` CLIs, or with
+:func:`record_to` / :func:`use_recorder`.
 """
 
-from .live import (
-    EVENT_SCHEMA_VERSION,
-    AppendJsonlSink,
-    EventLog,
-    EventSink,
-    MetricsServer,
-    NULL_EVENT_LOG,
-    NullEventLog,
-    RingBufferSink,
-    Sampler,
-    evaluate_slo,
-    event_log_to,
-    get_event_log,
-    next_request_id,
-    parse_exposition,
-    read_event_log,
-    render_prometheus,
-    serving_stats_from_events,
-    set_event_log,
-    use_event_log,
-)
 from .analyze import (
     SpanNode,
     aggregate_spans,
@@ -61,6 +38,7 @@ from .analyze import (
     coverage,
     render_top,
     render_tree,
+    to_chrome_trace,
 )
 from .metrics import (
     Counter,
@@ -72,79 +50,69 @@ from .metrics import (
     profiled,
     reset_metrics,
 )
-from .sink import (
+from .prometheus import parse_exposition, render_prometheus
+from .serve import MetricsServer
+from .slo import evaluate_slo, serving_stats_from_events
+from .stream import (
+    NULL_RECORDER,
+    SCHEMA_VERSION,
     JsonlSink,
     MemorySink,
-    Sink,
-    read_events,
-    to_chrome_trace,
-    write_chrome_trace,
-    write_summary,
-)
-from .trace import (
-    NULL_TRACER,
+    NullRecorder,
     NullSpan,
-    NullTracer,
+    Recorder,
+    RingBufferSink,
+    Sampler,
+    Sink,
     Span,
-    Tracer,
-    collecting_tracer,
-    get_tracer,
-    set_tracer,
-    trace_to,
+    get_recorder,
+    next_request_id,
+    observe,
+    read_records,
+    record_to,
+    set_recorder,
     traced,
-    use_tracer,
+    use_recorder,
 )
 
 __all__ = [
-    "AppendJsonlSink",
     "Counter",
-    "EVENT_SCHEMA_VERSION",
-    "EventLog",
-    "EventSink",
     "Gauge",
     "Histogram",
     "JsonlSink",
-    "MetricsServer",
-    "NULL_EVENT_LOG",
-    "NullEventLog",
-    "RingBufferSink",
-    "Sampler",
     "MemorySink",
     "MetricsRegistry",
-    "NULL_TRACER",
+    "MetricsServer",
+    "NULL_RECORDER",
+    "NullRecorder",
     "NullSpan",
-    "NullTracer",
     "QuantileHistogram",
+    "Recorder",
+    "RingBufferSink",
+    "SCHEMA_VERSION",
+    "Sampler",
     "Sink",
     "Span",
     "SpanNode",
-    "Tracer",
     "aggregate_spans",
     "build_tree",
-    "collecting_tracer",
     "coverage",
     "evaluate_slo",
-    "event_log_to",
-    "get_event_log",
     "get_metrics",
-    "get_tracer",
+    "get_recorder",
     "next_request_id",
+    "observe",
     "parse_exposition",
     "profiled",
-    "read_event_log",
-    "read_events",
+    "read_records",
+    "record_to",
     "render_prometheus",
     "render_top",
     "render_tree",
     "reset_metrics",
     "serving_stats_from_events",
-    "set_event_log",
-    "set_tracer",
+    "set_recorder",
     "to_chrome_trace",
-    "trace_to",
     "traced",
-    "use_event_log",
-    "use_tracer",
-    "write_chrome_trace",
-    "write_summary",
+    "use_recorder",
 ]

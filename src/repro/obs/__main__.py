@@ -16,26 +16,26 @@ Commands::
 tree (a text flamegraph - total time, share of the trace, self time),
 the top-k spans by self time, trace coverage (how much of the wall
 extent the root spans explain; the acceptance bar is 95%), and any
-metrics snapshots embedded in the trace.  ``--tail N`` instead prints
-the last N structured event-log records (truncation-tolerant, for
-tailing a live run).
+``metrics`` records in the file.  ``--tail N`` instead prints the last
+N records (for tailing a live run).
 
 ``expose`` renders a metrics snapshot to Prometheus text format.  The
-source is either a JSONL log (the last embedded metrics snapshot wins
-- both the tracer's ``{"type": "metrics"}`` events and the event log's
-``metrics.snapshot`` records are understood) or a JSON file carrying a
-snapshot directly (a run manifest's ``metrics`` section also works).
-``--serve`` binds a stdlib ``/metrics`` endpoint instead of writing a
-file; ``--check`` re-parses the rendered text with the strict
-validator and fails on any malformation.
+source is either a JSONL recording (its last ``metrics`` record wins)
+or a JSON file carrying a snapshot directly (a run manifest's
+``metrics`` section also works).  ``--serve`` binds a stdlib
+``/metrics`` endpoint instead of writing a file; ``--check`` re-parses
+the rendered text with the strict validator and fails on any
+malformation.
 
-``slo`` holds a recorded serving event log to the budgets committed in
+``slo`` holds a recorded serving run to the budgets committed in
 ``results/SLO_serving.json`` (p99 latency, error rate, stall count) -
 nonzero exit names every violated metric.  ``--record`` writes a new
 baseline from the same stats.
 
-Malformed input (missing files, invalid JSONL) is reported as a
-one-line error on stderr, not a traceback.
+Every command reads JSONL through :func:`repro.obs.stream.read_records`,
+so a torn final line is dropped everywhere.  Malformed input (missing
+files, invalid JSONL) is reported as a one-line ``error:`` on stderr
+with exit code 2, not a traceback.
 """
 
 from __future__ import annotations
@@ -45,17 +45,23 @@ import json
 import os
 import sys
 
-from .analyze import aggregate_spans, build_tree, coverage, render_top, render_tree
-from .live.events import read_event_log
-from .live.prometheus import parse_exposition, render_prometheus
-from .live.serve import MetricsServer
-from .live.slo import (
+from .analyze import (
+    aggregate_spans,
+    build_tree,
+    coverage,
+    render_top,
+    render_tree,
+    to_chrome_trace,
+)
+from .prometheus import parse_exposition, render_prometheus
+from .serve import MetricsServer
+from .slo import (
     DEFAULT_BUDGETS,
-    build_slo_payload,
     evaluate_slo,
+    record_slo_baseline,
     serving_stats_from_events,
 )
-from .sink import read_events, write_chrome_trace, write_summary
+from .stream import read_records
 
 
 class CliError(Exception):
@@ -63,13 +69,23 @@ class CliError(Exception):
 
 
 def _read_jsonl(path: str) -> list[dict]:
-    """Event-log-tolerant JSONL reader with one-line failure modes."""
+    """The one reader, with one-line failure modes."""
     try:
-        return read_event_log(path)
+        return read_records(path)
     except FileNotFoundError:
         raise CliError(f"{path}: no such file") from None
     except ValueError as exc:
         raise CliError(str(exc)) from None
+
+
+def _write_json(path: str, document: dict, **dump_kwargs) -> str:
+    parent = os.path.dirname(path)
+    if parent:
+        os.makedirs(parent, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(document, handle, **dump_kwargs)
+        handle.write("\n")
+    return path
 
 
 def _tail(args: argparse.Namespace) -> int:
@@ -85,7 +101,7 @@ def _report(args: argparse.Namespace) -> int:
     if args.tail is not None:
         return _tail(args)
     events = _read_jsonl(args.trace)
-    spans = [e for e in events if e.get("type") == "span"]
+    spans = [e for e in events if e.get("kind") == "span"]
     if not spans:
         print(f"{args.trace}: no span events")  # noqa: T201
         return 1
@@ -100,7 +116,7 @@ def _report(args: argparse.Namespace) -> int:
     print(render_tree(tree, max_depth=args.depth))  # noqa: T201
     print()  # noqa: T201
     print(render_top(aggregate_spans(events), top=args.top))  # noqa: T201
-    metrics = [e for e in events if e.get("type") == "metrics"]
+    metrics = [e for e in events if e.get("kind") == "metrics"]
     if metrics:
         print()  # noqa: T201
         print("## metrics")  # noqa: T201
@@ -111,45 +127,39 @@ def _report(args: argparse.Namespace) -> int:
 
 
 def _summary(args: argparse.Namespace) -> int:
+    spans = aggregate_spans(_read_jsonl(args.trace))
     out = args.output or f"{args.trace}.summary.json"
-    write_summary(read_events(args.trace), out)
-    print(out)  # noqa: T201
+    print(_write_json(out, {"spans": spans}, indent=2, sort_keys=True))  # noqa: T201
     return 0
 
 
 def _chrome(args: argparse.Namespace) -> int:
-    out = args.output or f"{args.trace}.chrome.json"
-    path = write_chrome_trace(read_events(args.trace), out)
-    with open(path, encoding="utf-8") as handle:
-        n = len(json.load(handle)["traceEvents"])
+    chrome = to_chrome_trace(_read_jsonl(args.trace))
+    path = _write_json(args.output or f"{args.trace}.chrome.json", chrome)
+    n = len(chrome["traceEvents"])
     print(f"{path} ({n} events; open in chrome://tracing)")  # noqa: T201
     return 0
 
 
 def _snapshot_from_source(path: str) -> dict:
-    """Find the metrics snapshot in a JSONL log or a JSON document.
+    """The metrics snapshot in a JSONL recording or a JSON document.
 
-    JSONL: the *last* embedded snapshot wins - either the tracer's
-    ``{"type": "metrics", "values": ...}`` event or the event log's
-    ``{"event": "metrics.snapshot", "attrs": {"values": ...}}`` record.
-    JSON: a raw snapshot dict, or any document with a ``metrics`` key
-    (a run manifest).
+    JSONL: the *last* ``metrics`` record's ``values``.  JSON: a raw
+    snapshot dict, or any document with a ``metrics`` key (a run
+    manifest).
     """
     if path.endswith(".jsonl"):
-        snapshot: dict | None = None
-        for record in _read_jsonl(path):
-            if record.get("type") == "metrics" and "values" in record:
-                snapshot = record["values"]
-            elif record.get("event") == "metrics.snapshot":
-                values = (record.get("attrs") or {}).get("values")
-                if values is not None:
-                    snapshot = values
-        if snapshot is None:
+        snapshots = [
+            record["values"]
+            for record in _read_jsonl(path)
+            if record.get("kind") == "metrics" and "values" in record
+        ]
+        if not snapshots:
             raise CliError(
-                f"{path}: no metrics snapshot found (emit one with "
-                "EventLog.emit_metrics or a traced run)"
+                f"{path}: no metrics snapshot found (write one with "
+                "Recorder.metrics or a traced grid run)"
             )
-        return snapshot
+        return snapshots[-1]
     try:
         with open(path, encoding="utf-8") as handle:
             document = json.load(handle)
@@ -204,11 +214,8 @@ def _slo(args: argparse.Namespace) -> int:
             "stall_count_max": args.stall_count_max,
         }
         budgets = {k: v for k, v in budgets.items() if v is not None}
-        from ..bench.io import write_bench_json
-
-        payload = build_slo_payload(stats, budgets)
         out = args.out or args.baseline or "results/SLO_serving.json"
-        write_bench_json("SLO_serving", payload, path=out)
+        payload = record_slo_baseline(stats, budgets=budgets, path=out)
         print(  # noqa: T201
             f"{out}: recorded p99={payload['recorded']['p99_seconds']:.6g}s "
             f"over {payload['recorded']['requests']} requests"
@@ -257,12 +264,12 @@ def _slo(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
-        description="Analyse repro trace / event-log JSONL files.",
+        description="Analyse repro telemetry JSONL recordings.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     report = sub.add_parser("report", help="self-time tree + top-k span table")
-    report.add_argument("trace", help="trace or event-log JSONL file")
+    report.add_argument("trace", help="JSONL recording")
     report.add_argument("--top", type=int, default=10, metavar="K",
                         help="rows of the self-time table (default: 10)")
     report.add_argument("--depth", type=int, default=6, metavar="D",
@@ -286,7 +293,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     expose.add_argument(
         "source",
-        help="JSONL log with an embedded metrics snapshot, or a JSON "
+        help="JSONL recording with a metrics record, or a JSON "
         "snapshot / manifest file",
     )
     expose.add_argument("-o", "--output", default=None,
@@ -306,7 +313,7 @@ def main(argv: list[str] | None = None) -> int:
     slo.add_argument("--baseline", default=None,
                      help="committed SLO json carrying the budgets")
     slo.add_argument("--events", default=None,
-                     help="event log to evaluate (default: the baseline's "
+                     help="recording to evaluate (default: the baseline's "
                      "own recorded stats)")
     slo.add_argument("--record", action="store_true",
                      help="record a new baseline from --events")

@@ -1,8 +1,7 @@
 """Trace analysis: span trees, self-time accounting, coverage.
 
-Consumes the span events a :class:`~repro.obs.trace.Tracer` emitted and
-answers the question the ISSUE motivates the subsystem with: *where did
-this run's time actually go?*
+Reads the ``span`` records of a :mod:`repro.obs.stream` recording and
+answers *where did this run's time actually go?*
 
 - :func:`build_tree` reconstructs the span forest from
   ``span_id``/``parent_id`` links and merges sibling spans that share a
@@ -15,7 +14,10 @@ this run's time actually go?*
   root spans cover - the acceptance metric for "the tree explains the
   run";
 - :func:`render_tree` / :func:`render_top` produce the text flamegraph
-  and top-k table the ``python -m repro.obs report`` CLI prints.
+  and top-k table the ``python -m repro.obs report`` CLI prints;
+- :func:`to_chrome_trace` is the Chrome ``trace_event`` form (open in
+  ``chrome://tracing`` or Perfetto), ``chrome`` writes it, and
+  ``summary`` writes :func:`aggregate_spans` as JSON.
 
 Parallel runs read a little differently: cell spans from concurrent
 worker processes merge into one tree, so a level's summed total can
@@ -37,6 +39,7 @@ __all__ = [
     "coverage",
     "render_tree",
     "render_top",
+    "to_chrome_trace",
 ]
 
 
@@ -60,7 +63,7 @@ class SpanNode:
 
 
 def _span_events(events: Iterable[dict[str, Any]]) -> list[dict[str, Any]]:
-    return [e for e in events if e.get("type") == "span"]
+    return [e for e in events if e.get("kind") == "span"]
 
 
 def build_tree(events: Iterable[dict[str, Any]]) -> SpanNode:
@@ -141,10 +144,12 @@ def coverage(events: Iterable[dict[str, Any]]) -> dict[str, float]:
         span for span in spans
         if span.get("parent_id") is None or span["parent_id"] not in by_id
     ]
-    extent_start = min(span["start"] for span in spans)
-    extent_end = max(span["end"] for span in spans)
+    extent_start = min(span["ts"] for span in spans)
+    extent_end = max(span["ts"] + span["duration"] for span in spans)
     extent = max(extent_end - extent_start, 0.0)
-    intervals = sorted((span["start"], span["end"]) for span in roots)
+    intervals = sorted(
+        (span["ts"], span["ts"] + span["duration"]) for span in roots
+    )
     covered = 0.0
     cursor = extent_start
     for start, end in intervals:
@@ -232,3 +237,28 @@ def render_top(
             f"{_format_seconds(entry['total_seconds']).strip():>10}"
         )
     return "\n".join(lines)
+
+
+def to_chrome_trace(events: Iterable[dict[str, Any]]) -> dict[str, Any]:
+    """Span records as Chrome's ``trace_event`` JSON object.
+
+    Complete ("X") events in microseconds relative to the earliest
+    span, one row per pid/thread, so the viewer opens at t=0.
+    """
+    spans = _span_events(events)
+    origin = min((span["ts"] for span in spans), default=0.0)
+    return {
+        "traceEvents": [
+            {
+                "name": span["name"],
+                "ph": "X",
+                "ts": (span["ts"] - origin) * 1e6,
+                "dur": span["duration"] * 1e6,
+                "pid": span.get("pid", 0),
+                "tid": span.get("thread", 0),
+                "args": span.get("attrs", {}),
+            }
+            for span in spans
+        ],
+        "displayTimeUnit": "ms",
+    }

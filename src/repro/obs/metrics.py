@@ -14,7 +14,7 @@ peak RSS (``resource.getrusage``) as gauges.  Neither is touched unless
 asked - ``tracemalloc`` in particular slows allocation-heavy numeric
 code, which is exactly why it is a flag and not a default.
 
-Label sets (for the Prometheus exposition in :mod:`repro.obs.live`):
+Label sets (for the Prometheus exposition in :mod:`repro.obs.prometheus`):
 every accessor takes an optional ``labels`` dict, and each distinct
 ``(name, labels)`` pair is its own instrument.  The family keeps one
 kind across all of its label sets (``oocore.worker.last_seen`` cannot
@@ -37,6 +37,7 @@ __all__ = [
     "Histogram",
     "QuantileHistogram",
     "MetricsRegistry",
+    "escape_label_value",
     "flat_metric_key",
     "get_metrics",
     "reset_metrics",
@@ -44,7 +45,7 @@ __all__ = [
 ]
 
 
-def _escape_label_value(value: str) -> str:
+def escape_label_value(value: str) -> str:
     """Prometheus label-value escaping: backslash, quote, newline."""
     return (
         str(value)
@@ -64,7 +65,7 @@ def flat_metric_key(name: str, labels: dict[str, str] | None = None) -> str:
     if not labels:
         return name
     inner = ",".join(
-        f'{key}="{_escape_label_value(labels[key])}"' for key in sorted(labels)
+        f'{key}="{escape_label_value(labels[key])}"' for key in sorted(labels)
     )
     return f"{name}{{{inner}}}"
 
@@ -167,10 +168,10 @@ class QuantileHistogram:
     ``min``.
 
     Buckets optionally carry an **exemplar** — an opaque id (a sampled
-    request id) attached via ``observe(value, exemplar=...)``.  The
-    last exemplar per bucket wins, so :meth:`exemplar` answers "show me
-    one concrete request that landed near the p99" without the
-    histogram ever storing samples.
+    request id) attached via ``observe(value, exemplar=...)``; the last
+    one per bucket wins and the snapshot lists them, so a p99 bucket
+    links to one concrete request without the histogram storing
+    samples.
     """
 
     __slots__ = (
@@ -202,26 +203,6 @@ class QuantileHistogram:
         self._buckets[index] = self._buckets.get(index, 0) + 1
         if exemplar is not None:
             self._exemplars[index] = str(exemplar)
-
-    def exemplar(self, q: float) -> str | None:
-        """An exemplar id from the bucket holding the ``q``-quantile.
-
-        Falls back to the nearest lower populated-with-exemplar bucket
-        (sampling means not every bucket has one); ``None`` when no
-        exemplar has been recorded at or below that rank.
-        """
-        if not self.count or not self._exemplars:
-            return None
-        rank = max(1, math.ceil(max(0.0, min(1.0, q)) * self.count))
-        cumulative = self._underflow
-        target: int | None = None
-        for index in sorted(self._buckets):
-            cumulative += self._buckets[index]
-            if index in self._exemplars:
-                target = index
-            if rank <= cumulative:
-                break
-        return self._exemplars.get(target) if target is not None else None
 
     def quantile(self, q: float) -> float | None:
         """Approximate ``q``-quantile (0 <= q <= 1); ``None`` when empty."""

@@ -31,7 +31,7 @@ from typing import Any, Iterator, Mapping
 import numpy as np
 
 from ..exceptions import ValidationError
-from ..obs import get_tracer
+from ..obs.stream import get_recorder
 
 __all__ = [
     "RowBlock",
@@ -158,7 +158,7 @@ class RowBlockSource:
             )
         start = index * self.block_rows
         stop = min(start + self.block_rows, self.n_rows)
-        with get_tracer().span(
+        with get_recorder().span(
             "oocore:block_load", block=index, rows=stop - start
         ):
             x_observed, observed = self._materialize(index, start, stop)

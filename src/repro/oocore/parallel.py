@@ -38,15 +38,15 @@ factors agree to the tolerance pinned in
 
 Fault handling: a worker that dies mid-epoch (or raises) surfaces as a
 :class:`RuntimeError` naming the worker *and the block it was on*
-(read from the heartbeat slab) — and the same attribution is emitted
-through the structured event log (``oocore.worker_died`` /
-``worker_error``) **before** the raise, so the post-mortem survives
-even when a caller swallows the exception.  The parent polls worker
+(read from the heartbeat slab) — and the same attribution is recorded
+as an event (``oocore.worker_died`` / ``worker_error``) **before** the
+raise, so the post-mortem survives even when a caller swallows the
+exception.  The parent polls worker
 liveness while draining results, and the ``finally`` block terminates
 survivors and closes + unlinks every segment, so nothing hangs and no
 shared memory leaks (``tests/oocore/test_faults.py``).
 
-Event equivalence: the parent (never the workers) emits
+Event equivalence: the parent (never the workers) records
 ``oocore.block_done`` with ``round`` equal to the block's V-step
 application sequence number — the block index, since V steps apply in
 ascending block order within each round — so the ``(event, epoch,
@@ -66,9 +66,8 @@ import multiprocessing
 import numpy as np
 
 from ..exceptions import ValidationError
-from ..obs.live.events import get_event_log
 from ..obs.metrics import get_metrics
-from ..obs.trace import get_tracer
+from ..obs.stream import get_recorder, observe
 from .blocks import RowBlockSource, block_order
 from .streaming import StreamingFactorizer
 
@@ -290,8 +289,7 @@ def fit_parallel(
     from ..engine.workspace import BufferArena
 
     parent_ws = BufferArena()
-    tracer = get_tracer()
-    events = get_event_log()
+    recorder = get_recorder()
     metrics = get_metrics()
     stalls_reported: set[tuple[int, int, int]] = set()
 
@@ -310,15 +308,14 @@ def fit_parallel(
                 key = (i, int(heartbeat[i, 1]), int(heartbeat[i, 2]))
                 if key not in stalls_reported:
                     stalls_reported.add(key)
-                    if events.enabled:
-                        events.emit(
-                            "oocore.worker_stalled",
-                            level="warning",
-                            worker=key[0],
-                            epoch=key[1],
-                            block=key[2],
-                            age_seconds=age,
-                        )
+                    recorder.event(
+                        "oocore.worker_stalled",
+                        level="warning",
+                        worker=key[0],
+                        epoch=key[1],
+                        block=key[2],
+                        age_seconds=age,
+                    )
 
     def worker_post_mortem(index: int) -> tuple[int | None, int | None]:
         """(epoch, block) the dead worker last stamped, if it ever did."""
@@ -326,149 +323,131 @@ def fit_parallel(
             return None, None
         return int(heartbeat[index, 1]), int(heartbeat[index, 2])
 
+    def _run_epoch(epoch: int, lr: float) -> tuple[dict[int, float], int]:
+        """One epoch of rounds; returns per-block squared errors and rows."""
+        epoch_sq: dict[int, float] = {}
+        epoch_rows = 0
+        for round_start in range(0, n_blocks, jobs):
+            round_blocks = list(
+                range(round_start, min(round_start + jobs, n_blocks))
+            )
+            for slot, block_index in enumerate(round_blocks):
+                task_q.put((epoch, block_index, slot, lr))
+            done: dict[int, int] = {}
+            block_rows: dict[int, int] = {}
+            block_worker: dict[int, int] = {}
+            idle = 0.0
+            while len(done) < len(round_blocks):
+                try:
+                    result = result_q.get(timeout=0.2)
+                except _queue.Empty:
+                    publish_heartbeats()
+                    dead = [
+                        (i, p)
+                        for i, p in enumerate(workers)
+                        if not p.is_alive() and p.exitcode != 0
+                    ]
+                    if dead:
+                        w_index, w_proc = dead[0]
+                        hb_epoch, hb_block = worker_post_mortem(w_index)
+                        # Recorded BEFORE the raise: the post-mortem
+                        # survives even when a caller swallows the
+                        # RuntimeError.
+                        recorder.event(
+                            "oocore.worker_died",
+                            level="error",
+                            worker=w_index,
+                            pid=w_proc.pid,
+                            exitcode=w_proc.exitcode,
+                            epoch=hb_epoch,
+                            round=hb_block,
+                            block=hb_block,
+                        )
+                        raise RuntimeError(
+                            f"oocore worker {w_index} (pid={w_proc.pid}) "
+                            f"died with exit code {w_proc.exitcode} "
+                            f"mid-epoch {epoch} on block {hb_block}; "
+                            "aborting the fit"
+                        )
+                    idle += 0.2
+                    if idle > timeout:
+                        raise RuntimeError(
+                            "timed out waiting for oocore worker "
+                            f"results in epoch {epoch}"
+                        )
+                    continue
+                idle = 0.0
+                if result[0] == "error":
+                    _, block_index, worker_id, detail = result
+                    recorder.event(
+                        "oocore.worker_error",
+                        level="error",
+                        worker=worker_id,
+                        epoch=epoch,
+                        round=block_index,
+                        block=block_index,
+                        detail=detail,
+                    )
+                    raise RuntimeError(
+                        f"oocore worker {worker_id} failed on block "
+                        f"{block_index}: {detail}"
+                    )
+                _, block_index, worker_id, slot, sq, rows = result
+                done[block_index] = slot
+                block_rows[block_index] = int(rows)
+                block_worker[block_index] = int(worker_id)
+                epoch_sq[block_index] = float(sq)
+                epoch_rows += int(rows)
+            # Apply the V steps sequentially in ascending block order —
+            # the serial ordering, so jobs=1 is bit-identical to the
+            # streaming path.
+            with recorder.span(
+                "oocore:v_step", epoch=epoch, round=round_start // jobs
+            ):
+                for block_index in round_blocks:
+                    apply_v_step(
+                        v, grads[done[block_index]], lr, live, parent_ws
+                    )
+                    # round == block index: the V-step application
+                    # sequence number, shared with the serial path.
+                    recorder.event(
+                        "oocore.block_done",
+                        epoch=epoch,
+                        round=block_index,
+                        block=block_index,
+                        rows=block_rows[block_index],
+                        worker=block_worker[block_index],
+                        sched_round=round_start // jobs,
+                    )
+            metrics.counter("oocore.rounds_completed").inc()
+            publish_heartbeats()
+        return epoch_sq, epoch_rows
+
+    n_blocks = source.n_blocks
     try:
         for p in workers:
             p.start()
-        if events.enabled:
-            events.emit(
-                "oocore.fit_start",
-                jobs=jobs,
-                epochs=int(epochs),
-                blocks=source.n_blocks,
-                n_rows=n,
-            )
+        with observe(
+            "oocore.fit", jobs=jobs, epochs=int(epochs), blocks=n_blocks,
+            n_rows=n,
+        ):
             for i, p in enumerate(workers):
-                events.emit("oocore.worker_start", worker=i, pid=p.pid)
-        n_blocks = source.n_blocks
-        for epoch in range(int(epochs)):
-            lr = learning_rate / (1.0 + lr_decay * epoch)
-            epoch_sq: dict[int, float] = {}
-            epoch_rows = 0
-            epoch_t0 = time.perf_counter()
-            if events.enabled:
-                events.emit(
-                    "oocore.epoch_start", epoch=epoch, blocks=n_blocks
+                recorder.event("oocore.worker_start", worker=i, pid=p.pid)
+            for epoch in range(int(epochs)):
+                lr = learning_rate / (1.0 + lr_decay * epoch)
+                with observe(
+                    "oocore.epoch", epoch=epoch, blocks=n_blocks, jobs=jobs
+                ) as epoch_span:
+                    epoch_sq, epoch_rows = _run_epoch(epoch, lr)
+                    epoch_span.set_attr("rows", epoch_rows)
+                sampled_objectives.append(
+                    float(sum(epoch_sq[b] for b in sorted(epoch_sq)))
                 )
-            with tracer.span(
-                "oocore:epoch", epoch=epoch, blocks=n_blocks, jobs=jobs
-            ):
-                for round_start in range(0, n_blocks, jobs):
-                    round_blocks = list(
-                        range(round_start, min(round_start + jobs, n_blocks))
+                rows_touched.append(epoch_rows)
+                if epoch_span.duration > 0:
+                    metrics.gauge("oocore.rows_per_second").set(
+                        epoch_rows / epoch_span.duration
                     )
-                    for slot, block_index in enumerate(round_blocks):
-                        task_q.put((epoch, block_index, slot, lr))
-                    done: dict[int, int] = {}
-                    block_rows: dict[int, int] = {}
-                    block_worker: dict[int, int] = {}
-                    idle = 0.0
-                    while len(done) < len(round_blocks):
-                        try:
-                            result = result_q.get(timeout=0.2)
-                        except _queue.Empty:
-                            publish_heartbeats()
-                            dead = [
-                                (i, p)
-                                for i, p in enumerate(workers)
-                                if not p.is_alive() and p.exitcode != 0
-                            ]
-                            if dead:
-                                w_index, w_proc = dead[0]
-                                hb_epoch, hb_block = worker_post_mortem(
-                                    w_index
-                                )
-                                if events.enabled:
-                                    # Persisted BEFORE the raise: the
-                                    # post-mortem survives even when a
-                                    # caller swallows the RuntimeError.
-                                    events.emit(
-                                        "oocore.worker_died",
-                                        level="error",
-                                        worker=w_index,
-                                        pid=w_proc.pid,
-                                        exitcode=w_proc.exitcode,
-                                        epoch=hb_epoch,
-                                        round=hb_block,
-                                        block=hb_block,
-                                    )
-                                raise RuntimeError(
-                                    f"oocore worker {w_index} "
-                                    f"(pid={w_proc.pid}) died with exit "
-                                    f"code {w_proc.exitcode} mid-epoch "
-                                    f"{epoch} on block {hb_block}; "
-                                    "aborting the fit"
-                                )
-                            idle += 0.2
-                            if idle > timeout:
-                                raise RuntimeError(
-                                    "timed out waiting for oocore worker "
-                                    f"results in epoch {epoch}"
-                                )
-                            continue
-                        idle = 0.0
-                        if result[0] == "error":
-                            _, block_index, worker_id, detail = result
-                            if events.enabled:
-                                events.emit(
-                                    "oocore.worker_error",
-                                    level="error",
-                                    worker=worker_id,
-                                    epoch=epoch,
-                                    round=block_index,
-                                    block=block_index,
-                                    detail=detail,
-                                )
-                            raise RuntimeError(
-                                f"oocore worker {worker_id} failed on block "
-                                f"{block_index}: {detail}"
-                            )
-                        _, block_index, worker_id, slot, sq, rows = result
-                        done[block_index] = slot
-                        block_rows[block_index] = int(rows)
-                        block_worker[block_index] = int(worker_id)
-                        epoch_sq[block_index] = float(sq)
-                        epoch_rows += int(rows)
-                    # Apply the V steps sequentially in ascending block
-                    # order — the serial ordering, so jobs=1 is
-                    # bit-identical to the streaming path.
-                    with tracer.span(
-                        "oocore:v_step", epoch=epoch, round=round_start // jobs
-                    ):
-                        for block_index in round_blocks:
-                            apply_v_step(
-                                v, grads[done[block_index]], lr, live,
-                                parent_ws,
-                            )
-                            if events.enabled:
-                                # round == block index: the V-step
-                                # application sequence number, shared
-                                # with the serial path.
-                                events.emit(
-                                    "oocore.block_done",
-                                    epoch=epoch,
-                                    round=block_index,
-                                    block=block_index,
-                                    rows=block_rows[block_index],
-                                    worker=block_worker[block_index],
-                                    sched_round=round_start // jobs,
-                                )
-                    metrics.counter("oocore.rounds_completed").inc()
-                    publish_heartbeats()
-            sampled_objectives.append(
-                float(sum(epoch_sq[b] for b in sorted(epoch_sq)))
-            )
-            rows_touched.append(epoch_rows)
-            epoch_seconds = time.perf_counter() - epoch_t0
-            if epoch_seconds > 0:
-                metrics.gauge("oocore.rows_per_second").set(
-                    epoch_rows / epoch_seconds
-                )
-            if events.enabled:
-                events.emit(
-                    "oocore.epoch_done", epoch=epoch, rows=epoch_rows
-                )
-        if events.enabled:
-            events.emit("oocore.fit_done", epochs=int(epochs))
         u_out = np.array(u, copy=True)
         v_out = np.array(v, copy=True)
     finally:

@@ -42,8 +42,7 @@ from ..engine.stochastic import (
 )
 from ..engine.workspace import GramCache
 from ..exceptions import ValidationError
-from ..obs.live.events import get_event_log
-from ..obs.trace import get_tracer
+from ..obs.stream import get_recorder, observe
 from ..validation import resolve_rng
 from .blocks import RowBlock, RowBlockSource, block_order
 
@@ -227,7 +226,8 @@ class StreamingFactorizer:
         )
         u_block = self.u[blk.start : blk.stop]
         sq_total = 0.0
-        with get_tracer().span(
+        recorder = get_recorder()
+        with recorder.span(
             "oocore:block_update", block=blk.index, rows=blk.rows,
             epoch=ws.epoch,
         ):
@@ -260,18 +260,16 @@ class StreamingFactorizer:
                 )
                 apply_v_step(self.v, grad_v, lr, self._live, ws)
         self._epoch_rows += blk.rows
-        events = get_event_log()
-        if events.enabled:
-            # ``round`` is the V-step application sequence number; in
-            # the serial path blocks apply in index order, so it equals
-            # the block index - the same key the parallel parent logs.
-            events.emit(
-                "oocore.block_done",
-                epoch=ws.epoch,
-                round=blk.index,
-                block=blk.index,
-                rows=blk.rows,
-            )
+        # ``round`` is the V-step application sequence number; in the
+        # serial path blocks apply in index order, so it equals the
+        # block index - the same key the parallel parent records.
+        recorder.event(
+            "oocore.block_done",
+            epoch=ws.epoch,
+            round=blk.index,
+            block=blk.index,
+            rows=blk.rows,
+        )
         return sq_total
 
     def finish_epoch(self) -> None:
@@ -290,34 +288,19 @@ class StreamingFactorizer:
 
     def fit(self, source: RowBlockSource, *, epochs: int) -> "StreamingFactorizer":
         """Serial sharded fit: ``epochs`` ordered passes over ``source``."""
-        tracer = get_tracer()
-        events = get_event_log()
-        if events.enabled:
-            events.emit(
-                "oocore.fit_start",
-                jobs=1,
-                epochs=int(epochs),
-                blocks=source.n_blocks,
-                n_rows=self.n_rows,
-            )
-        for _ in range(int(epochs)):
-            epoch = self.workspace.epoch
-            if events.enabled:
-                events.emit(
-                    "oocore.epoch_start", epoch=epoch, blocks=source.n_blocks
-                )
-            with tracer.span(
-                "oocore:epoch", epoch=epoch,
-                blocks=source.n_blocks,
-            ):
-                for block in source:
-                    self.partial_fit(block)
-            rows = self._epoch_rows
-            self.finish_epoch()
-            if events.enabled:
-                events.emit("oocore.epoch_done", epoch=epoch, rows=rows)
-        if events.enabled:
-            events.emit("oocore.fit_done", epochs=int(epochs))
+        with observe(
+            "oocore.fit", jobs=1, epochs=int(epochs),
+            blocks=source.n_blocks, n_rows=self.n_rows,
+        ):
+            for _ in range(int(epochs)):
+                with observe(
+                    "oocore.epoch", epoch=self.workspace.epoch,
+                    blocks=source.n_blocks,
+                ) as span:
+                    for block in source:
+                        self.partial_fit(block)
+                    span.set_attr("rows", self._epoch_rows)
+                    self.finish_epoch()
         return self
 
     def evaluate(self, source: RowBlockSource) -> float:

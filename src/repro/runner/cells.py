@@ -267,10 +267,10 @@ def timed_fit_impute(imputer: Any, x: Any, mask: Any = None) -> tuple[Any, float
     on the same clock, and ``report`` is ``None``.
     """
     from ..engine.report import FitReport
-    from ..obs.trace import get_tracer
+    from ..obs.stream import get_recorder
 
     method = getattr(imputer, "name", None) or getattr(imputer, "method", "")
-    with get_tracer().span("timed_fit_impute", method=str(method)) as span:
+    with get_recorder().span("timed_fit_impute", method=str(method)) as span:
         estimate = imputer.fit_impute(x, mask)
     report = getattr(imputer, "fit_report_", None)
     if isinstance(report, FitReport) and report.wall_times:
@@ -380,7 +380,7 @@ def _bench_sweep(params: dict[str, Any]) -> dict[str, Any]:
     from ..core.smf import SMF
     from ..core.smfl import SMFL
     from ..metrics.rms import rms_over_mask
-    from ..obs.trace import get_tracer
+    from ..obs.stream import get_recorder
 
     bench = generate(params["spec"], params["spec_params"], seed=params["seed"])
     model_kind = params.get("model", "smfl")
@@ -406,7 +406,7 @@ def _bench_sweep(params: dict[str, Any]) -> dict[str, Any]:
 
     # Warmup fit absorbs first-touch page faults / BLAS spin-up so the
     # timed repeats measure steady state.
-    with get_tracer().span("bench_warmup_fit", model=model_kind):
+    with get_recorder().span("bench_warmup_fit", model=model_kind):
         _make(max_iter=params.get("warmup_iter", 2)).fit(
             bench.x_missing, bench.mask
         )
@@ -416,7 +416,7 @@ def _bench_sweep(params: dict[str, Any]) -> dict[str, Any]:
     report = None
     for index in range(max(int(params.get("repeats", 3)), 1)):
         model = _make()
-        with get_tracer().span("bench_fit", model=model_kind, repeat=index):
+        with get_recorder().span("bench_fit", model=model_kind, repeat=index):
             model.fit(bench.x_missing, bench.mask)
         report = model.fit_report_
         assert report is not None

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from typing import Any, Sequence
 
-from ..obs.trace import collecting_tracer, get_tracer, use_tracer
+from ..obs.stream import collect, observe
 from .cache import canonical_json
 from .spec import RunSpec
 
@@ -80,8 +80,8 @@ def plan_units(specs: Sequence[RunSpec], indices: Sequence[int]) -> list[list[in
     ``execute_cell`` unchanged; multi-member units (same signature)
     run through :func:`execute_multi_cell`.  Units keep first-occurrence
     order and members keep grid order, so serial completion order — and
-    therefore every ordered artifact (manifest records, event-log
-    lines) — is independent of grouping.
+    therefore every ordered artifact (manifest records, cache
+    entries) — is independent of grouping.
     """
     units: list[list[int]] = []
     groups: dict[str, list[int]] = {}
@@ -156,16 +156,16 @@ def _compute_multi(specs: Sequence[RunSpec]) -> list[dict[str, Any]]:
     return payloads
 
 
-def _run_multi_spanned(
+def _run_multi_observed(
     specs: Sequence[RunSpec], attrs: dict[str, Any]
 ) -> list[dict[str, Any]]:
-    """Run one coalesced unit under a ``batch.cells`` span.
+    """Run one coalesced unit under ``observe("batch.cells")``.
 
     Each member's ``wall_seconds`` is its share of the fused span —
     the per-cell attribution the manifests and the batched benchmark
     ratchet consume.
     """
-    with get_tracer().span(
+    with observe(
         "batch.cells", kind=specs[0].kind, size=len(specs), **attrs
     ) as span:
         payloads = _compute_multi(specs)
@@ -184,15 +184,13 @@ def execute_multi_cell(
 
     Top-level and picklable, mirroring
     :func:`~repro.runner.execute.execute_cell`'s worker contract:
-    ``trace=True`` collects spans into a fresh tracer and ships them
-    back under ``"trace_events"`` for the parent to merge (once per
-    unit).  Returns ``{"payloads": [...]}`` with one per-member payload
-    in spec order.
+    ``trace=True`` records into a fresh in-memory recorder and ships
+    the records back under ``"records"`` for the parent to merge (once
+    per unit).  Returns ``{"payloads": [...]}`` with one per-member
+    payload in spec order.
     """
     attrs = dict(span_attrs or {})
     if trace:
-        tracer = collecting_tracer()
-        with use_tracer(tracer):
-            payloads = _run_multi_spanned(specs, attrs)
-        return {"payloads": payloads, "trace_events": list(tracer.sink.events)}
-    return {"payloads": _run_multi_spanned(specs, attrs)}
+        payloads, records = collect(_run_multi_observed, specs, attrs)
+        return {"payloads": payloads, "records": records}
+    return {"payloads": _run_multi_observed(specs, attrs)}

@@ -18,24 +18,19 @@ every deterministic cell.  Cache files are written by the parent
 process only - workers just compute - so no cross-process file races
 exist by construction.
 
-Observability (see :mod:`repro.obs`): when a tracer is active - the
+Observability (see :mod:`repro.obs`): when a recorder is active - the
 ambient one installed by a CLI's ``--trace`` flag, or one the runner
 opens itself for ``RunnerConfig.trace_path`` - the whole grid runs
-under a ``run`` span with one ``cell`` span per cell (cache hits
-included, tagged ``cache_hit=True``).  Worker processes collect their
-spans in memory and ship them back with the cell payload; the parent
-re-parents each worker's root span under the ``run`` span and tags
-every event with the cell's content address, so serial and parallel
-runs produce one merged JSONL with the same tree shape.  Per-run
-metrics (cache hits/misses/stores, cells executed, per-cell wall-time
-distribution) land in the manifest's ``metrics`` section and, when
-tracing, as a ``metrics`` event in the trace.
-
-With a structured event log installed (:mod:`repro.obs.live`), the
-parent additionally emits ``runner.run_start`` / ``cell_start`` /
-``cell_done`` / ``cell_cached`` / ``run_done`` records plus a final
-``metrics.snapshot`` - parent-only, so serial and ``--jobs N`` runs
-write identical record sets.
+under ``observe("run")`` with one ``observe("cell")`` per cell (cache
+hits included, tagged ``cache_hit=True``; a coalesced unit runs under
+``observe("batch.cells")``).  Worker processes record into memory and
+ship their records back with the cell payload; the parent re-parents
+each worker's roots under the ``run`` span and tags every record with
+the cell's content address, so serial and ``--jobs N`` runs write one
+stream with the same records and tree shape.  Per-run metrics (cache
+hits/misses/stores, cells executed, per-cell wall-time distribution)
+land in the manifest's ``metrics`` section and, when recording, as a
+``metrics`` record.
 """
 
 from __future__ import annotations
@@ -45,9 +40,8 @@ from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Any
 
-from ..obs.live.events import get_event_log
 from ..obs.metrics import MetricsRegistry, get_metrics
-from ..obs.trace import collecting_tracer, get_tracer, trace_to, use_tracer
+from ..obs.stream import collect, get_recorder, observe, record_to
 from .cache import ResultCache, cache_key
 from .cells import run_cell
 from .coalesce import execute_multi_cell, plan_units
@@ -57,9 +51,9 @@ from .spec import RunGrid, RunnerConfig, RunSpec
 __all__ = ["execute_cell", "run_grid", "RunOutcome"]
 
 
-def _run_cell_spanned(spec: RunSpec, attrs: dict[str, Any]) -> dict[str, Any]:
-    """Run one cell under a ``cell`` span; the span clock times it."""
-    with get_tracer().span("cell", kind=spec.kind, **attrs) as span:
+def _run_cell_observed(spec: RunSpec, attrs: dict[str, Any]) -> dict[str, Any]:
+    """Run one cell under ``observe("cell")``; the span clock times it."""
+    with observe("cell", kind=spec.kind, **attrs) as span:
         out = run_cell(spec.kind, dict(spec.params))
     out["wall_seconds"] = span.duration
     return out
@@ -77,23 +71,20 @@ def execute_cell(
     ``{"value", "fit", "wall_seconds"}``.  The cell's wall time comes
     from its ``cell`` span (the obs clock), not a separate stopwatch.
 
-    ``trace=True`` is the worker-process contract: spans are collected
-    into a fresh in-memory tracer and returned under ``"trace_events"``
-    for the parent to merge.  It deliberately ignores any ambient
-    tracer - under the fork start method a worker *inherits* the
-    parent's enabled tracer, and emitting into that copy would silently
-    drop the spans when the worker exits.  The serial path passes
-    ``trace=False`` and lets spans flow into the ambient tracer
-    directly.
+    ``trace=True`` is the worker-process contract: records go to a
+    fresh in-memory recorder (:func:`repro.obs.stream.collect`) and
+    come back under ``"records"`` for the parent to merge.  A forked
+    worker inherits the parent's recorder; writing into that copy would
+    lose the ring and memory sinks' records when the worker exits.  The
+    serial path passes ``trace=False`` and records into the ambient
+    recorder directly.
     """
     attrs = dict(span_attrs or {})
     if trace:
-        tracer = collecting_tracer()
-        with use_tracer(tracer):
-            payload = _run_cell_spanned(spec, attrs)
-        payload["trace_events"] = list(tracer.sink.events)
+        payload, records = collect(_run_cell_observed, spec, attrs)
+        payload["records"] = records
         return payload
-    return _run_cell_spanned(spec, attrs)
+    return _run_cell_observed(spec, attrs)
 
 
 @dataclass(frozen=True)
@@ -139,26 +130,23 @@ def _record(
     return record
 
 
-def _merge_worker_events(
-    tracer: Any, events: list[dict[str, Any]], *, parent_id: str | None, cell_key: str
+def _merge_worker_records(
+    recorder: Any, records: list[dict[str, Any]], *, parent_id: str, cell_key: str
 ) -> None:
-    """Re-emit one worker's span events into the parent trace.
+    """Re-emit one worker's records into the parent's stream.
 
-    Worker roots (spans with no parent in their own process) are
-    re-parented under the parent's ``run`` span, and every span is
-    tagged with the cell's content address so a trace row can always be
-    joined back to its manifest/cache entry.
+    Worker roots (spans with no parent, events outside any span in the
+    worker) are re-parented under the parent's ``run`` span, and every
+    record is tagged with the cell's content address so a trace row can
+    always be joined back to its manifest/cache entry.
     """
-    for event in events:
-        if event.get("type") != "span":
-            continue
-        event = dict(event)
-        if event.get("parent_id") is None:
-            event["parent_id"] = parent_id
-        attrs = dict(event.get("attrs") or {})
-        attrs.setdefault("cell_key", cell_key)
-        event["attrs"] = attrs
-        tracer.emit(event)
+    for record in records:
+        record = dict(record)
+        link = "parent_id" if record["kind"] == "span" else "span_id"
+        if record.get(link) is None:
+            record[link] = parent_id
+        record["attrs"] = {"cell_key": cell_key, **(record.get("attrs") or {})}
+        recorder.emit(record)
 
 
 def _run_metrics(
@@ -198,78 +186,53 @@ def run_grid(grid: RunGrid, config: RunnerConfig | None = None) -> RunOutcome:
     cache = ResultCache(config.cache_dir) if config.cache_dir else None
 
     with ExitStack() as stack:
-        tracer = get_tracer()
-        if config.trace_path and not tracer.enabled:
-            tracer = stack.enter_context(
-                trace_to(config.trace_path, experiment=grid.experiment)
+        recorder = get_recorder()
+        if config.trace_path and not recorder.enabled:
+            recorder = stack.enter_context(
+                record_to(config.trace_path, experiment=grid.experiment)
             )
-            stack.enter_context(use_tracer(tracer))
-        tracing = tracer.enabled
+        tracing = recorder.enabled
 
         keys = [cache_key(spec) for spec in grid.cells]
         records: list[dict[str, Any] | None] = [None] * len(grid.cells)
         pending: list[int] = []
-        event_log = get_event_log()
-        if event_log.enabled:
-            # Parent-only: worker processes never touch the event log,
-            # so serial and --jobs N runs write identical record sets.
-            event_log.emit(
-                "runner.run_start",
-                experiment=grid.experiment,
-                n_cells=len(grid.cells),
-                jobs=config.jobs,
-            )
-
-        with tracer.span(
-            "run", experiment=grid.experiment, n_cells=len(grid.cells)
+        with recorder.observe(
+            "run", experiment=grid.experiment, n_cells=len(grid.cells),
+            jobs=config.jobs,
         ) as run_span:
             for index, spec in enumerate(grid.cells):
                 entry = None
                 if cache is not None and config.resume and not spec.volatile:
                     entry = cache.load(keys[index])
                 if entry is not None:
-                    if tracing:
-                        with tracer.span(
-                            "cell", kind=spec.kind, index=index,
-                            cell_key=keys[index], cache_hit=True,
-                        ):
-                            pass
+                    with recorder.observe(
+                        "cell", kind=spec.kind, index=index,
+                        cell_key=keys[index], cache_hit=True,
+                    ):
+                        pass
                     records[index] = _record(
                         index, spec, keys[index],
                         {"value": entry.get("value"), "fit": entry.get("fit"),
                          "wall_seconds": 0.0},
                         cache_hit=True,
                     )
-                    if event_log.enabled:
-                        event_log.emit(
-                            "runner.cell_cached",
-                            index=index,
-                            kind=spec.kind,
-                            cell_key=keys[index],
-                        )
                 else:
                     pending.append(index)
 
+            def _merge(payload: dict[str, Any], cell_key: str) -> None:
+                shipped = payload.pop("records", None)
+                if shipped:
+                    _merge_worker_records(
+                        recorder, shipped,
+                        parent_id=run_span.span_id, cell_key=cell_key,
+                    )
+
             def _complete(index: int, payload: dict[str, Any]) -> None:
                 spec = grid.cells[index]
-                events = payload.pop("trace_events", None)
-                if events and tracing:
-                    _merge_worker_events(
-                        tracer, events,
-                        parent_id=run_span.span_id if tracing else None,
-                        cell_key=keys[index],
-                    )
+                _merge(payload, keys[index])
                 records[index] = _record(
                     index, spec, keys[index], payload, cache_hit=False
                 )
-                if event_log.enabled:
-                    event_log.emit(
-                        "runner.cell_done",
-                        index=index,
-                        kind=spec.kind,
-                        cell_key=keys[index],
-                        seconds=float(payload.get("wall_seconds", 0.0)),
-                    )
                 if cache is not None and not spec.volatile:
                     cache.store(
                         keys[index],
@@ -280,15 +243,6 @@ def run_grid(grid: RunGrid, config: RunnerConfig | None = None) -> RunOutcome:
                             "fit": payload.get("fit"),
                             "wall_seconds": payload.get("wall_seconds"),
                         },
-                    )
-
-            def _cell_start(index: int) -> None:
-                if event_log.enabled:
-                    event_log.emit(
-                        "runner.cell_start",
-                        index=index,
-                        kind=grid.cells[index].kind,
-                        cell_key=keys[index],
                     )
 
             # Execution units: coalescing fuses compatible same-config
@@ -302,15 +256,9 @@ def run_grid(grid: RunGrid, config: RunnerConfig | None = None) -> RunOutcome:
 
             def _complete_unit(unit: list[int], result: dict[str, Any]) -> None:
                 """Fan a coalesced unit's payloads back out per cell."""
-                events = result.pop("trace_events", None)
-                if events and tracing:
-                    # One merge per unit; member spans inside the fused
-                    # batch are tagged with the unit's lead cell key.
-                    _merge_worker_events(
-                        tracer, events,
-                        parent_id=run_span.span_id,
-                        cell_key=keys[unit[0]],
-                    )
+                # One merge per unit; member records inside the fused
+                # batch are tagged with the unit's lead cell key.
+                _merge(result, keys[unit[0]])
                 for index, payload in zip(unit, result["payloads"]):
                     _complete(index, payload)
 
@@ -318,7 +266,6 @@ def run_grid(grid: RunGrid, config: RunnerConfig | None = None) -> RunOutcome:
                 for unit in units:
                     if len(unit) == 1:
                         index = unit[0]
-                        _cell_start(index)
                         _complete(
                             index,
                             execute_cell(
@@ -329,8 +276,6 @@ def run_grid(grid: RunGrid, config: RunnerConfig | None = None) -> RunOutcome:
                             ),
                         )
                     else:
-                        for index in unit:
-                            _cell_start(index)
                         _complete_unit(
                             unit,
                             execute_multi_cell(
@@ -343,8 +288,6 @@ def run_grid(grid: RunGrid, config: RunnerConfig | None = None) -> RunOutcome:
                 with ProcessPoolExecutor(max_workers=workers) as pool:
                     futures = {}
                     for unit in units:
-                        for index in unit:
-                            _cell_start(index)
                         if len(unit) == 1:
                             future = pool.submit(
                                 execute_cell, grid.cells[unit[0]], tracing,
@@ -371,32 +314,24 @@ def run_grid(grid: RunGrid, config: RunnerConfig | None = None) -> RunOutcome:
                                 _complete_unit(unit, future.result())
 
             values = [record["value"] for record in records]  # type: ignore[index]
-            with tracer.span("assemble", experiment=grid.experiment):
+            with recorder.span("assemble", experiment=grid.experiment):
                 value = grid.assemble(values)
 
-        registry = _run_metrics(
-            grid, records, cache, executed=len(pending)  # type: ignore[arg-type]
-        )
-        metrics = registry.snapshot()
-        if tracing:
-            tracer.emit({"type": "metrics", "values": metrics})
-        if event_log.enabled:
-            event_log.emit(
-                "runner.run_done",
-                experiment=grid.experiment,
-                n_cells=len(grid.cells),
-                executed=len(pending),
-                cache_hits=sum(1 for r in records if r and r["cache_hit"]),
-                seconds=run_span.duration,
+            registry = _run_metrics(
+                grid, records, cache, executed=len(pending)  # type: ignore[arg-type]
             )
-            event_log.emit_metrics(registry)
+            recorder.metrics(registry)
+            run_span.set_attr("executed", len(pending))
+            run_span.set_attr(
+                "cache_hits", sum(1 for r in records if r and r["cache_hit"])
+            )
+        metrics = registry.snapshot()
 
         trace_info = None
         if tracing:
-            sink = getattr(tracer, "sink", None)
             trace_info = {
-                "events": len(getattr(sink, "events", ())),
-                "path": getattr(sink, "path", None),
+                "events": recorder.emitted,
+                "path": getattr(next(iter(recorder.sinks), None), "path", None),
             }
 
         manifest = build_manifest(

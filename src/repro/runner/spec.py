@@ -96,12 +96,12 @@ class RunnerConfig:
     manifest_path:
         Where to write the run manifest JSON, or ``None`` to skip it.
     trace_path:
-        Where to write the run's span trace (JSONL, see
-        :mod:`repro.obs`), or ``None`` to leave tracing to the ambient
-        tracer (the default; with no ambient tracer active, tracing is
-        off and costs nothing).  When an ambient tracer is already
-        active - e.g. a CLI ``--trace`` flag wrapped the whole
-        invocation - it wins and this field is ignored.
+        Where to record the run (JSONL, appended; see
+        :mod:`repro.obs.stream`), or ``None`` to leave recording to the
+        ambient recorder (the default; with no ambient recorder active,
+        recording is off and costs nothing).  When an ambient recorder
+        is already active - e.g. a CLI ``--trace`` flag wrapped the
+        whole invocation - it wins and this field is ignored.
     coalesce:
         When ``True`` (default), compatible same-configuration cells
         (same everything but the seed; see

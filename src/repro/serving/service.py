@@ -8,15 +8,15 @@
   and scratch memory is bounded;
 - one :class:`~repro.engine.workspace.BufferArena` lives for the
   server's lifetime, so steady-state batches allocate no scratch;
-- every batch runs under an obs span (``serving.fold_in``) and feeds
-  the metrics registry: an imputation counter, a rows-per-request
-  histogram, an in-flight gauge, and request-latency quantile
-  histograms whose p50/p99 the serving benchmark records;
-- with an event log installed each request also emits structured
-  ``serving.request_start`` / ``request_done`` / ``request_error``
-  records carrying a process-unique request id, and an optional
-  :class:`~repro.obs.live.Sampler` downsamples *tracing* (spans +
-  histogram exemplars) without ever downsampling errors.
+- every request feeds the metrics registry: an imputation counter, a
+  rows-per-request histogram, an in-flight gauge, and request-latency
+  quantile histograms whose p50/p99 the serving benchmark records;
+- with a recorder installed each request runs under
+  ``observe("serving.request")``: ``serving.request_start`` /
+  ``_done`` / ``_error`` events carrying a process-unique request id,
+  and a ``serving.request`` span.  An optional
+  :class:`~repro.obs.Sampler` downsamples the span and the latency
+  exemplar, never the events, so errors are always recorded.
 
 The server is intentionally synchronous - the paper's serving story is
 about the *math* being O(M K^2) per row, not about I/O plumbing - but
@@ -35,10 +35,8 @@ import numpy as np
 from ..engine.workspace import BufferArena
 from ..exceptions import ValidationError
 from ..model.fitted import FittedModel
-from ..obs.live.events import get_event_log, next_request_id
-from ..obs.live.sampling import Sampler
 from ..obs.metrics import MetricsRegistry, get_metrics
-from ..obs.trace import get_tracer
+from ..obs.stream import Sampler, get_recorder, next_request_id
 from .foldin import DEFAULT_RIDGE, FoldInResult, fold_in
 
 __all__ = ["DEFAULT_BATCH_SIZE", "FoldInServer"]
@@ -50,11 +48,8 @@ small enough that the ``(B, K, K)`` Gram slab stays cache-friendly."""
 #: Metric names the server populates (all under this prefix).
 METRIC_PREFIX = "serving"
 
-_EV_REQUEST_START = f"{METRIC_PREFIX}.request_start"
-_EV_REQUEST_DONE = f"{METRIC_PREFIX}.request_done"
-_EV_REQUEST_ERROR = f"{METRIC_PREFIX}.request_error"
-_SPAN_FOLD_IN = f"{METRIC_PREFIX}.fold_in"
-_NULL_SPAN = nullcontext()  # reusable/reentrant; saves an allocation per request
+_OBSERVE_REQUEST = f"{METRIC_PREFIX}.request"
+_NULL_OBSERVATION = nullcontext()  # reusable/reentrant; no allocation per request
 
 
 class FoldInServer:
@@ -76,12 +71,11 @@ class FoldInServer:
         Destination registry (default: the ambient
         :func:`repro.obs.get_metrics` registry).
     sampler:
-        Optional per-request trace :class:`~repro.obs.live.Sampler`.
-        When set, only sampled requests open a ``serving.fold_in`` span
-        (and contribute exemplar request ids to the latency histogram);
-        error events are emitted unconditionally regardless of the
-        sampling decision.  ``None`` keeps every request traced, the
-        pre-sampling behaviour.
+        Optional per-request :class:`~repro.obs.Sampler`.  When set,
+        only sampled requests open a ``serving.request`` span (and
+        contribute exemplar request ids to the latency histogram); the
+        request events, errors included, are recorded regardless of
+        the sampling decision.  ``None`` samples every request.
     """
 
     def __init__(
@@ -158,41 +152,31 @@ class FoldInServer:
                     mask = mask_arr[None, :]
         mask_arr = None if mask is None else np.asarray(mask)
 
-        events = get_event_log()
+        recorder = get_recorder()
         n_rows = int(x_arr.shape[0])
-        # The sampling decision gates only the success-path span (and
-        # the exemplar); errors are always recorded - a failing request
-        # must never be invisible because the coin said no.
         sampled = self.sampler.sample() if self.sampler is not None else True
         # A request id is only minted when someone will see it: the
-        # event log, or an exemplar from an explicitly sampled trace.
+        # recorder, or an exemplar from an explicitly sampled request.
         request_id = (
             next_request_id()
-            if (events.enabled or (self.sampler is not None and sampled))
+            if (recorder.enabled or (self.sampler is not None and sampled))
             else None
         )
-        if events.enabled:
-            events.emit(
-                _EV_REQUEST_START,
-                request_id=request_id,
-                rows=n_rows,
+        observation = (
+            recorder.observe(
+                _OBSERVE_REQUEST,
                 sampled=sampled,
-            )
-        self._m_in_flight.inc()
-        tracer = get_tracer()
-        span = (
-            tracer.span(
-                _SPAN_FOLD_IN,
+                request_id=request_id,
                 rows=n_rows,
                 method=self.model.method,
-                request_id=request_id,
             )
-            if sampled and tracer.enabled
-            else _NULL_SPAN
+            if recorder.enabled
+            else _NULL_OBSERVATION
         )
+        self._m_in_flight.inc()
         t_start = time.perf_counter()
         try:
-            with span:
+            with observation:
                 if n_rows <= self.batch_size:
                     # Single-batch fast path: the common serving case
                     # skips the chunk list and concatenation entirely.
@@ -221,19 +205,8 @@ class FoldInServer:
                                 arena=self._arena,
                             )
                         )
-        except Exception as exc:
-            elapsed = time.perf_counter() - t_start
+        except Exception:
             self._m_errors.inc()
-            if events.enabled:
-                events.emit(
-                    _EV_REQUEST_ERROR,
-                    level="error",
-                    request_id=request_id,
-                    rows=n_rows,
-                    seconds=elapsed,
-                    error=type(exc).__name__,
-                    detail=str(exc),
-                )
             raise
         finally:
             self._m_in_flight.dec()
@@ -243,13 +216,6 @@ class FoldInServer:
         self._record(
             n_rows, elapsed, exemplar=request_id if sampled else None
         )
-        if events.enabled:
-            events.emit(
-                _EV_REQUEST_DONE,
-                request_id=request_id,
-                rows=n_rows,
-                seconds=elapsed,
-            )
         return result
 
     @staticmethod

@@ -17,6 +17,9 @@ pulls from here, which makes the reuse automatic for every runner cell,
 
 Hits and misses are counted on the ambient metrics registry
 (``spatial_graph_cache.hits`` / ``.misses``, see :mod:`repro.obs`).
+Each lookup runs under ``observe("spatial.graph")``; with a recorder
+installed the span carries ``cache_hit`` and the cache's bytes as
+:func:`graph_cache_info` reports them.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..obs.metrics import get_metrics
+from ..obs.stream import get_recorder
 from .similarity import knn_graph, to_dense
 
 __all__ = ["SpatialGraph", "spatial_graph", "clear_graph_cache", "graph_cache_info"]
@@ -72,6 +76,20 @@ class SpatialGraph:
     def laplacian(self) -> np.ndarray:
         return self._dense_view("laplacian_op")
 
+    @property
+    def sparse_bytes(self) -> int:
+        """Bytes of the CSR operators and the degree vector."""
+        return (
+            _nbytes(self.similarity_op)
+            + _nbytes(self.laplacian_op)
+            + self.degree.nbytes
+        )
+
+    @property
+    def dense_bytes(self) -> int:
+        """Bytes of the dense views materialized so far (``N²·8`` each)."""
+        return sum(view.nbytes for view in list(self._dense.values()))
+
     def _dense_view(self, name: str) -> np.ndarray:
         with _VIEW_LOCK:
             view = self._dense.get(name)
@@ -80,6 +98,12 @@ class SpatialGraph:
                 view.setflags(write=False)
                 self._dense[name] = view
             return view
+
+
+def _nbytes(op: object) -> int:
+    if hasattr(op, "indptr"):
+        return op.data.nbytes + op.indices.nbytes + op.indptr.nbytes
+    return np.asarray(op).nbytes
 
 
 def _graph_key(
@@ -133,23 +157,31 @@ def spatial_graph(
     on a miss.
     """
     spatial = np.asarray(spatial, dtype=np.float64)
-    key = _graph_key(spatial, p, observed, method, missing_strategy)
-    with _LOCK:
-        hit = _CACHE.get(key)
-        if hit is not None:
-            _CACHE.move_to_end(key)
-            get_metrics().counter("spatial_graph_cache.hits").inc()
-            return hit
-    # Build outside the lock: graph construction is the expensive part,
-    # and a rare duplicate build is cheaper than serializing all fits.
-    built = _build(spatial, p, observed, method, missing_strategy)
-    with _LOCK:
-        get_metrics().counter("spatial_graph_cache.misses").inc()
-        _CACHE[key] = built
-        _CACHE.move_to_end(key)
-        while len(_CACHE) > _MAX_ENTRIES:
-            _CACHE.popitem(last=False)
-    return built
+    recorder = get_recorder()
+    with recorder.observe("spatial.graph", p=int(p)) as span:
+        key = _graph_key(spatial, p, observed, method, missing_strategy)
+        with _LOCK:
+            graph = _CACHE.get(key)
+            if graph is not None:
+                _CACHE.move_to_end(key)
+                get_metrics().counter("spatial_graph_cache.hits").inc()
+        span.set_attr("cache_hit", graph is not None)
+        if graph is None:
+            # Build outside the lock: graph construction is the expensive
+            # part, and a rare duplicate build is cheaper than
+            # serializing all fits.
+            graph = _build(spatial, p, observed, method, missing_strategy)
+            with _LOCK:
+                get_metrics().counter("spatial_graph_cache.misses").inc()
+                _CACHE[key] = graph
+                _CACHE.move_to_end(key)
+                while len(_CACHE) > _MAX_ENTRIES:
+                    _CACHE.popitem(last=False)
+        if recorder.enabled:
+            info = graph_cache_info()
+            span.set_attr("sparse_bytes", info["sparse_bytes"])
+            span.set_attr("dense_bytes", info["dense_bytes"])
+    return graph
 
 
 def clear_graph_cache() -> None:
@@ -159,7 +191,18 @@ def clear_graph_cache() -> None:
 
 
 def graph_cache_info() -> dict[str, int]:
-    """Current size and capacity (the hit/miss counts live on the
-    metrics registry)."""
+    """Entries, capacity and the bytes the cache holds.
+
+    ``sparse_bytes`` is every entry's CSR arrays and degree vector, the
+    ``O(p N)`` the cache always keeps; ``dense_bytes`` is the dense
+    ``N x N`` views readers have materialized on entries.  The hit/miss
+    counts live on the metrics registry.
+    """
     with _LOCK:
-        return {"entries": len(_CACHE), "capacity": _MAX_ENTRIES}
+        graphs = list(_CACHE.values())
+    return {
+        "entries": len(graphs),
+        "capacity": _MAX_ENTRIES,
+        "sparse_bytes": sum(graph.sparse_bytes for graph in graphs),
+        "dense_bytes": sum(graph.dense_bytes for graph in graphs),
+    }

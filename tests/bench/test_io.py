@@ -79,7 +79,7 @@ class TestTimingWritersRouteThroughEnvelope:
         import inspect
 
         from repro.bench import sweep
-        from repro.obs.live import slo
+        from repro.obs import slo
         from repro.oocore import benchmark
 
         for module, name in (

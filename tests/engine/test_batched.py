@@ -501,7 +501,7 @@ class TestDivergenceGuard:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_stacked_loop_emits_fit_diverged_with_the_step_size(self):
-        from repro.obs.live.events import EventLog, RingBufferSink, use_event_log
+        from repro.obs import Recorder, RingBufferSink, use_recorder
 
         from .test_engine import diverging_lake
 
@@ -520,16 +520,16 @@ class TestDivergenceGuard:
             for seed, x in enumerate((good, bad))
         ]
         sink = RingBufferSink()
-        with use_event_log(EventLog(sink)):
+        with use_recorder(Recorder(sink)):
             with pytest.raises(NumericalDivergenceError) as info:
                 fit_models_batched(jobs)
         message = str(info.value)
         assert "'gradient' with learning_rate 0.00025" in message
         assert "stacked member 1" in message
-        diverged = [r for r in sink.tail() if r["event"] == "fit.diverged"]
+        diverged = [r for r in sink.tail() if r["name"] == "batch.fit_error"]
         assert len(diverged) == 1
         attrs = diverged[0]["attrs"]
         assert diverged[0]["level"] == "error"
-        assert attrs["member"] == 1 and attrs["iteration"] == 1
+        assert attrs["error"] == "NumericalDivergenceError"
         assert attrs["update_rule"] == "gradient"
-        assert attrs["message"] == message
+        assert attrs["detail"] == message

@@ -150,19 +150,19 @@ class TestDivergenceGuard:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_emits_fit_diverged_before_raising(self):
         from repro.core import SMFL
-        from repro.obs.live.events import EventLog, RingBufferSink, use_event_log
+        from repro.obs import Recorder, RingBufferSink, use_recorder
 
         sink = RingBufferSink()
-        with use_event_log(EventLog(sink)):
+        with use_recorder(Recorder(sink)):
             with pytest.raises(NumericalDivergenceError) as info:
                 SMFL(rank=4, max_iter=50, random_state=0).fit(diverging_lake())
-        diverged = [r for r in sink.tail() if r["event"] == "fit.diverged"]
+        diverged = [r for r in sink.tail() if r["name"] == "fit_error"]
         assert len(diverged) == 1
         record = diverged[0]
         assert record["level"] == "error"
-        assert record["attrs"]["iteration"] == 1
-        assert record["attrs"]["update_rule"] == "multiplicative"
-        assert record["attrs"]["message"] == str(info.value)
+        assert record["attrs"]["error"] == "NumericalDivergenceError"
+        assert "iteration 1 " in record["attrs"]["detail"]
+        assert record["attrs"]["detail"] == str(info.value)
         assert sink.tail()[-1] is record  # the last event before the raise
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

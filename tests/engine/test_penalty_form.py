@@ -26,7 +26,8 @@ from repro.core.objective import masked_frobenius_sq, smoothness_penalty
 from repro.engine import Callback, ConvergenceMonitor, IterativeEngine, Telemetry
 from repro.engine.callbacks import IterationRecord
 from repro.engine.workspace import KernelWorkspace
-from repro.obs.live.events import EventLog, RingBufferSink, use_event_log
+from repro.obs import Recorder as StreamRecorder
+from repro.obs import RingBufferSink, use_recorder
 
 from .test_engine import CountingSolver, StopAtSolver
 
@@ -254,12 +255,12 @@ class TestStopReason:
     def test_telemetry_and_event_carry_it(self):
         telemetry = Telemetry()
         sink = RingBufferSink()
-        with use_event_log(EventLog(sink)):
+        with use_recorder(StreamRecorder(sink)):
             IterativeEngine(max_iter=50, tol=0.2, callbacks=(telemetry,)).run(
                 CountingSolver(), 0
             )
         assert telemetry.report().stop_reason == "tol"
-        end = next(r for r in sink.tail() if r["event"] == "engine.fit_end")
+        end = next(r for r in sink.tail() if r["name"] == "fit_done")
         assert end["attrs"]["stop_reason"] == "tol"
 
     def test_zero_budget_is_budget(self):

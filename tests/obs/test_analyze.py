@@ -16,9 +16,9 @@ from repro.obs import (
 
 def _span(name, span_id, parent_id, start, end, **attrs):
     event = {
-        "type": "span", "name": name, "span_id": span_id,
-        "parent_id": parent_id, "start": start, "end": end,
-        "duration": end - start, "pid": 1, "thread": 1,
+        "schema": 2, "kind": "span", "name": name, "span_id": span_id,
+        "parent_id": parent_id, "ts": start, "duration": end - start,
+        "pid": 1, "thread": 1,
     }
     if attrs:
         event["attrs"] = attrs
@@ -28,7 +28,7 @@ def _span(name, span_id, parent_id, start, end, **attrs):
 def _fixture_events():
     # run(0..10) -> cell#a(0..4) -> fit(0..3); cell#b(4..8) -> fit(4..7)
     return [
-        {"type": "meta", "experiment": "unit"},
+        {"kind": "meta", "attrs": {"experiment": "unit"}},
         _span("run", "1-1", None, 0.0, 10.0),
         _span("cell", "1-2", "1-1", 0.0, 4.0),
         _span("fit", "1-3", "1-2", 0.0, 3.0),

@@ -6,20 +6,20 @@ import json
 
 import pytest
 
-from repro.obs import read_events, trace_to
+from repro.obs import read_records, record_to
 from repro.obs.__main__ import main
 
 
 @pytest.fixture()
 def trace_path(tmp_path):
     path = str(tmp_path / "trace.jsonl")
-    with trace_to(path, experiment="unit") as tracer:
+    with record_to(path, experiment="unit") as tracer:
         with tracer.span("fit", solver="mult"):
             for index in range(3):
                 with tracer.span("iteration", index=index):
                     pass
         tracer.emit(
-            {"type": "metrics",
+            {"kind": "metrics",
              "values": {"cache.hits": {"type": "counter", "value": 2}}}
         )
     return path
@@ -37,7 +37,7 @@ class TestReport:
 
     def test_no_spans_is_an_error(self, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"
-        empty.write_text('{"type": "meta"}\n')
+        empty.write_text('{"kind": "meta"}\n')
         assert main(["report", str(empty)]) == 1
         assert "no span events" in capsys.readouterr().out
 
@@ -62,9 +62,63 @@ class TestEndToEndWithEngine:
 
         path = str(tmp_path / "fit.jsonl")
         x = abs(rng.normal(size=(40, 6))) + 0.1
-        with trace_to(path):
+        with record_to(path):
             SMFL(rank=3, n_spatial=2, max_iter=4, random_state=0).fit(x)
-        names = {e["name"] for e in read_events(path) if e.get("type") == "span"}
+        names = {e["name"] for e in read_records(path) if e.get("kind") == "span"}
         assert {"fit", "iteration", "evaluate"} <= names
         assert main(["report", path]) == 0
         assert "kernel:multiplicative" in capsys.readouterr().out
+
+    def test_traced_fit_emits_one_span_per_step(self, tmp_path, rng):
+        from repro.core.smfl import SMFL
+
+        path = str(tmp_path / "fit.jsonl")
+        x = abs(rng.normal(size=(40, 6))) + 0.1
+        with record_to(path):
+            SMFL(rank=3, n_spatial=2, max_iter=4, random_state=0).fit(x)
+        spans = [e for e in read_records(path) if e["kind"] == "span"]
+        counts = {}
+        for span in spans:
+            counts[span["name"]] = counts.get(span["name"], 0) + 1
+        assert counts["fit"] == 1
+        assert counts["iteration"] == 4
+        assert counts["evaluate"] == 4
+        assert counts["kernel:multiplicative"] == 4
+        by_id = {span["span_id"]: span for span in spans}
+        for span in spans:
+            if span["name"] == "kernel:multiplicative":
+                assert by_id[span["parent_id"]]["name"] == "iteration"
+
+    def test_traced_multi_fit_emits_one_batch_span(self, tmp_path, rng):
+        from repro.core.batched_fit import fit_models_batched
+        from repro.core.smfl import SMFL
+
+        path = str(tmp_path / "batch.jsonl")
+        x = abs(rng.normal(size=(40, 6))) + 0.1
+        jobs = [
+            (SMFL(rank=3, n_spatial=2, max_iter=4, random_state=seed), x, None)
+            for seed in range(2)
+        ]
+        with record_to(path):
+            fit_models_batched(jobs)
+        names = [e["name"] for e in read_records(path) if e["kind"] == "span"]
+        assert names.count("batch.fit") == 1
+
+    def test_tracing_leaves_the_fit_bit_identical(self, tmp_path, rng):
+        import numpy as np
+
+        from repro.core.smfl import SMFL
+
+        x = abs(rng.normal(size=(40, 6))) + 0.1
+
+        def fit():
+            return SMFL(rank=3, n_spatial=2, max_iter=4, random_state=0).fit(x)
+
+        plain = fit()
+        with record_to(str(tmp_path / "fit.jsonl")):
+            traced = fit()
+        assert np.array_equal(traced.u_, plain.u_)
+        assert np.array_equal(traced.v_, plain.v_)
+        assert traced.objective_history_ == plain.objective_history_
+        deltas = traced.fit_report_.factor_deltas
+        assert deltas and deltas == plain.fit_report_.factor_deltas

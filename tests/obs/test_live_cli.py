@@ -1,4 +1,5 @@
-"""The live halves of ``python -m repro.obs``: tail, expose, serve, slo.
+"""The stream readers of ``python -m repro.obs``: tail, summary, chrome,
+expose, serve, slo.
 
 ``TestLiveLoop`` runs them in sequence on a real sampled serving log,
 the way an operator would after a run.
@@ -16,35 +17,30 @@ import urllib.request
 
 import pytest
 
+from repro.obs import JsonlSink, MetricsServer, Recorder, serving_stats_from_events
 from repro.obs.__main__ import main
-from repro.obs.live import (
-    CONTENT_TYPE,
-    EventLog,
-    AppendJsonlSink,
-    MetricsServer,
-    build_slo_payload,
-    serving_stats_from_events,
-)
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.serve import CONTENT_TYPE
+from repro.obs.slo import build_slo_payload
 
 
 @pytest.fixture
 def event_log_file(tmp_path):
     """A recorded serving run: requests, one error, a metrics snapshot."""
     path = str(tmp_path / "events.jsonl")
-    log = EventLog(AppendJsonlSink(path))
+    log = Recorder(JsonlSink(path))
     for index in range(6):
-        log.emit(
+        log.event(
             "serving.request_done",
             request_id=f"req-1-{index}",
             rows=8,
             seconds=0.002 + 0.0005 * index,
         )
-    log.emit("serving.request_error", level="error", rows=8, error="ValueError")
+    log.event("serving.request_error", level="error", rows=8, error="ValueError")
     registry = MetricsRegistry()
     registry.counter("serving.requests").inc(6)
     registry.gauge("serving.in_flight").set(0)
-    log.emit_metrics(registry)
+    log.metrics(registry)
     log.close()
     return path
 
@@ -54,7 +50,7 @@ class TestReportTail:
         assert main(["report", event_log_file, "--tail", "3"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 3
-        assert json.loads(lines[-1])["event"] == "metrics.snapshot"
+        assert json.loads(lines[-1])["kind"] == "metrics"
 
     def test_empty_log_is_a_one_line_error(self, tmp_path, capsys):
         path = tmp_path / "empty.jsonl"
@@ -85,6 +81,46 @@ class TestReportTail:
         assert [json.loads(line)["event"] for line in lines] == ["a"]
 
 
+class TestOneReader:
+    """``summary`` and ``chrome`` read through the same reader as
+    ``report``: the same one-line errors, the same torn-line tolerance."""
+
+    SPAN = {
+        "schema": 2, "kind": "span", "name": "fit", "ts": 1.0,
+        "duration": 0.5, "span_id": "1-1", "parent_id": None, "pid": 1,
+        "thread": 1,
+    }
+
+    def test_chrome_on_a_missing_file_is_a_one_line_error(self, tmp_path, capsys):
+        assert main(["chrome", str(tmp_path / "nope.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "no such file" in err
+        assert err.count("\n") == 1
+
+    def test_summary_on_a_missing_file_is_a_one_line_error(self, tmp_path, capsys):
+        assert main(["summary", str(tmp_path / "nope.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+
+    def test_summary_tolerates_a_torn_final_line(self, tmp_path, capsys):
+        path = tmp_path / "crashed.jsonl"
+        path.write_text(json.dumps(self.SPAN) + "\n" + '{"type":"sp')
+        out_path = str(tmp_path / "summary.json")
+        assert main(["summary", str(path), "-o", out_path]) == 0
+        with open(out_path, encoding="utf-8") as handle:
+            assert json.load(handle)["spans"]["fit"]["count"] == 1
+
+    def test_chrome_tolerates_a_torn_final_line(self, tmp_path, capsys):
+        path = tmp_path / "crashed.jsonl"
+        path.write_text(json.dumps(self.SPAN) + "\n" + '{"type":"sp')
+        out_path = str(tmp_path / "chrome.json")
+        assert main(["chrome", str(path), "-o", out_path]) == 0
+        with open(out_path, encoding="utf-8") as handle:
+            assert len(json.load(handle)["traceEvents"]) == 1
+
+
 class TestExpose:
     def test_renders_the_last_snapshot_with_check(
         self, event_log_file, capsys
@@ -103,8 +139,8 @@ class TestExpose:
 
     def test_log_without_a_snapshot_is_an_error(self, tmp_path, capsys):
         path = str(tmp_path / "plain.jsonl")
-        log = EventLog(AppendJsonlSink(path))
-        log.emit("serving.request_done", seconds=0.01)
+        log = Recorder(JsonlSink(path))
+        log.event("serving.request_done", seconds=0.01)
         log.close()
         assert main(["expose", path]) == 2
         assert "no metrics snapshot" in capsys.readouterr().err
@@ -114,7 +150,7 @@ class TestMetricsServer:
     def test_scrape_and_health_endpoints(self):
         registry = MetricsRegistry()
         registry.counter("unit.scrapes").inc(2)
-        from repro.obs.live import render_prometheus
+        from repro.obs import render_prometheus
 
         server = MetricsServer(
             lambda: render_prometheus(registry), port=0
@@ -150,9 +186,9 @@ class TestMetricsServer:
 class TestSloCommand:
     def _baseline(self, tmp_path, events_path, **budgets):
         from repro.bench.io import write_bench_json
-        from repro.obs.live.events import read_event_log
+        from repro.obs import read_records
 
-        stats = serving_stats_from_events(read_event_log(events_path))
+        stats = serving_stats_from_events(read_records(events_path))
         payload = build_slo_payload(stats, budgets or None)
         path = str(tmp_path / "SLO_serving.json")
         write_bench_json("SLO_serving", payload, path=path)
@@ -232,7 +268,7 @@ class TestLiveLoop:
         import numpy as np
 
         from repro.core import SMFL
-        from repro.obs.live import Sampler, event_log_to
+        from repro.obs import Sampler, record_to
         from repro.serving import FoldInServer
 
         rng = np.random.default_rng(0)
@@ -247,18 +283,18 @@ class TestLiveLoop:
 
         path = str(tmp_path / "serving_events.jsonl")
         registry = MetricsRegistry()
-        with event_log_to(path) as log:
+        with record_to(path) as log:
             server = FoldInServer(
                 fitted, metrics=registry, sampler=Sampler(0.1, seed=0)
             )
             for _ in range(8):
                 server.impute_rows(requests)
-            log.emit_metrics(registry)
+            log.metrics(registry)
 
         assert main(["report", path, "--tail", "5"]) == 0
         tail = capsys.readouterr().out.strip().splitlines()
         assert len(tail) == 5
-        assert json.loads(tail[-1])["event"] == "metrics.snapshot"
+        assert json.loads(tail[-1])["kind"] == "metrics"
         assert main(["expose", path, "--check"]) == 0
         assert "repro_serving_requests_total 8.0" in capsys.readouterr().out
         assert main(

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs.live.prometheus import (
+from repro.obs.prometheus import (
     _parse_flat_key,
     metric_name,
     parse_exposition,

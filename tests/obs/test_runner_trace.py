@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.obs import build_tree, coverage, read_events
+from repro.obs import build_tree, coverage, read_records
 from repro.runner import RunnerConfig, run_grid
 from repro.runner.grids import table_iv_grid
 
@@ -26,11 +26,11 @@ def _traced_run(tmp_path, jobs):
     outcome = run_grid(
         table_iv_grid(**TINY), RunnerConfig(jobs=jobs, trace_path=path)
     )
-    return outcome, read_events(path)
+    return outcome, read_records(path)
 
 
 def _spans(events):
-    return [e for e in events if e.get("type") == "span"]
+    return [e for e in events if e.get("kind") == "span"]
 
 
 class TestSerialTrace:
@@ -98,7 +98,7 @@ class TestCacheHitsInTrace:
         outcome = run_grid(
             grid, RunnerConfig(cache_dir=cache_dir, trace_path=path)
         )
-        cells = [s for s in _spans(read_events(path)) if s["name"] == "cell"]
+        cells = [s for s in _spans(read_records(path)) if s["name"] == "cell"]
         assert len(cells) == 4
         assert all(cell["attrs"]["cache_hit"] for cell in cells)
         metrics = outcome.manifest["metrics"]
@@ -118,5 +118,5 @@ class TestManifestMetrics:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_metrics_event_lands_in_trace(self, tmp_path, jobs):
         _, events = _traced_run(tmp_path, jobs=jobs)
-        (metrics_event,) = [e for e in events if e.get("type") == "metrics"]
+        (metrics_event,) = [e for e in events if e.get("kind") == "metrics"]
         assert metrics_event["values"]["runner.cells.total"]["value"] == 4

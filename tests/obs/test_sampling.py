@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.obs.live import Sampler
+from repro.obs import Sampler
 
 
 class TestRates:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.bench import validate_bench_payload
-from repro.obs.live.slo import (
+from repro.obs.slo import (
     DEFAULT_BUDGETS,
     _exact_quantile,
     build_slo_payload,
@@ -13,7 +13,12 @@ from repro.obs.live.slo import (
 
 
 def _done(seconds):
-    return {"event": "serving.request_done", "attrs": {"seconds": seconds}}
+    return {"kind": "event", "name": "serving.request_done",
+            "attrs": {"seconds": seconds}}
+
+
+def _event(name, **attrs):
+    return {"kind": "event", "name": name, "attrs": attrs}
 
 
 class TestExactQuantiles:
@@ -35,11 +40,12 @@ class TestStatsReduction:
         events = [
             _done(0.010),
             _done(0.020),
-            {"event": "serving.request_error", "attrs": {"rows": 4}},
+            _event("serving.request_error", rows=4),
             _done(0.030),
-            {"event": "oocore.worker_stalled", "attrs": {"worker": 1}},
-            {"event": "oocore.worker_died", "attrs": {"worker": 0}},
-            {"event": "engine.fit_start"},  # unrelated events are ignored
+            _event("oocore.worker_stalled", worker=1),
+            _event("oocore.worker_died", worker=0),
+            _event("fit_start"),  # unrelated events are ignored
+            {"kind": "span", "name": "serving.request_done"},  # not an event
         ]
         stats = serving_stats_from_events(events)
         assert stats["requests"] == 3
@@ -67,9 +73,9 @@ class TestEvaluate:
         stats = serving_stats_from_events(
             [
                 _done(2.0),
-                {"event": "serving.request_error", "attrs": {}},
-                {"event": "oocore.worker_stalled", "attrs": {}},
-                {"event": "oocore.worker_died", "attrs": {}},
+                _event("serving.request_error"),
+                _event("oocore.worker_stalled"),
+                _event("oocore.worker_died"),
             ]
         )
         violations = evaluate_slo(stats, DEFAULT_BUDGETS)

@@ -18,12 +18,12 @@ import numpy as np
 import pytest
 
 from repro.core.initialization import init_factors
-from repro.obs.live.events import (
-    EventLog,
+from repro.obs import (
+    Recorder,
     RingBufferSink,
-    event_log_to,
-    read_event_log,
-    use_event_log,
+    read_records,
+    record_to,
+    use_recorder,
 )
 from repro.obs.metrics import get_metrics, reset_metrics
 from repro.oocore import ArrayBlockSource, fit_oocore, fit_parallel
@@ -68,7 +68,7 @@ def problem(rng):
 def _equivalence_key(record):
     attrs = record.get("attrs") or {}
     return (
-        record["event"],
+        record["name"],
         attrs.get("epoch"),
         attrs.get("round"),
         attrs.get("block"),
@@ -80,7 +80,7 @@ def _shared_events(records):
     return sorted(
         _equivalence_key(r)
         for r in records
-        if not r["event"].startswith("oocore.worker")
+        if r["kind"] == "event" and not r["name"].startswith("oocore.worker")
     )
 
 
@@ -90,12 +90,12 @@ class TestSerialParallelEquivalence:
         source = ArrayBlockSource(x_observed, observed, BLOCK_ROWS)
 
         serial_sink = RingBufferSink(4096)
-        with use_event_log(EventLog(serial_sink)):
+        with use_recorder(Recorder(serial_sink)):
             fit_oocore(
                 source, v0, u0, epochs=2, jobs=1, frozen_prefix=2, seed=0
             )
         parallel_sink = RingBufferSink(4096)
-        with use_event_log(EventLog(parallel_sink)):
+        with use_recorder(Recorder(parallel_sink)):
             fit_parallel(
                 source, v0, u0, epochs=2, jobs=2, frozen_prefix=2, seed=0
             )
@@ -115,11 +115,11 @@ class TestSerialParallelEquivalence:
         x_observed, observed, u0, v0 = problem
         source = ArrayBlockSource(x_observed, observed, BLOCK_ROWS)
         sink = RingBufferSink(4096)
-        with use_event_log(EventLog(sink)):
+        with use_recorder(Recorder(sink)):
             fit_parallel(
                 source, v0, u0, epochs=1, jobs=2, frozen_prefix=2, seed=0
             )
-        done = [r for r in sink.tail() if r["event"] == "oocore.block_done"]
+        done = [r for r in sink.tail() if r["name"] == "oocore.block_done"]
         assert done
         for record in done:
             attrs = record["attrs"]
@@ -132,7 +132,7 @@ class TestSerialParallelEquivalence:
         x_observed, observed, u0, v0 = problem
         source = ArrayBlockSource(x_observed, observed, BLOCK_ROWS)
         sink = RingBufferSink(4096)
-        with use_event_log(EventLog(sink)):
+        with use_recorder(Recorder(sink)):
             fit_parallel(
                 source, v0, u0, epochs=1, jobs=2, frozen_prefix=2, seed=0
             )
@@ -150,14 +150,14 @@ class TestFaultPostMortems:
         x_observed, observed, u0, v0 = problem
         source = KillerSource(x_observed, observed, BLOCK_ROWS)
         log_path = str(tmp_path / "events.jsonl")
-        with event_log_to(log_path):
+        with record_to(log_path):
             with pytest.raises(RuntimeError, match="worker"):
                 fit_parallel(
                     source, v0, u0,
                     epochs=2, jobs=2, frozen_prefix=2, seed=0, timeout=30.0,
                 )
-        records = read_event_log(log_path)
-        deaths = [r for r in records if r["event"] == "oocore.worker_died"]
+        records = read_records(log_path)
+        deaths = [r for r in records if r["name"] == "oocore.worker_died"]
         assert len(deaths) == 1
         attrs = deaths[0]["attrs"]
         assert deaths[0]["level"] == "error"
@@ -171,15 +171,15 @@ class TestFaultPostMortems:
         x_observed, observed, u0, v0 = problem
         source = FaultySource(x_observed, observed, BLOCK_ROWS)
         log_path = str(tmp_path / "events.jsonl")
-        with event_log_to(log_path):
+        with record_to(log_path):
             try:
                 fit_parallel(
                     source, v0, u0, epochs=1, jobs=2, frozen_prefix=2, seed=0
                 )
             except RuntimeError:
                 pass  # a sloppy caller swallows it; the log must not
-        records = read_event_log(log_path)
-        errors = [r for r in records if r["event"] == "oocore.worker_error"]
+        records = read_records(log_path)
+        errors = [r for r in records if r["name"] == "oocore.worker_error"]
         assert len(errors) == 1
         attrs = errors[0]["attrs"]
         assert attrs["block"] == 2

@@ -104,7 +104,7 @@ class TestMultiCellExecution:
     def test_trace_events_collected_once_per_unit(self):
         specs = [mf_spec("smf", seed=s, rank=4) for s in range(2)]
         result = execute_multi_cell(specs, trace=True)
-        names = {e.get("name") for e in result["trace_events"]}
+        names = {e.get("name") for e in result["records"]}
         assert "batch.cells" in names
 
 

@@ -15,9 +15,14 @@ import pytest
 from repro.core import SMFL
 from repro.exceptions import ValidationError
 from repro.model import FittedModel
-from repro.obs import MetricsRegistry
-from repro.obs.live import EventLog, RingBufferSink, Sampler, use_event_log
-from repro.obs.trace import collecting_tracer, use_tracer
+from repro.obs import (
+    MemorySink,
+    MetricsRegistry,
+    Recorder,
+    RingBufferSink,
+    Sampler,
+    use_recorder,
+)
 from repro.serving import FoldInServer
 
 
@@ -42,23 +47,31 @@ def _requests(model, b, seed=1):
     return x
 
 
+def collecting_tracer():
+    return Recorder(MemorySink())
+
+
 def _span_names(tracer):
     return [
         event["name"]
-        for event in tracer.sink.events
-        if event.get("type") == "span"
+        for event in tracer.sinks[0].records
+        if event["kind"] == "span"
     ]
+
+
+def _events(sink):
+    return [record for record in sink.tail() if record["kind"] == "event"]
 
 
 class TestRequestEvents:
     def test_paired_start_done_records(self, model):
         server = FoldInServer(model, metrics=MetricsRegistry())
         sink = RingBufferSink()
-        with use_event_log(EventLog(sink)):
+        with use_recorder(Recorder(sink)):
             server.fold_in(_requests(model, 5))
-        start, done = sink.tail()
-        assert start["event"] == "serving.request_start"
-        assert done["event"] == "serving.request_done"
+        start, done = _events(sink)
+        assert start["name"] == "serving.request_start"
+        assert done["name"] == "serving.request_done"
         assert start["attrs"]["rows"] == 5
         assert done["attrs"]["rows"] == 5
         assert done["attrs"]["seconds"] > 0
@@ -82,10 +95,10 @@ class TestErrorPath:
         server = FoldInServer(model, metrics=registry)
         sink = RingBufferSink()
         bad = _requests(model, 3)[:, :-1]  # wrong column count
-        with use_event_log(EventLog(sink)):
+        with use_recorder(Recorder(sink)):
             with pytest.raises(ValidationError):
                 server.fold_in(bad)
-        names = [record["event"] for record in sink.tail()]
+        names = [record["name"] for record in _events(sink)]
         assert names == ["serving.request_start", "serving.request_error"]
         error = sink.tail()[-1]
         assert error["level"] == "error"
@@ -102,11 +115,13 @@ class TestErrorPath:
         )
         sink = RingBufferSink()
         bad = _requests(model, 3)[:, :-1]
-        with use_event_log(EventLog(sink)):
+        with use_recorder(Recorder(sink)):
             with pytest.raises(ValidationError):
                 server.fold_in(bad)
-        names = [record["event"] for record in sink.tail()]
+        names = [record["name"] for record in sink.tail()]
         assert "serving.request_error" in names
+        # Sampled away: no span, only the request's events.
+        assert all(record["kind"] == "event" for record in sink.tail())
 
 
 class TestSampling:
@@ -115,20 +130,20 @@ class TestSampling:
             model, metrics=MetricsRegistry(), sampler=Sampler(1.0)
         )
         tracer = collecting_tracer()
-        with use_tracer(tracer):
+        with use_recorder(tracer):
             for seed in range(4):
                 server.fold_in(_requests(model, 3, seed=seed))
-        assert _span_names(tracer).count("serving.fold_in") == 4
+        assert _span_names(tracer).count("serving.request") == 4
         assert server.sampler.stats()["decisions"] == 4
 
     def test_rate_zero_traces_nothing_but_serves_everything(self, model):
         registry = MetricsRegistry()
         server = FoldInServer(model, metrics=registry, sampler=Sampler(0.0))
         tracer = collecting_tracer()
-        with use_tracer(tracer):
+        with use_recorder(tracer):
             for seed in range(4):
                 server.fold_in(_requests(model, 3, seed=seed))
-        assert _span_names(tracer).count("serving.fold_in") == 0
+        assert _span_names(tracer).count("serving.request") == 0
         # The metrics are not sampled: every request still counts.
         assert registry.counter("serving.requests").value == 4
         assert registry.quantile_histogram("serving.request_seconds").count == 4
@@ -138,10 +153,10 @@ class TestSampling:
             model, metrics=MetricsRegistry(), sampler=Sampler(0.5, seed=3)
         )
         tracer = collecting_tracer()
-        with use_tracer(tracer):
+        with use_recorder(tracer):
             for seed in range(12):
                 server.fold_in(_requests(model, 2, seed=seed))
-        traced = _span_names(tracer).count("serving.fold_in")
+        traced = _span_names(tracer).count("serving.request")
         assert 0 < traced < 12
         assert traced == server.sampler.stats()["sampled"]
 
@@ -150,10 +165,11 @@ class TestSampling:
             model, metrics=MetricsRegistry(), sampler=Sampler(0.0)
         )
         sink = RingBufferSink()
-        with use_event_log(EventLog(sink)):
+        with use_recorder(Recorder(sink)):
             server.fold_in(_requests(model, 2))
         start = sink.tail()[0]
         assert start["attrs"]["sampled"] is False
+        assert [r["kind"] for r in sink.tail()] == ["event", "event"]
         # The request id still exists (the event log will show it) -
         # only the span and exemplar are gated.
         assert start["attrs"]["request_id"].startswith("req-")

@@ -104,3 +104,41 @@ class TestEvictionAndClear:
         clear_graph_cache()
         assert graph_cache_info()["entries"] == 0
         assert spatial_graph(points, 3) is not graph
+
+
+class TestCacheBytes:
+    """The cache reports what it holds: CSR arrays and degree vectors,
+    apart from any dense ``N x N`` view a reader materialized."""
+
+    def test_multiplicative_fit_holds_no_dense_view(self, rng):
+        from repro.core.smfl import SMFL
+
+        x = np.hstack([rng.random((40, 2)), rng.random((40, 4)) + 0.1])
+        SMFL(rank=3, n_spatial=2, max_iter=5, random_state=0).fit(x)
+        info = graph_cache_info()
+        assert info["entries"] == 1
+        assert info["sparse_bytes"] > 0
+        assert info["dense_bytes"] == 0
+
+    def test_reading_a_dense_view_adds_n_squared_doubles(self, points):
+        graph = spatial_graph(points, 3)
+        before = graph_cache_info()
+        graph.similarity
+        after = graph_cache_info()
+        n = points.shape[0]
+        assert after["dense_bytes"] - before["dense_bytes"] == n * n * 8
+        assert after["sparse_bytes"] == before["sparse_bytes"]
+
+    def test_lookups_are_observed_with_hit_and_bytes(self, points):
+        from repro.obs import Recorder, RingBufferSink, use_recorder
+
+        sink = RingBufferSink()
+        with use_recorder(Recorder(sink)):
+            spatial_graph(points, 3)
+            spatial_graph(points, 3)
+        spans = [r for r in sink.tail() if r["kind"] == "span"]
+        assert [s["name"] for s in spans] == ["spatial.graph", "spatial.graph"]
+        assert [s["attrs"]["cache_hit"] for s in spans] == [False, True]
+        sparse = graph_cache_info()["sparse_bytes"]
+        assert all(s["attrs"]["sparse_bytes"] == sparse for s in spans)
+        assert all(s["attrs"]["dense_bytes"] == 0 for s in spans)
