@@ -47,7 +47,7 @@ from ..versioning import NUMERICS_VERSION, __version__
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..data.preprocessing import MinMaxScaler
-    from ..spatial.similarity import GridIndex
+    from ..serving.cover import PriorCover
 
 __all__ = [
     "FittedModel",
@@ -286,19 +286,26 @@ class FittedModel:
         return locations
 
     @cached_property
-    def training_grid(self) -> "GridIndex":
-        """The spatial graph's grid index over :attr:`training_locations`.
+    def training_cover(self) -> "PriorCover":
+        """The fold-in prior's per-cell cover of :attr:`training_locations`.
 
-        Answers the fold-in prior's nearest-training-row queries without
-        a scan of all ``N`` rows; cells are sized for the index's
-        default ``p``, the paper's graph degree (exactness does not
-        depend on it).  Built on first access and cached on the instance
-        like the locations: not a dataclass field, so it stays out of
-        the artifact, the content hash and ``replace()``.
+        Lists, per cell of a grid over the locations widened to the
+        observed spatial range (the spatial columns of
+        :attr:`column_low`/:attr:`column_high`, whether or not
+        imputation clips to them), the training rows that can be a
+        query's ``p`` nearest for fold-in's default ``p`` (see
+        :mod:`repro.serving.cover`).  Built on first access and cached
+        on the instance like the locations: not a dataclass field, so
+        it stays out of the artifact, the content hash and
+        ``replace()``.
         """
-        from ..spatial.similarity import GridIndex
+        from ..serving.cover import PriorCover
+        from ..serving.foldin import DEFAULT_PRIOR_NEIGHBORS
 
-        return GridIndex(self.training_locations)
+        if self.column_low is None or self.column_high is None:
+            return PriorCover(self.training_locations, DEFAULT_PRIOR_NEIGHBORS)
+        return PriorCover(self.training_locations, DEFAULT_PRIOR_NEIGHBORS,
+                          self.column_low[: self.n_spatial], self.column_high[: self.n_spatial])
 
     # ------------------------------------------------------------ behaviour
 

@@ -67,7 +67,7 @@ import numpy as np
 
 from ..exceptions import ValidationError
 from ..obs.metrics import get_metrics
-from ..obs.stream import get_recorder, observe
+from ..obs.stream import NULL_RECORDER, get_recorder, observe, set_recorder
 from .blocks import RowBlockSource, block_order
 from .streaming import StreamingFactorizer
 
@@ -104,11 +104,18 @@ def _worker_main(
     shapes: dict,
     config: dict,
 ) -> None:
-    """Persistent worker: attach the segments, drain tasks until sentinel."""
+    """Persistent worker: attach the segments, drain tasks until sentinel.
+
+    A forked worker inherits the parent's ambient recorder, and records
+    nothing with it: its spans would reach a JSONL file unparented under
+    the worker's pid, and a copy of an in-memory sink would drop them.
+    """
     from multiprocessing import shared_memory
 
     from ..engine.stochastic import gathered_batch_u_step, sgd_grad_v
     from ..engine.workspace import BufferArena
+
+    set_recorder(NULL_RECORDER)
 
     shm_u = shared_memory.SharedMemory(name=names["u"])
     shm_v = shared_memory.SharedMemory(name=names["v"])

@@ -52,17 +52,16 @@ Scratch memory comes from a
 allocations for same-shape batches.  The spatial prior ranks each
 row's candidate training rows by squared distance, one spatial
 coordinate at a time, and keeps the ``p`` nearest in (distance, index)
-order.  In a large batch a fully observed row's candidates come from
-the spatial graph's grid index (:attr:`FittedModel.training_grid`): a
-few dozen rows of its cell neighbourhood, read from a per-level table
-of every cell's neighbourhood that the index builds once per model
-(:meth:`~repro.spatial.similarity.GridIndex.candidates`, int32, 1.6
-MiB on the serve_foldin model), and kept only when an exclusion bound
-proves no other training row is nearer.  Every other row scans
-all ``N`` training rows, in two grow-only ``B x N`` arena blocks (the
-running sum and the current coordinate's term) that every batch size
-shares; no ``B x N x L`` block exists.  Both paths select the same
-neighbours bit for bit.
+order.  In a large batch a fully observed row's candidates are one
+list, gathered once: its cell's list in the model's cover
+(:attr:`FittedModel.training_cover`, :mod:`repro.serving.cover`), built
+once per model in a flat int32 layout (0.3 MiB on the serve_foldin
+model), and kept only when the cover's bound proves no unlisted
+training row is as near.  Every other row scans all ``N`` training
+rows, in two grow-only ``B x N`` arena blocks (the running sum and the
+current coordinate's term) that every batch size shares; no
+``B x N x L`` block exists.  Both paths select the same neighbours bit
+for bit.
 """
 
 from __future__ import annotations
@@ -76,8 +75,9 @@ from ..exceptions import ValidationError
 from ..masking.mask import ObservationMask
 from ..model.fitted import FittedModel, coerce_observations
 from ..spatial.neighbors import smallest_p
-from ..spatial.similarity import _CANDIDATE_ELEMENTS, GridIndex, _locate
+from ..spatial.similarity import _CANDIDATE_ELEMENTS
 from ..validation import check_nonnegative, check_positive_int
+from .cover import PriorCover
 
 __all__ = [
     "DEFAULT_PRIOR_NEIGHBORS",
@@ -166,23 +166,29 @@ def _coerce_rows(
     return x, observation, was_row
 
 
-_GRID_MIN_ROWS = 64
-"""Smallest batch whose prior tries the model's grid index.
+_GRID_MIN_ROWS = 24
+"""Smallest batch whose prior tries the cover.
 
 A batch this large ranks its fully observed rows on
-:attr:`FittedModel.training_grid` instead of scanning all ``N``
+:attr:`FittedModel.training_cover` instead of scanning all ``N``
 training rows; smaller batches scan.  Both paths select the same
-neighbours, so the number only moves time.  With the per-level
-candidate tables built once per model (:meth:`GridIndex.candidates`),
-the grid's cost per batch is locating the rows and ranking their
-candidates.  Timed interleaved against the scan (one BLAS thread,
-medians of 60 batches per size of serve_foldin's request rows, on the
-serve_foldin model and on one fitted to 8,000 rows of the same
-generator): at ``N = 2000`` the two tied at 64 rows (1.37 against 1.35
-ms) and the grid won from 96 (1.65 against 2.10 ms); at ``N = 8000``
-they crossed at about 28 rows (1.52 against 1.57 ms, and 1.43 against
-1.39 ms at 24).  The crossover falls as the scan grows with ``N``; the
-cut-over is the ``N = 2000`` tie."""
+neighbours, so the number only moves time.  The cover's cost per batch
+is locating the rows and ranking their lists, with a fixed part that a
+one-row scan beats.  Timed interleaved against the scan (one BLAS
+thread, medians of 400 batches per size of serve_foldin's request
+rows, on the serve_foldin model and on one fitted to 8,000 rows of the
+same generator): at ``N = 2000`` the scan won at 16 rows (ratio 1.19)
+and the cover from 24 (0.94, 0.82 at 32); at ``N = 8000`` they crossed
+at about 10 rows (1.10 at 8, 0.87 at 12).  The crossover falls as the
+scan grows with ``N``; the cut-over is the ``N = 2000`` one."""
+
+_BATCH_ELEMENTS = 8192
+"""A candidate batch's fixed cost, in gathered elements: the prior
+splits its rows into another batch only to save more padding than
+this.  Interleaved on serve_foldin's 256-row requests, 8k-16k split
+them fastest, into about two batches: 664 against 912 us for one batch
+under the element budget at ``N = 2000``, 1,280 against 1,554 us at
+``N = 8000``."""
 
 _MAX_PASSES = 8
 """Largest ``p`` selected by ``p`` passes of ``argmin``; larger ``p``
@@ -209,8 +215,8 @@ def _spatial_prior(
     come from one of two paths with the same distance form and the same
     selection, so they agree bit for bit: in a batch of at least
     :data:`_GRID_MIN_ROWS` rows, a row whose spatial coordinates are
-    all observed and finite is tried on the model's grid index
-    (:func:`_grid_nearest`); every other row scans all ``N``.
+    all observed and finite is tried on the model's cover
+    (:func:`_cover_nearest`); every other row scans all ``N``.
     """
     locations = model.training_locations  # (L, N), cached on the model
     n_spatial = model.n_spatial
@@ -222,11 +228,12 @@ def _spatial_prior(
     scan = np.arange(n_rows)
     nearest = np.empty((n_rows, p), dtype=np.int64)
     nearest_d2 = np.empty((n_rows, p))
-    if n_rows >= _GRID_MIN_ROWS:
+    if n_rows >= _GRID_MIN_ROWS and model.training_cover.usable:
+        cover = model.training_cover
         placed = spatial_observed.all(axis=1) & np.isfinite(x[:, :n_spatial]).all(axis=1)
-        left = _grid_nearest(model.training_grid, locations, x, np.flatnonzero(placed),
-                             p, nearest, nearest_d2)
-        scan = np.union1d(np.flatnonzero(~placed), left)
+        pending = ~placed
+        pending[_cover_nearest(cover, x, np.flatnonzero(placed), p, nearest, nearest_d2)] = True
+        scan = np.flatnonzero(pending)
     if scan.size:
         # Squared distance over each row's *observed* spatial dimensions
         # only (zero-filled unobserved coordinates must not count).  Both
@@ -326,68 +333,76 @@ def _nearest(d2: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     return cols, vals
 
 
-def _grid_nearest(
-    index: GridIndex,
-    locations: np.ndarray,
+def _cover_nearest(
+    cover: PriorCover,
     x: np.ndarray,
     rows: np.ndarray,
     p: int,
     nearest: np.ndarray,
     nearest_d2: np.ndarray,
 ) -> np.ndarray:
-    """Fill ``nearest[rows]`` where the grid index settles; return the rest.
+    """Fill ``nearest[rows]`` where the cover settles; return the rest.
 
     ``rows`` have every spatial coordinate observed and finite.  Each
-    is ranked against its candidates, fine level to coarse: its cell's
-    row of the level's table (:meth:`GridIndex.candidates`, built once
-    per model, index-ordered and padded with an extra training column
-    at +inf), the scan's distance form and :func:`_nearest`'s
+    is ranked against its cell's list (:class:`PriorCover`, built once
+    per model, index-ordered and closed by an extra training column at
+    +inf) with the scan's distance form and :func:`_nearest`'s
     (distance, index) selection.  It is settled when its ``p``-th
-    distance is strictly below the square of its exclusion bound, as no
-    other training row can then tie or beat it.  Every unsettled row
-    tries the next level, and rows that run out of levels are returned
-    for the scan.  Climbing beat scanning the unsettled rows at once
-    (interleaved 256-row batches: 2.11-2.14 against 2.18-2.22 ms at
-    ``N = 2000``, 4.07 against 4.73 ms at ``N = 8000``): a coarse
-    neighbourhood can hold a large share of the training rows, but its
-    candidates cost one gather, and the scan costs ``N`` per row.
+    distance is strictly below its bound from
+    :meth:`PriorCover.locate`, as no unlisted training row can then tie
+    or beat it; the other rows, and rows whose list holds fewer than
+    ``p``, are returned for the scan.
     """
-    n_spatial, n_train = locations.shape
-    padded = np.concatenate([locations, np.full((n_spatial, 1), np.inf)], axis=1)
-    pending = rows
-    for k, level in enumerate(index.levels):
-        if pending.size == 0:
-            break
-        xq = x[pending, :n_spatial].T
-        slabs, bound = _locate(xq[:len(level.shape)], level.shape, level.tables)
-        table, widths = index.candidates(k)
-        cells = np.ravel_multi_index(tuple(slabs), level.shape)
-        # Pending rows by candidate width, batched under the element
-        # budget, each batch gathered to its widest row; rows with fewer
-        # than p candidates wait for a coarser level.
-        width = widths[cells]
-        queries = np.argsort(width, kind="stable")
-        queries = queries[np.searchsorted(width[queries], p):]
-        unsettled = np.ones(pending.size, dtype=bool)
-        start = 0
-        while start < queries.size:
-            load = np.arange(1, queries.size - start + 1) * width[queries[start:]]
-            stop = start + max(1, int(np.searchsorted(load, _CANDIDATE_ELEMENTS, side="right")))
-            q = queries[start:stop]
-            cand = table[cells[q], :width[q[-1]]]
-            dist = np.empty(cand.shape)
-            _prior_distances(xq[:, q, None], np.take(padded, cand, axis=1), None, dist,
-                             np.empty(cand.shape))
-            picks, vals = _nearest(dist, p)
-            with np.errstate(over="ignore"):
-                ok = vals[:, -1] < bound[q] ** 2
-            done = pending[q[ok]]
-            nearest[done] = np.take_along_axis(cand[ok], picks[ok], axis=1)
-            nearest_d2[done] = vals[ok]
-            unsettled[q[ok]] = False
-            start = stop
-        pending = pending[unsettled]
-    return pending
+    xq = np.ascontiguousarray(x[rows, :cover.points.shape[0]].T)
+    cells, limit = cover.locate(xq)
+    start, width = cover.starts[cells], cover.widths[cells]
+    queries = np.argsort(width, kind="stable")
+    queries = queries[np.searchsorted(width[queries], p):]
+    cuts = _width_cuts(width[queries])
+    unsettled = np.ones(rows.size, dtype=bool)
+    for first, stop in zip(cuts, cuts[1:] + [queries.size]):
+        q = queries[first:stop]
+        end = start[q] + width[q]
+        cand = cover.lists[np.minimum(start[q, None] + np.arange(width[q[-1]]), end[:, None])]
+        dist = np.empty(cand.shape)
+        _prior_distances(xq[:, q, None], np.take(cover.points, cand, axis=1), None, dist,
+                         np.empty(cand.shape))
+        picks, vals = _nearest(dist, p)
+        ok = np.flatnonzero(vals[:, -1] < limit[q])
+        nearest[rows[q[ok]]] = cand[ok[:, None], picks[ok]]
+        nearest_d2[rows[q[ok]]] = vals[ok]
+        unsettled[q[ok]] = False
+    return rows[unsettled]
+
+
+def _width_cuts(width: np.ndarray) -> list[int]:
+    """Where batches of rows with ascending list ``width`` start, each
+    batch gathered to its widest list.
+
+    The rows are first cut, in order, into runs that gather at most
+    ``_CANDIDATE_ELEMENTS`` elements each (a wider row alone).  A run is
+    then split in two where that pads least, while the split saves more
+    than :data:`_BATCH_ELEMENTS` gathered elements; as a run pads at most
+    ``_CANDIDATE_ELEMENTS``, it splits at most ``_CANDIDATE_ELEMENTS /
+    _BATCH_ELEMENTS`` times.
+    """
+    runs, start = [], 0
+    while start < width.size:
+        load = np.arange(1, width.size - start + 1) * width[start:]
+        stop = start + max(1, int(np.searchsorted(load, _CANDIDATE_ELEMENTS, side="right")))
+        runs.append((start, stop))
+        start = stop
+    cuts = []
+    while runs:
+        first, stop = runs.pop()
+        k = np.arange(first + 1, stop)
+        padded = (k - first) * width[k - 1] + (stop - k) * width[stop - 1]
+        if k.size == 0 or (stop - first) * width[stop - 1] - padded.min() <= _BATCH_ELEMENTS:
+            cuts.append(first)
+        else:
+            split = int(k[padded.argmin()])
+            runs += [(first, split), (split, stop)]
+    return sorted(cuts)
 
 
 def fold_in(

@@ -351,8 +351,8 @@ def _grid_knn(xt: np.ndarray, wt: np.ndarray | None, full: np.ndarray, p: int,
               out: np.ndarray) -> np.ndarray:
     """Fill ``out`` for the rows a grid index settles; return the others.
 
-    The fully observed rows are bucketed on the levels of a
-    :class:`GridIndex`: uniform grids over the first ``min(L, 2)``
+    The fully observed rows are bucketed on the levels of
+    :func:`_grid_levels`: uniform grids over the first ``min(L, 2)``
     coordinates, fine to coarse.
     A row's candidates are the rows of its 3 x 3 cell neighbourhood
     plus every row with a blank spatial cell (those cannot be placed,
@@ -374,7 +374,7 @@ def _grid_knn(xt: np.ndarray, wt: np.ndarray | None, full: np.ndarray, p: int,
     wt_pad = None if wt is None else np.concatenate([wt, np.ones((n_dims, 1), bool)], axis=1)
     budget = min(_CANDIDATE_ELEMENTS, _BLOCK_ROWS * n)
     pending = full_rows
-    for level in GridIndex(xt[:, full_rows], p, full_rows).levels:
+    for level in _grid_levels(xt[:, full_rows], p, full_rows):
         if pending.size == 0:
             break
         limit = np.empty(n)
@@ -441,20 +441,11 @@ def _grid_cells(coords: np.ndarray, cell_points: float):
     that row's *computed* distance is at least ``bound**2 / L`` as
     computed.
     """
-    n_axes, m = coords.shape
     lo = coords.min(axis=1)
     span = coords.max(axis=1) - lo
     if not np.isfinite(span).all():
         return None
-    with np.errstate(divide="ignore", over="ignore"):
-        spread = span > 0
-        shape = np.ones(n_axes, dtype=np.int64)
-        if spread.any():
-            target = max(1, int(m / cell_points))
-            side = np.exp(np.log(span[spread]).mean() - np.log(target) / spread.sum())
-            shape[spread] = np.clip(np.ceil(span[spread] / side), 1, target)
-        scale = shape / span
-    shape[~np.isfinite(scale)] = 1
+    shape, scale = _grid_shape(span, coords.shape[1] / cell_points)
     tables = []
     for g in np.flatnonzero(shape > 1):
         x, n_slabs = coords[g], int(shape[g])
@@ -473,14 +464,32 @@ def _grid_cells(coords: np.ndarray, cell_points: float):
     return np.ravel_multi_index(tuple(slabs), shape), shape, bound, tables
 
 
+def _grid_shape(span: np.ndarray, n_cells: float) -> tuple[np.ndarray, np.ndarray]:
+    """Near-square grid of about ``n_cells`` cells over a box of finite
+    ``span`` per axis.  Returns each axis's slab count and slab scale
+    (``slabs / span``); an axis without spread, or too narrow to scale,
+    keeps one slab."""
+    with np.errstate(divide="ignore", over="ignore"):
+        spread = span > 0
+        shape = np.ones(span.size, dtype=np.int64)
+        if spread.any():
+            target = max(1, int(n_cells))
+            side = np.exp(np.log(span[spread]).mean() - np.log(target) / spread.sum())
+            shape[spread] = np.clip(np.ceil(span[spread] / side), 1, target)
+        scale = shape / span
+    shape[~np.isfinite(scale)] = 1
+    return shape, scale
+
+
 def _slabs(x: np.ndarray, lo: float, scale: float, n_slabs: int) -> np.ndarray:
     """Slab of each coordinate: ``floor((x - lo) * scale)``, clipped in
     float into ``0..n_slabs - 1`` before the integer cast, so points
     outside the indexed range (an overflow to inf included) land in an
-    edge slab.  Monotone in ``x``."""
+    edge slab, and a NaN (``0 * inf`` on an axis of one slab) in slab 0.
+    Monotone in ``x``."""
     scaled = (x - lo) * scale
-    np.maximum(scaled, 0, out=scaled)
-    return np.minimum(scaled, n_slabs - 1, out=scaled).astype(np.int64)
+    np.fmax(scaled, 0, out=scaled)
+    return np.fmin(scaled, n_slabs - 1, out=scaled).astype(np.int64)
 
 
 def _locate(coords: np.ndarray, shape: tuple, tables: list):
@@ -490,10 +499,7 @@ def _locate(coords: np.ndarray, shape: tuple, tables: list):
     below, above)``.  The bound is a point's smallest gap, along any
     split axis, to the indexed coordinates two or more slabs away, so
     every indexed row outside the point's 3 x 3 neighbourhood differs
-    from it by at least the bound on one axis.  This holds for points
-    that are not indexed rows too, outside the indexed range included:
-    slabs are monotone in the coordinate, so an indexed row two slabs
-    below a point is below it.
+    from it by at least the bound on one axis.
     """
     slabs = np.zeros(coords.shape, dtype=np.int64)
     bound = np.full(coords.shape[1], np.inf)
@@ -552,75 +558,35 @@ class _Level(NamedTuple):
     counts: np.ndarray
 
 
-class GridIndex:
-    """Uniform grid levels over a fixed point set, fine to coarse.
+def _grid_levels(coords: np.ndarray, p: int, rows: np.ndarray) -> list[_Level]:
+    """Uniform grid levels over ``(L, n)`` coordinates, fine to coarse.
 
-    Built over ``(L, n)`` coordinates (the first ``min(L, 2)`` are the
-    grid axes), every point placed, with cells sized for ``p``
-    neighbours on the levels of :data:`_LEVELS`.  ``rows`` names the
-    points in :attr:`_Level.members` (default ``0..n-1``).  There are
-    no levels when the coordinates are not finite.  The graph build
-    (:func:`_grid_knn`) queries the indexed points themselves; the
-    fold-in prior queries outside points, placed with :func:`_locate`,
-    and reads their candidates from a level's table
-    (:meth:`candidates`).  On a level, a point's candidates are the
-    points of the 3 x 3 neighbourhood of its cell, and every other
-    point differs from it by at least its exclusion bound on some grid
-    axis (:func:`_locate`); the caller ranks candidates with its own
-    distance form and keeps a point only when that bound proves no
-    other point can tie or win.  The default ``p`` is the paper's
-    recommended graph degree (Figure 7).
+    The first ``min(L, 2)`` coordinates are the grid axes, and cells are
+    sized for ``p`` neighbours on the levels of :data:`_LEVELS`.
+    ``rows`` names the points in :attr:`_Level.members`.  There are no
+    levels when the coordinates are not finite.  On a level, a point's
+    candidates are the points of the 3 x 3 neighbourhood of its cell,
+    and every other point differs from it by at least its exclusion
+    bound on some grid axis (:func:`_locate`).
     """
-
-    def __init__(self, coords: np.ndarray, p: int = 3,
-                 rows: np.ndarray | None = None) -> None:
-        rows = np.arange(coords.shape[1]) if rows is None else rows
-        self.levels: list[_Level] = []
-        for cell_points in _LEVELS:
-            grid = _grid_cells(coords[:min(len(coords), 2)], cell_points * p)
-            if grid is None:
-                break
-            cells, shape, bound, tables = grid
-            self.levels.append(_Level(shape, tables, bound, *_cell_members(rows, cells, shape)))
-        self._tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    def candidates(self, level: int) -> tuple[np.ndarray, np.ndarray]:
-        """Every cell's 3 x 3 neighbourhood on level ``level``, as a table.
-
-        Returns ``(table, width)``: row ``c`` of the ``(cells, w)`` table
-        holds the points around cell ``c`` (a flat id, as
-        ``np.ravel_multi_index`` gives it) in index order, padded with
-        the index one past the largest point; ``width[c]`` counts them.
-        ``w`` is the level's widest neighbourhood.  Built on first use
-        and kept on the index, in int32 when the padding index fits:
-        on the serve_foldin model (``N = 2000``) the three levels take
-        1.6 MiB.
-        """
-        table = self._tables.get(level)
-        if table is None:
-            lv = self.levels[level]
-            slabs = np.indices(lv.shape).reshape(len(lv.shape), -1)
-            starts, counts = _near_ranges(slabs, lv.shape, lv.starts, lv.counts)
-            width = counts.sum(axis=1)
-            pad = int(lv.members.max()) + 1
-            dtype = np.int32 if pad <= np.iinfo(np.int32).max else np.int64
-            table = self._tables[level] = (
-                _candidate_lists(starts, counts, lv.members, np.empty(0, dtype=np.int64),
-                                 int(width.max()), pad, dtype),
-                width,
-            )
-        return table
+    levels: list[_Level] = []
+    for cell_points in _LEVELS:
+        grid = _grid_cells(coords[:min(len(coords), 2)], cell_points * p)
+        if grid is None:
+            break
+        cells, shape, bound, tables = grid
+        levels.append(_Level(shape, tables, bound, *_cell_members(rows, cells, shape)))
+    return levels
 
 
 def _candidate_lists(starts: np.ndarray, counts: np.ndarray, members: np.ndarray,
-                     blank_rows: np.ndarray, width: int, n: int,
-                     dtype: type = np.int64) -> np.ndarray:
+                     blank_rows: np.ndarray, width: int, n: int) -> np.ndarray:
     """Each cell's candidates in index order, padded with the index ``n``.
 
     ``starts``/``counts`` are ``(cells, 3**G)`` ranges into ``members``;
     every cell gets ``blank_rows`` as well.
     """
-    cand = np.full((counts.shape[0], width), n, dtype=dtype)
+    cand = np.full((counts.shape[0], width), n, dtype=np.int64)
     cand[:, :blank_rows.size] = blank_rows
     per_cell = counts.sum(axis=1)
     rows = np.repeat(np.arange(counts.shape[0]), per_cell)

@@ -19,6 +19,7 @@ import pytest
 
 from repro.core.initialization import init_factors
 from repro.obs import (
+    MemorySink,
     Recorder,
     RingBufferSink,
     read_records,
@@ -138,6 +139,30 @@ class TestSerialParallelEquivalence:
             )
         pids = {record["pid"] for record in sink.tail()}
         assert pids == {os.getpid()}
+
+    def test_workers_record_nothing_under_any_recorder(self, problem, tmp_path):
+        # Forked workers inherit the ambient recorder.  A JSONL file
+        # would take their block-load spans under the worker's pid; a
+        # memory sink's copy would drop them.  Both must hold exactly the
+        # parent's records.
+        x_observed, observed, u0, v0 = problem
+        source = ArrayBlockSource(x_observed, observed, BLOCK_ROWS)
+        log_path = str(tmp_path / "records.jsonl")
+        with record_to(log_path):
+            fit_parallel(source, v0, u0, epochs=1, jobs=2, frozen_prefix=2, seed=0)
+        sink = MemorySink()
+        with use_recorder(Recorder(sink)):
+            fit_parallel(source, v0, u0, epochs=1, jobs=2, frozen_prefix=2, seed=0)
+        by_file, in_memory = read_records(log_path), sink.records
+        for records in (by_file, in_memory):
+            assert {record["pid"] for record in records} == {os.getpid()}
+            assert not [r for r in records if r["name"] == "oocore:block_load"]
+
+        def shape(records):
+            return sorted((r["kind"], r["name"]) for r in records if r["kind"] != "meta")
+
+        assert shape(by_file) == shape(in_memory)
+        assert any(name == "oocore.block_done" for _, name in shape(by_file))
 
 
 class TestFaultPostMortems:

@@ -7,7 +7,7 @@ training locations ``U V[:, :L]`` per call, materializes the full
 difference block, reduces it with ``np.sum(axis=2)`` and selects each
 row's nearest training rows with a full stable sort: (distance, index)
 order, ties to the lower index.  For fewer than eight spatial columns
-both must agree bit for bit, whichever path (scan or grid index) the
+both must agree bit for bit, whichever path (scan or cover) the
 prior takes.
 """
 

@@ -2,16 +2,17 @@
 
 :func:`repro.serving.foldin._spatial_prior` sums squared distances one
 spatial column at a time over training locations cached on the model,
-scanning all of them or, for large batches, ranking candidates from
-the model's grid index; :mod:`tests.serving.reference_prior` is the
-one-shot ``(B, N, L)`` broadcast with a full stable sort.  For L < 8
-the prior, and so every fold-in answer, must be equal, not close:
-neighbour sets, their (distance, index) order and each weight feed the
-solve.  The grid and the scan must agree on every input, wherever the
-cut-over between them sits.  Also pinned here: the location and index
-caches stay out of the artifact, a row whose distances all overflow
-gets no prior (and no warning), and ``p_neighbors`` is checked at the
-boundary.
+scanning all of them or, for large batches, ranking each row's list
+from the model's cover (:class:`repro.serving.cover.PriorCover`);
+:mod:`tests.serving.reference_prior` is the one-shot ``(B, N, L)``
+broadcast with a full stable sort.  For L < 8 the prior, and so every
+fold-in answer, must be equal, not close: neighbour sets, their
+(distance, index) order and each weight feed the solve.  The cover and
+the scan must agree on every input, wherever the cut-over between them
+sits, and the cover's bound must hold for every unlisted row.  Also
+pinned here: the location and cover caches stay out of the artifact, a
+row whose distances all overflow gets no prior (and no warning), and
+``p_neighbors`` is checked at the boundary.
 """
 
 from __future__ import annotations
@@ -28,10 +29,10 @@ from hypothesis import strategies as st
 from repro.engine.workspace import BufferArena
 from repro.exceptions import ValidationError
 from repro.model import FittedModel, load_model
+from repro.serving import cover as cover_module
 from repro.serving import fold_in, foldin
+from repro.serving.cover import PriorCover
 from repro.serving.foldin import _nearest, _spatial_prior
-from repro.spatial import similarity
-from repro.spatial.similarity import GridIndex, _locate
 
 from . import reference_prior as ref
 
@@ -46,7 +47,7 @@ N_ATTRS = 3
 RANK = 3
 
 
-def _model(n_spatial: int, n_train: int, layout: str, rng) -> FittedModel:
+def _model(n_spatial: int, n_train: int, layout: str, rng, box: str = "none") -> FittedModel:
     u = rng.random((n_train, RANK))
     if layout == "duplicates":
         # Repeated training rows sit at one location: tied distances.
@@ -61,6 +62,17 @@ def _model(n_spatial: int, n_train: int, layout: str, rng) -> FittedModel:
     v = rng.random((RANK, n_spatial + N_ATTRS)) * 2.0
     if layout == "lattice":
         v[:, :n_spatial] = rng.integers(0, 3, (RANK, n_spatial))
+    bounds = {}
+    if box != "none":
+        # Observed column ranges, wider or narrower than the locations'
+        # box on the spatial columns (the cover tiles their union).
+        locations = u @ v[:, :n_spatial]
+        lo, span = locations.min(axis=0), np.ptp(locations, axis=0)
+        pad = (0.5 if box == "wide" else -0.25) * span
+        bounds = {
+            "column_low": np.concatenate([lo - pad, np.zeros(N_ATTRS)]),
+            "column_high": np.concatenate([lo + span + pad, np.full(N_ATTRS, np.inf)]),
+        }
     return FittedModel(
         method="smfl",
         u=u,
@@ -69,6 +81,7 @@ def _model(n_spatial: int, n_train: int, layout: str, rng) -> FittedModel:
         n_spatial=n_spatial,
         n_rows=n_train,
         n_cols=n_spatial + N_ATTRS,
+        **bounds,
     )
 
 
@@ -100,37 +113,43 @@ def prior_inputs(draw):
 
 @st.composite
 def grid_inputs(draw):
-    """Large batches whose placed rows reach the grid index.
+    """Large batches whose placed rows reach the cover.
 
-    Returns ``(model, x, observed, p, huge_row)``; ``huge_row`` is the
-    row holding a 1e300 coordinate (all its distances overflow), or
-    ``None``.
+    Returns ``(model, x, observed, p, odd_rows)``; ``odd_rows`` are the
+    rows holding a 1e300 coordinate (all their distances overflow) or a
+    non-finite one, where the broadcast reference overflows.
     """
     queries = draw(st.sampled_from(
-        ["inside", "outside", "training rows", "half lattice", "holes"]))
+        ["inside", "outside", "far outside", "training rows", "half lattice", "holes", "edges"]))
     n_spatial = draw(st.sampled_from([1, 2, 3, 4]))
     n_train = draw(st.sampled_from([3, 40, 600]))
     if queries == "holes":
         layout = "clustered"
     else:
         layout = draw(st.sampled_from(["uniform", "duplicates", "clustered", "lattice"]))
+    box = draw(st.sampled_from(["none", "wide", "narrow"]))
     n_rows = draw(st.sampled_from([foldin._GRID_MIN_ROWS, 256, 300]))
     p = draw(st.sampled_from([1, 3, 7, n_train, n_train + 5]))
     rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
-    model = _model(n_spatial, n_train, layout, rng)
+    model = _model(n_spatial, n_train, layout, rng, box)
 
     locations = model.training_locations.T
     lo, span = locations.min(axis=0), np.ptp(locations, axis=0)
     x = rng.random((n_rows, model.n_cols)) * 3.0
     if queries == "holes":
-        x[:, :n_spatial] = _holes(model, n_rows, min(p, n_train), rng)
+        x[:, :n_spatial] = _holes(model, n_rows, rng)
     elif queries == "inside":
         x[:, :n_spatial] = lo + rng.random((n_rows, n_spatial)) * span
     elif queries == "outside":
         # The bounding box tripled: most queries fall outside it.
         x[:, :n_spatial] = lo - span + rng.random((n_rows, n_spatial)) * 3 * span
+    elif queries == "far outside":
+        # Outside the observed ranges as well, up to ten spans away.
+        x[:, :n_spatial] = lo + (rng.random((n_rows, n_spatial)) * 21 - 10) * (span + 1)
     elif queries == "training rows":
         x[:, :n_spatial] = locations[rng.integers(0, n_train, n_rows)]
+    elif queries == "edges":
+        x[:, :n_spatial] = _edges(model, n_rows, rng)
     else:
         # Halfway between lattice points: ties at the p-th distance.
         x[:, :n_spatial] = rng.integers(0, 12, (n_rows, n_spatial)) * 0.5
@@ -141,34 +160,51 @@ def grid_inputs(draw):
         mixed = rng.random((n_rows, n_spatial)) < 0.1
         mixed[rng.random(n_rows) < 0.05] = True
         observed[:, :n_spatial] &= ~mixed
-    huge_row = None
-    if draw(st.booleans()):
-        huge_row = int(rng.integers(0, n_rows))
+    odd_rows = []
+    for value in draw(st.sampled_from([(), (1e300,), (np.inf, -np.inf, np.nan)])):
+        row = int(rng.integers(0, n_rows))
         col = int(rng.integers(0, n_spatial))
-        x[huge_row, col], observed[huge_row, col] = 1e300, True
+        x[row, col], observed[row, col] = value, True
+        odd_rows.append(row)
     x[~observed] = 0.0
-    return model, x, observed, p, huge_row
+    return model, x, observed, p, odd_rows
 
 
-def _holes(model: FittedModel, n_rows: int, p: int, rng) -> np.ndarray:
-    """``(n_rows, L)`` points between the training locations whose
-    level-0 neighbourhood holds fewer than ``p`` training rows, so each
-    climbs to a coarser level (any points when the layout has none)."""
+def _holes(model: FittedModel, n_rows: int, rng) -> np.ndarray:
+    """``(n_rows, L)`` points between the training locations, in cover
+    cells that hold no training row (any points when the layout leaves
+    none empty)."""
     locations = model.training_locations
     lo, span = locations.min(axis=1), np.ptp(locations, axis=1)
     points = (lo[:, None] + rng.random((locations.shape[0], 50 * n_rows)) * span[:, None])
-    index = model.training_grid
-    if index.levels:
-        level = index.levels[0]
-        slabs, _ = _locate(points[:len(level.shape)], level.shape, level.tables)
-        width = index.candidates(0)[1][np.ravel_multi_index(tuple(slabs), level.shape)]
-        if (width < p).any():
-            points = points[:, width < p]
+    cover = model.training_cover
+    if cover.usable:
+        empty = np.ones(cover.r2.size, dtype=bool)
+        empty[cover._cells(locations)] = False
+        if empty[cover._cells(points)].any():
+            points = points[:, empty[cover._cells(points)]]
     return points[:, rng.integers(0, points.shape[1], n_rows)].T
 
 
+def _edges(model: FittedModel, n_rows: int, rng) -> np.ndarray:
+    """``(n_rows, L)`` points on the cover's cell edges and corners, and
+    one float either side of them."""
+    cover = model.training_cover
+    n_spatial = model.n_spatial
+    points = cover.lo + rng.random((n_rows, n_spatial)) * (cover.hi - cover.lo)
+    for axis in range(n_spatial):
+        edges = cover.edges[axis] if axis < cover.axes else np.array([cover.lo[axis], cover.hi[axis]])
+        on = rng.random(n_rows) < 0.7  # corners where two axes land on edges
+        points[on, axis] = edges[rng.integers(0, edges.size, on.sum())]
+        step = rng.integers(-1, 2, n_rows)
+        points[:, axis] = np.where(step < 0, np.nextafter(points[:, axis], -np.inf),
+                                   np.where(step > 0, np.nextafter(points[:, axis], np.inf),
+                                            points[:, axis]))
+    return points
+
+
 def _prior_via(path: str, model, x, observed, p):
-    """``_spatial_prior`` with the grid forced on, forced off, or as is."""
+    """``_spatial_prior`` with the cover forced on, forced off, or as is."""
     min_rows = {"grid": 1, "scan": np.inf, "default": foldin._GRID_MIN_ROWS}[path]
     with mock.patch.object(foldin, "_GRID_MIN_ROWS", min_rows):
         return _spatial_prior(model, x, observed, p, BufferArena())
@@ -189,22 +225,22 @@ class TestGridPath:
     @ORACLE_SETTINGS
     @given(grid_inputs())
     def test_every_path_matches_reference(self, case):
-        model, x, observed, p, huge_row = case
+        model, x, observed, p, odd_rows = case
         with warnings.catch_warnings():
-            # The reference overflows on the 1e300 row and gives it NaN.
+            # The reference overflows on the odd rows and gives them NaN.
             warnings.simplefilter("ignore", RuntimeWarning)
             want_prior, want_active = ref.spatial_prior(model, x, observed, p, BufferArena())
-        keep = np.arange(x.shape[0]) != huge_row
+        keep = ~np.isin(np.arange(x.shape[0]), odd_rows)
         for path in ("grid", "scan", "default"):
             u_prior, active = _prior_via(path, model, x, observed, p)
             assert np.array_equal(u_prior[keep], want_prior[keep]), path
             assert np.array_equal(active[keep], want_active[keep]), path
-            if huge_row is not None:
-                assert active[huge_row] == 0.0
-                assert not u_prior[huge_row].any()
+            for row in odd_rows:
+                assert active[row] == 0.0
+                assert not u_prior[row].any()
 
     def test_default_cut_over_takes_the_grid(self):
-        # 256 rows near training rows, N = 2000: most settle on the grid.
+        # 256 rows near training rows, N = 2000: most settle on the cover.
         rng = np.random.default_rng(3)
         model = _model(2, 2000, "uniform", rng)
         locations = model.training_locations.T
@@ -212,39 +248,183 @@ class TestGridPath:
         x[:, :2] = locations[rng.integers(0, 2000, 256)] + 1e-3 * rng.random((256, 2))
         observed = np.ones(x.shape, dtype=bool)
         left = []
-        real = foldin._grid_nearest
-        with mock.patch.object(foldin, "_grid_nearest",
+        real = foldin._cover_nearest
+        with mock.patch.object(foldin, "_cover_nearest",
                                side_effect=lambda *a: left.append(real(*a)) or left[-1]):
             got = _spatial_prior(model, x, observed, 3, BufferArena())
         assert len(left) == 1
         assert left[0].size < 256 // 4  # rows left for the scan
         want = _prior_via("scan", model, x, observed, 3)
         assert np.array_equal(got[0], want[0])
-        with mock.patch.object(foldin, "_grid_nearest") as spy:
+        with mock.patch.object(foldin, "_cover_nearest") as spy:
             _spatial_prior(model, x[:8], observed[:8], 3, BufferArena())
         spy.assert_not_called()  # small batches scan
 
-    def test_hole_queries_climb_through_the_tables(self):
-        # Queries between the clusters find fewer than p rows around
-        # their level-0 cell, so every one is ranked on a coarser level.
+    @pytest.mark.parametrize("layout", ["uniform", "clustered"])
+    def test_hole_queries_settle_from_the_cover(self, layout):
+        # Queries in cells that hold no training row.  Between uniform
+        # locations their lists still settle most of them; between tight
+        # clusters most cells are too far from every row to get a list
+        # (_MAX_RING) and their queries scan.  Both answer exactly.
         rng = np.random.default_rng(5)
-        model = _model(2, 600, "clustered", rng)
+        model = _model(2, 600, layout, rng)
         x = rng.random((256, model.n_cols))
-        x[:, :2] = _holes(model, 256, 3, rng)
+        x[:, :2] = _holes(model, 256, rng)
         observed = np.ones(x.shape, dtype=bool)
-        index = model.training_grid
-        level = index.levels[0]
-        slabs, _ = _locate(x[:, :2].T, level.shape, level.tables)
-        assert (index.candidates(0)[1][np.ravel_multi_index(tuple(slabs), level.shape)] < 3).all()
-        with mock.patch.object(GridIndex, "candidates", autospec=True,
-                               side_effect=GridIndex.candidates) as read:
+        cover = model.training_cover
+        assert not np.isin(cover._cells(x[:, :2].T), cover._cells(model.training_locations)).any()
+        left = []
+        real = foldin._cover_nearest
+        with mock.patch.object(foldin, "_cover_nearest",
+                               side_effect=lambda *a: left.append(real(*a)) or left[-1]):
             grid = _prior_via("grid", model, x, observed, 3)
-        assert [call.args[1] for call in read.call_args_list][:2] == [0, 1]
+        if layout == "uniform":
+            assert left[0].size < 256 // 4
         scan = _prior_via("scan", model, x, observed, 3)
         want = ref.spatial_prior(model, x, observed, 3, BufferArena())
         for got in (grid, scan):
             assert np.array_equal(got[0], want[0])
             assert np.array_equal(got[1], want[1])
+
+    def test_tie_at_the_bound_is_not_settled(self):
+        # One spatial axis, cells [k, k + 1] over the observed range;
+        # rows 0..3 at 0, 2, 1 and 1.5.  Cell [1, 2]'s r2 is 1 (the
+        # third smallest farthest distance, exactly), so row 0 at
+        # distance 1 is off its list.  A query at 1 ties rows 0 and 1
+        # at its third pick, distance 1 = r2: the list offers row 1, the
+        # scan takes row 0 (the lower index), so the query must not
+        # settle.
+        cells = float(int(4 / cover_module._CELL_ROWS))  # of width 1
+        model = FittedModel(method="smfl", u=np.array([[0.0], [2.0], [1.0], [1.5]]),
+                            v=np.ones((1, 2)), rank=1, n_spatial=1, n_rows=4, n_cols=2,
+                            column_low=np.zeros(2), column_high=np.full(2, cells))
+        cover = model.training_cover
+        x = np.array([[1.0, 0.5]])
+        cell = int(cover._cells(x[:, :1].T)[0])
+        assert cover.r2[cell] == 1.0
+        assert cover.lists[cover.starts[cell]:cover.starts[cell] + cover.widths[cell]].tolist() \
+            == [1, 2, 3]
+        observed = np.ones(x.shape, dtype=bool)
+        left = foldin._cover_nearest(cover, x, np.array([0]), 3, np.empty((1, 3), dtype=np.int64),
+                                     np.empty((1, 3)))
+        assert left.tolist() == [0]
+        grid = _prior_via("grid", model, x, observed, 3)
+        want = ref.spatial_prior(model, x, observed, 3, BufferArena())
+        assert np.array_equal(grid[0], want[0])
+
+
+    def test_many_rows_at_one_site_match_the_scan(self):
+        # 3,000 rows at one location share one list width: the batching
+        # must cap them under the element budget without peeling them
+        # off one by one (a recursion that ran out of stack).
+        rng = np.random.default_rng(8)
+        model = _model(2, 2000, "uniform", rng)
+        row = rng.random(model.n_cols)
+        x = np.tile(row, (3000, 1))
+        observed = np.ones(x.shape, dtype=bool)
+        left = []
+        real = foldin._cover_nearest
+        with mock.patch.object(foldin, "_cover_nearest",
+                               side_effect=lambda *a: left.append(real(*a)) or left[-1]):
+            grid = _prior_via("grid", model, x, observed, 3)
+        assert left[0].size == 0  # every row settled on the cover
+        scan = _prior_via("scan", model, x, observed, 3)
+        assert np.array_equal(grid[0], scan[0])
+        assert np.array_equal(grid[1], scan[1])
+        result = fold_in(model, x)  # the public entry point, unchunked
+        assert result.imputed.shape == x.shape and np.isfinite(result.imputed).all()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.integers(1, 3000), st.integers(1, 2000)), min_size=1,
+                    max_size=6))
+    def test_width_cuts_stay_under_the_budget(self, runs):
+        # Runs of equal list widths, ascending: every batch gathers at
+        # most the element budget (or holds one row), and the number of
+        # batches stays near the budget's share of the work.
+        width = np.sort(np.concatenate([np.full(n, w) for n, w in runs]))
+        cuts = foldin._width_cuts(width)
+        assert cuts[0] == 0 and np.all(np.diff(cuts) > 0)
+        budget = foldin._CANDIDATE_ELEMENTS
+        for first, stop in zip(cuts, cuts[1:] + [width.size]):
+            assert stop - first == 1 or (stop - first) * width[stop - 1] <= budget
+        runs_needed = 2 * (width.size * int(width.max()) // budget + 1)
+        assert len(cuts) <= runs_needed * (1 + budget // foldin._BATCH_ELEMENTS)
+
+
+class TestCover:
+    """The cover's own contract, row by row against every training row."""
+
+    @ORACLE_SETTINGS
+    @given(
+        st.sampled_from([1, 2, 3, 4]), st.sampled_from([1, 2, 3, 40, 300]),
+        st.sampled_from(["uniform", "duplicates", "clustered", "lattice"]),
+        st.sampled_from(["none", "wide", "narrow"]),
+        st.sampled_from(["inside", "outside", "edges", "training rows", "huge"]),
+        st.integers(0, 2**31 - 1),
+    )
+    def test_unlisted_rows_are_past_the_bound(self, n_spatial, n_train, layout, box, queries,
+                                              seed):
+        rng = np.random.default_rng(seed)
+        model = _model(n_spatial, n_train, layout, rng, box)
+        cover = model.training_cover
+        locations = model.training_locations
+        lo, span = locations.min(axis=1), np.ptp(locations, axis=1)
+        if queries == "edges":
+            xq = _edges(model, 64, rng).T
+        elif queries == "training rows":
+            xq = locations[:, rng.integers(0, n_train, 64)]
+        else:
+            scale = {"inside": 1, "outside": 5, "huge": 1e200}[queries]
+            xq = lo[:, None] + (rng.random((n_spatial, 64)) - 0.5) * scale * (span[:, None] + 1)
+        cells, limit = cover.locate(xq)
+        with np.errstate(over="ignore"):
+            d2 = np.zeros((64, n_train))
+            for axis in range(n_spatial):
+                d2 += (xq[axis][:, None] - locations[axis]) ** 2
+        for row, cell in enumerate(cells):
+            start, width = cover.starts[cell], cover.widths[cell]
+            listed = cover.lists[start:start + width]
+            assert np.all(np.diff(listed) > 0)
+            assert cover.lists[start + width] == n_train
+            unlisted = np.setdiff1d(np.arange(n_train), listed)
+            assert (d2[row, unlisted] >= limit[row]).all()
+
+    def test_long_lists_are_dropped(self):
+        rng = np.random.default_rng(4)
+        model = _model(2, 600, "clustered", rng)
+        with mock.patch("repro.serving.cover._MAX_LIST", 40):
+            cover = PriorCover(model.training_locations, 3)
+        full = model.training_cover
+        dropped = full.widths > 40
+        assert dropped.any() and (full.widths <= 40).any()
+        assert (cover.widths[dropped] == 0).all() and (cover.r2[dropped] == 0).all()
+        assert np.array_equal(cover.widths[~dropped], full.widths[~dropped])
+        assert cover.lists.size < full.lists.size
+        x = rng.random((256, model.n_cols))
+        x[:, :2] = model.training_locations[:, rng.integers(0, 600, 256)].T
+        observed = np.ones(x.shape, dtype=bool)
+        model.__dict__["training_cover"] = cover
+        got = _prior_via("grid", model, x, observed, 3)
+        want = _prior_via("scan", model, x, observed, 3)
+        assert np.array_equal(got[0], want[0])
+
+    @pytest.mark.parametrize("layout", ["uniform", "clustered"])
+    def test_build_gathers_linear_in_rows(self, layout):
+        # No cells x N pass: every row the build measures lies in a block
+        # of cells around the cell asking, capped per cell, so the rows
+        # it measures grow with N: 47-49 per training row on these
+        # layouts, where a cells x N pass would measure 20,000.  It
+        # measures them a bounded number at a time.
+        model = _model(2, 20_000, layout, np.random.default_rng(6))
+        sizes = []
+        real = cover_module._distance2
+        with mock.patch.object(cover_module, "_distance2",
+                               side_effect=lambda points, *a, **k: sizes.append(points.shape[1])
+                               or real(points, *a, **k)):
+            cover = model.training_cover
+        assert max(sizes) <= cover_module._BUILD_ROWS + cover_module._MAX_LIST
+        assert sum(sizes) <= 100 * 20_000
+        assert cover.lists.size <= 100 * 20_000
 
 
 class TestSelection:
@@ -324,52 +504,69 @@ class TestLocationCache:
 
     def test_grid_index_cached_and_not_a_field(self):
         model = _model(2, 30, "uniform", np.random.default_rng(0))
-        index = model.training_grid
-        assert isinstance(index, GridIndex)
-        assert model.training_grid is index
-        assert index.levels[0].members.size == 30
-        assert "training_grid" not in {f.name for f in fields(FittedModel)}
+        cover = model.training_cover
+        assert isinstance(cover, PriorCover)
+        assert model.training_cover is cover
+        assert np.array_equal(cover.points[:, :30], model.training_locations)
+        assert "training_cover" not in {f.name for f in fields(FittedModel)}
         copy = replace(model, method="smf")
-        assert copy.training_grid is not index
-        assert len(copy.training_grid.levels) == len(index.levels)
+        assert copy.training_cover is not cover
+        assert np.array_equal(copy.training_cover.lists, cover.lists)
 
     def test_candidate_table_built_once_on_first_use(self):
-        model = _model(2, 300, "clustered", np.random.default_rng(0))
-        index = model.training_grid
-        with mock.patch.object(similarity, "_candidate_lists",
-                               wraps=similarity._candidate_lists) as build:
-            assert index._tables == {}
-            table, width = index.candidates(1)
+        model = _model(2, 300, "clustered", np.random.default_rng(0), "wide")
+        with mock.patch.object(PriorCover, "__init__", autospec=True,
+                               side_effect=PriorCover.__init__) as build:
+            cover = model.training_cover
+            assert model.training_cover is cover
+            fold_in(model, np.ones((256, model.n_cols)))
             assert build.call_count == 1
-            assert set(index._tables) == {1}
-            assert index.candidates(1)[0] is table
-            assert build.call_count == 1
-        assert table.dtype == np.int32
-        assert table.shape == (int(np.prod(index.levels[1].shape)), width.max())
-        # Row c: the rows of the 3 x 3 cells around c in index order,
-        # then the padding index N.
-        level = index.levels[1]
-        slabs, _ = _locate(model.training_locations, level.shape, level.tables)
-        for cell in range(table.shape[0]):
-            centre = np.array(np.unravel_index(cell, level.shape))[:, None]
-            near = np.flatnonzero((np.abs(slabs - centre) <= 1).all(axis=0))
-            assert width[cell] == near.size
-            assert np.array_equal(table[cell, :near.size], near)
-            assert (table[cell, near.size:] == 300).all()
+        assert cover.lists.dtype == np.int32
+        # The cover box is the locations' box widened to the observed
+        # spatial ranges.
+        low, high = model.clip_bounds()
+        locations = model.training_locations
+        assert np.array_equal(cover.lo, np.minimum(locations.min(axis=1), low[:2]))
+        assert np.array_equal(cover.hi, np.maximum(locations.max(axis=1), high[:2]))
+        # Cell c: every row whose squared distance to the cell's box is
+        # below r2, in index order, then the index N.
+        slabs = np.array(np.unravel_index(np.arange(cover.r2.size), cover.shape))
+        for cell in range(cover.r2.size):
+            lo = [cover.edges[g][slabs[g, cell]] for g in range(2)]
+            hi = [cover.edges[g][slabs[g, cell] + 1] for g in range(2)]
+            gap = np.maximum(np.maximum(np.array(lo)[:, None] - locations,
+                                        locations - np.array(hi)[:, None]), 0.0)
+            near = np.flatnonzero(gap[0] ** 2 + gap[1] ** 2 < cover.r2[cell])
+            start, width = cover.starts[cell], cover.widths[cell]
+            assert np.array_equal(cover.lists[start:start + width], near)
+            assert cover.lists[start + width] == 300
+        assert cover.nbytes == (cover.lists.nbytes + cover.starts.nbytes
+                                + cover.widths.nbytes + cover.r2.nbytes)
+
+    def test_cover_box_holds_the_observed_range_without_clipping(self):
+        # The observed ranges widen the cover box whether or not
+        # imputation clips to them.
+        model = _model(2, 300, "clustered", np.random.default_rng(0), "wide")
+        loose = replace(model, clip_to_observed=False)
+        assert loose.clip_bounds() is None
+        cover, want = loose.training_cover, model.training_cover
+        assert cover.lo.tolist() == want.lo.tolist() and cover.hi.tolist() == want.hi.tolist()
+        assert (cover.lo < model.training_locations.min(axis=1)).all()
+        assert np.array_equal(cover.lists, want.lists)
 
     def test_replace_copy_builds_its_own_table(self):
         model = _model(2, 300, "clustered", np.random.default_rng(0))
-        table = model.training_grid.candidates(0)[0]
+        lists = model.training_cover.lists
         copy = replace(model, method="smf")
-        assert copy.training_grid._tables == {}
-        assert copy.training_grid.candidates(0)[0] is not table
-        assert np.array_equal(copy.training_grid.candidates(0)[0], table)
+        assert "training_cover" not in vars(copy)
+        assert copy.training_cover.lists is not lists
+        assert np.array_equal(copy.training_cover.lists, lists)
 
     def test_tables_leave_the_artifact_hash(self, tmp_path):
         model = _model(2, 300, "clustered", np.random.default_rng(0))
         before = model.save(str(tmp_path / "before"))["content_hash"]
         fold_in(model, np.ones((256, model.n_cols)))
-        assert model.training_grid._tables  # the 256-row request built some
+        assert "training_cover" in vars(model)  # the 256-row request built it
         assert model.save(str(tmp_path / "after"))["content_hash"] == before
 
     def test_warm_fold_in_builds_no_candidate_lists(self):
@@ -378,17 +575,15 @@ class TestLocationCache:
         rng = np.random.default_rng(3)
         model = _model(2, 2000, "uniform", rng)
         x = rng.random((256, model.n_cols))
-        fold_in(model, x)  # warm: builds the tables it reads
-        assert model.training_grid._tables
+        fold_in(model, x)  # warm: builds the cover it reads
+        assert "training_cover" in vars(model)
         assert not hasattr(foldin, "_candidate_lists")
-        assert not hasattr(GridIndex, "neighbourhoods")
-        for builder in ("_candidate_lists", "_near_ranges"):
-            with mock.patch.object(similarity, builder,
-                                   wraps=getattr(similarity, builder)) as spy:
-                fold_in(model, rng.random((256, model.n_cols)))
-            assert spy.call_count == 0, f"a warm fold_in called {builder}"
+        with mock.patch.object(PriorCover, "__init__", autospec=True,
+                               side_effect=PriorCover.__init__) as build:
+            fold_in(model, rng.random((256, model.n_cols)))
+        assert build.call_count == 0, "a warm fold_in built a cover"
 
-    def test_non_finite_locations_have_no_grid_levels(self):
+    def test_non_finite_locations_have_no_cover(self):
         model = _model(2, 30, "uniform", np.random.default_rng(0))
         u = np.array(model.u)
         u[3, 0] = np.inf
@@ -396,7 +591,8 @@ class TestLocationCache:
         x = np.ones((300, model.n_cols))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            assert broken.training_grid.levels == []
+            assert not broken.training_cover.usable
+            assert broken.training_cover.nbytes == 0
             grid = _prior_via("grid", broken, x, np.ones(x.shape, bool), 3)
             scan = _prior_via("scan", broken, x, np.ones(x.shape, bool), 3)
         assert np.array_equal(grid[0], scan[0], equal_nan=True)
@@ -405,7 +601,7 @@ class TestLocationCache:
         model = _model(2, 30, "uniform", np.random.default_rng(0))
         before = model.save(str(tmp_path / "before"))["content_hash"]
         fold_in(model, np.ones((3, model.n_cols)))
-        model.training_grid
+        model.training_cover
         after = model.save(str(tmp_path / "after"))["content_hash"]
         assert after == before
         loaded = load_model(str(tmp_path / "after"))
