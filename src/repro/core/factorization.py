@@ -29,6 +29,7 @@ import numpy as np
 from ..engine.callbacks import Callback, Telemetry
 from ..engine.core import IterativeEngine
 from ..engine.kernels import UPDATE_RULES, KernelContext
+from ..engine.monitor import DEFAULT_EVAL_EVERY
 from ..engine.report import FactorizationResult, FitReport
 from ..engine.solver import Solver
 from ..engine.stochastic import (
@@ -186,9 +187,17 @@ class MatrixFactorizationBase:
     init:
         Factor initialisation strategy (``"random"`` or ``"nndsvd"``).
     eval_every:
-        Evaluate the objective every this many iterations (1 = every
-        iteration; larger values trade convergence-check granularity
-        for speed on large matrices).
+        Check convergence (evaluate the objective) at the first two
+        iterations, every this many iterations and the last, and at
+        every iteration once the fit nears ``tol``
+        (:meth:`~repro.engine.ConvergenceMonitor.due`).  ``None``
+        (default) picks :data:`~repro.engine.DEFAULT_EVAL_EVERY` for
+        the monotone multiplicative rule and 1 for the gradient and
+        stochastic rules, which can overshoot.  The cadence changes no
+        factor bit of a fit that runs its budget; ``tol`` bounds the
+        per-iteration mean decrease whatever the cadence.
+        ``fit_report_.objective_history`` and ``n_increases`` cover the
+        checked iterations only (pass 1 to record every iteration).
     kernel_path:
         Batch-path execution strategy, one of
         :data:`~repro.engine.workspace.KERNEL_PATHS`, resolved once per
@@ -228,7 +237,7 @@ class MatrixFactorizationBase:
         shuffle: bool = True,
         lr_decay: float = 0.0,
         init: str = "random",
-        eval_every: int = 1,
+        eval_every: int | None = None,
         kernel_path: str = "auto",
         clip_to_observed: bool = True,
         random_state: object = None,
@@ -265,6 +274,8 @@ class MatrixFactorizationBase:
         self.shuffle = bool(shuffle)
         self.lr_decay = check_in_range(lr_decay, name="lr_decay", low=0.0)
         self.init = init
+        if eval_every is None:
+            eval_every = DEFAULT_EVAL_EVERY if update_rule == "multiplicative" else 1
         self.eval_every = check_positive_int(eval_every, name="eval_every")
         if kernel_path not in KERNEL_PATHS:
             raise ValidationError(

@@ -57,7 +57,7 @@ from .batched import BatchedFit, MultiFitReport, multi_fit
 from .callbacks import Callback, IterationRecord, Telemetry
 from .core import EngineOutcome, IterativeEngine
 from .kernels import UPDATE_RULES, KernelContext
-from .monitor import DEFAULT_MAX_ITER, ConvergenceMonitor
+from .monitor import DEFAULT_EVAL_EVERY, DEFAULT_MAX_ITER, ConvergenceMonitor
 from .report import FactorizationResult, FitReport
 from .solver import Solver
 from .stochastic import (
@@ -86,6 +86,7 @@ __all__ = [
     "multi_fit",
     "ConvergenceMonitor",
     "DEFAULT_BATCH_SIZE",
+    "DEFAULT_EVAL_EVERY",
     "DEFAULT_MAX_ITER",
     "EngineOutcome",
     "GramCache",

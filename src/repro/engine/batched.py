@@ -29,10 +29,16 @@ Convergence dropout
 -------------------
 Each member fit owns a real :class:`~repro.engine.monitor.
 ConvergenceMonitor`, fed the batched objective of its slice at the same
-evaluation points the single-fit engine would use (all members share
-``eval_every``/``max_iter``, so evaluation iterations align by
-construction).  When a member converges it *drops out*: its factors are
-copied off and the stacks are compacted with ``np.take`` along axis 0 —
+evaluation points the single-fit engine would use: both loops ask
+:meth:`~repro.engine.monitor.ConvergenceMonitor.due`, and all members
+share ``eval_every``/``max_iter``.  A member checks every iteration
+once it nears ``tol``; the stack then evaluates every iteration, but
+only the members that are due record, so each history matches its
+looped twin.  A stack measures no per-step factor changes, so a member
+that blows up between checks is named at the stack's next check.
+
+When a member converges it *drops out*: its factors are copied off
+and the stacks are compacted with ``np.take`` along axis 0 —
 a pure row-block copy that preserves every surviving slice bit-exactly,
 so one fit finishing never perturbs the numerics of the others.
 """
@@ -124,6 +130,8 @@ class _MemberState:
     """Per-member loop bookkeeping (everything FitReport needs)."""
 
     monitor: ConvergenceMonitor
+    checked: int = 0
+    """The iteration of the member's last check."""
     wall_times: list[float] = field(default_factory=list)
     loop_share: float = 0.0
     landmark_intact: bool | None = None
@@ -170,7 +178,8 @@ def multi_fit(
     ``n_increases``, ``landmark_block_intact``).
 
     Raises :class:`~repro.exceptions.NumericalDivergenceError` at the
-    first non-finite evaluated objective, naming the member; the
+    first non-finite evaluated objective, naming the member (a blow-up
+    between checks surfaces at the next check); the
     ``batch.fit`` observation records it as a ``batch.fit_error`` event.
 
     Any ``B`` runs the stacked kernel, ``B == 1`` included; a lone fit
@@ -215,7 +224,7 @@ def multi_fit(
     t_loop = time.perf_counter()
     with get_recorder().observe(
         "batch.fit", size=len(fits), update_rule=update_rule,
-        frozen_prefix=frozen_prefix,
+        frozen_prefix=frozen_prefix, eval_every=eval_every,
     ) as span:
         while active and steps < max_iter:
             t_iter = time.perf_counter()
@@ -223,7 +232,8 @@ def multi_fit(
             steps += 1
             sizes.append(len(active))
             step_seconds = time.perf_counter() - t_iter
-            evaluate = steps % eval_every == 0 or steps == max_iter
+            due = [members[orig].monitor.due(steps, eval_every) for orig in active]
+            evaluate = any(due)
             objectives = ws.objective(ws.x_observed, u3, v3) if evaluate else None
             share = (time.perf_counter() - t_iter) / len(active)
             step_share = step_seconds / len(active)
@@ -252,9 +262,11 @@ def multi_fit(
                             member=orig,
                             learning_rate=learning_rate,
                         )
-                    member.monitor.record(objective)
-                    if member.monitor.converged:
-                        drop.append(pos)
+                    if due[pos]:
+                        member.monitor.record(objective, steps - member.checked)
+                        member.checked = steps
+                        if member.monitor.converged:
+                            drop.append(pos)
             if drop:
                 for pos in drop:
                     orig = active[pos]

@@ -2,7 +2,7 @@
 
 :class:`Callback` is the hook interface the engine drives;
 :class:`Telemetry` is the standard observer that turns a fit into a
-:class:`~repro.engine.report.FitReport` — per-iteration objectives,
+:class:`~repro.engine.report.FitReport` — checked objectives,
 wall times, factor deltas, and landmark-block invariance.  Extra
 callbacks (recording, plotting, early diagnostics) ride along without
 the solver knowing they exist.
@@ -29,7 +29,7 @@ class IterationRecord:
     """What the engine hands every callback after each solver step.
 
     ``objective`` is ``None`` on iterations where the engine skipped
-    evaluation (``eval_every > 1``).
+    evaluation (between the checks of ``eval_every > 1``).
     """
 
     iteration: int

@@ -59,8 +59,12 @@ class IterativeEngine:
     tol:
         Relative-decrease tolerance of the default stopping rule.
     eval_every:
-        Evaluate the objective every this many iterations (the final
-        iteration is always evaluated).
+        Evaluate the objective every this many iterations; the first
+        two and the final iteration are always evaluated, and every
+        iteration once the fit nears ``tol``
+        (:meth:`~repro.engine.monitor.ConvergenceMonitor.due`).
+        Between checks a non-finite factor change measured by the step
+        (:meth:`Solver.step_deltas`) still stops the fit.
     callbacks:
         :class:`Callback` instances notified at fit start, after every
         iteration, and at fit end.
@@ -92,20 +96,26 @@ class IterativeEngine:
         The default rule is the monitor's relative objective decrease;
         a solver returning a bool from :meth:`Solver.converged` takes
         full control of stopping (residual thresholds, shrinkage paths,
-        fixed-epoch training).  The first non-finite evaluated objective
-        raises :class:`~repro.exceptions.NumericalDivergenceError` naming
-        the iteration, the solver's ``update_rule`` (its ``name`` when it
+        fixed-epoch training).  The first non-finite evaluated objective,
+        or between checks the first non-finite change the step measured
+        (:meth:`Solver.step_deltas`), raises
+        :class:`~repro.exceptions.NumericalDivergenceError` naming the
+        iteration, the solver's ``update_rule`` (its ``name`` when it
         has none) and its ``learning_rate``, if it has one; the ``fit``
         observation records it as a ``fit_error`` event.
         """
         monitor = ConvergenceMonitor(max_iter=self.max_iter, tol=self.tol)
         recorder = get_recorder()
         solver_name = getattr(solver, "name", "solver")
+        update_rule = getattr(solver, "update_rule", solver_name)
+        learning_rate = getattr(solver, "learning_rate", None)
         steps = 0
+        checked = 0
         converged = False
         solver_rule = False
         with recorder.observe(
-            "fit", solver=solver_name, max_iter=self.max_iter
+            "fit", solver=solver_name, max_iter=self.max_iter,
+            eval_every=self.eval_every,
         ) as fit_span:
             for callback in self.callbacks:
                 callback.on_fit_start(solver, state)
@@ -117,25 +127,36 @@ class IterativeEngine:
                     state = solver.step(state)
                 steps += 1
                 objective: float | None = None
-                if steps % self.eval_every == 0 or steps == self.max_iter:
+                if monitor.due(steps, self.eval_every):
                     with recorder.span("evaluate", index=steps) as eval_span:
                         objective = float(solver.objective(state))
                         eval_span.set_attr("objective", objective)
                         if not math.isfinite(objective):
                             raise NumericalDivergenceError.at(
                                 iteration=steps,
-                                update_rule=getattr(
-                                    solver, "update_rule", solver_name
-                                ),
+                                update_rule=update_rule,
                                 objective=objective,
-                                learning_rate=getattr(solver, "learning_rate", None),
+                                learning_rate=learning_rate,
                             )
-                        monitor.record(objective)
+                        monitor.record(objective, steps - checked)
+                        checked = steps
                         custom = solver.converged(state, monitor)
                         solver_rule = custom is not None
                         converged = (
                             monitor.converged if custom is None else bool(custom)
                         )
+                else:
+                    # Between checks the step's own factor changes catch
+                    # a blow-up at the iteration it happens.
+                    for name, delta in solver.step_deltas(state).items():
+                        if not math.isfinite(delta):
+                            raise NumericalDivergenceError.at(
+                                iteration=steps,
+                                update_rule=update_rule,
+                                objective=delta,
+                                learning_rate=learning_rate,
+                                measure=f"the step's change of {name!r}",
+                            )
                 record = IterationRecord(
                     iteration=steps,
                     objective=objective,

@@ -48,8 +48,15 @@ class FitReport:
     u, v:
         Final factor matrices (``None`` for estimate-based solvers).
     objective_history:
-        Objective value at every evaluation point (every iteration when
-        ``eval_every=1``).
+        Objective value at every checked iteration
+        (:meth:`~repro.engine.ConvergenceMonitor.due`: the first two,
+        every ``eval_every``-th, the last, and all of them once the fit
+        nears ``tol``).  Every iteration is checked when
+        ``eval_every=1``; the multiplicative fits check every
+        :data:`~repro.engine.DEFAULT_EVAL_EVERY` by default.
+        ``wall_times``, ``factor_deltas`` and
+        ``landmark_block_intact`` cover every iteration whatever the
+        cadence.
     n_iter:
         Iterations actually run.
     converged:
@@ -65,8 +72,9 @@ class FitReport:
         Per-iteration Frobenius norm of each tracked array's change,
         keyed by factor name (``"u"``, ``"v"``, ``"estimate"``).
     n_increases:
-        How many recorded objective values *increased* over their
-        predecessor (must be 0 under the multiplicative rule).
+        How many checked objective values *increased* over the
+        previous checked value (must be 0 under the multiplicative
+        rule); a rise and fall between two checks is not seen.
     landmark_block_intact:
         ``True``/``False`` when a frozen landmark block was tracked and
         checked at every iteration; ``None`` when nothing was frozen.

@@ -144,3 +144,54 @@ class TestConvergenceMonitor:
             stacked.record(value)
         assert solo.n_increases == stacked.n_increases == 2
         assert solo.history == stacked.history
+
+
+class TestCheckCadence:
+    def test_tol_bounds_the_per_iteration_mean_decrease(self):
+        # A 10-iteration gap that lost 5e-4 of the objective averages
+        # 5e-5 per iteration: under tol=1e-4 it converges, though the
+        # whole-gap decrease is five times tol.
+        coarse = ConvergenceMonitor(max_iter=100, tol=1e-4)
+        coarse.record(1.0)
+        coarse.record(1.0 - 5e-4, 10)
+        assert coarse.converged and coarse.stop_reason == "tol"
+        # The same mean over a gap of 1 is a plain relative decrease.
+        fine = ConvergenceMonitor(max_iter=100, tol=1e-4)
+        fine.record(1.0)
+        fine.record(1.0 - 5e-4)
+        assert not fine.converged
+
+    def test_gap_of_one_is_the_plain_rule(self):
+        values = [4.0, 3.0, 2.9, 2.89, 2.889, 2.8889]
+        for tol in (1e-2, 1e-3, 1e-4):
+            plain = ConvergenceMonitor(max_iter=10, tol=tol)
+            gapped = ConvergenceMonitor(max_iter=10, tol=tol)
+            for value in values:
+                plain.record(value)
+                gapped.record(value, 1)
+                assert plain.converged == gapped.converged
+                assert plain.near_tol == gapped.near_tol
+
+    def test_increases_count_between_checks(self):
+        monitor = ConvergenceMonitor(max_iter=100, tol=0.0)
+        for value, gap in ((5.0, 1), (4.0, 9), (4.5, 10), (3.0, 10)):
+            monitor.record(value, gap)
+        assert monitor.n_increases == 1
+        assert not monitor.converged
+
+    def test_due_checks_the_first_two_every_kth_and_the_last(self):
+        monitor = ConvergenceMonitor(max_iter=25, tol=1e-6)
+        due = [step for step in range(1, 26) if monitor.due(step, 10)]
+        assert due == [1, 2, 10, 20, 25]
+        assert all(monitor.due(step, 1) for step in range(1, 26))
+
+    def test_near_tol_makes_every_iteration_due(self):
+        monitor = ConvergenceMonitor(max_iter=100, tol=1e-6)
+        monitor.record(1.0)
+        monitor.record(0.98, 10)  # 2e-3 per iteration: far from tol
+        assert not monitor.near_tol and not monitor.due(11, 10)
+        monitor.record(0.98 * (1 - 5e-4), 10)  # 5e-5 < CADENCE_MARGIN * tol
+        assert monitor.near_tol and not monitor.converged
+        assert monitor.due(21, 10)
+        monitor.reset()
+        assert not monitor.near_tol

@@ -13,9 +13,17 @@ import pytest
 
 from repro.core import SMF, SMFL, MaskedNMF
 from repro.core.batched_fit import fit_models_batched
-from repro.engine import BatchedFit, KernelContext, MultiFitReport, multi_fit
+from repro.engine import (
+    DEFAULT_EVAL_EVERY,
+    BatchedFit,
+    KernelContext,
+    MultiFitReport,
+    multi_fit,
+)
 from repro.engine.workspace import KernelWorkspace
 from repro.exceptions import NumericalDivergenceError, ValidationError
+
+from .test_engine import Checks
 
 RANK = 3
 
@@ -222,6 +230,73 @@ class TestBatchedVsLooped:
         )
         for model, _, _ in batched:
             assert model.fit_report_.landmark_block_intact is True
+
+
+class TestDefaultCadence:
+    """The default check cadence moves no factor bit, looped or stacked."""
+
+    @pytest.mark.parametrize(
+        "tol, max_iter", [(0.0, 45), (2e-5, 300)], ids=["budget", "tol"]
+    )
+    @pytest.mark.parametrize("name", MODELS)
+    def test_matches_every_iteration_checks(self, name, tol, max_iter):
+        # At tol=2e-5 the fits check every 10th iteration, then every
+        # iteration once near tol, and converge at different iterations
+        # (ragged dropout from the stack).
+        def make(seed, **kwargs):
+            return MODELS[name](
+                rank=RANK, max_iter=max_iter, tol=tol, random_state=seed, **kwargs
+            )
+
+        problems = [make_shared_graph_problem(24, 8, 0.3, seed) for seed in range(4)]
+        full = [make(seed, eval_every=1).fit(x) for seed, x in enumerate(problems)]
+        looped, checks = [], []
+        for seed, x in enumerate(problems):
+            checks.append(Checks())
+            looped.append(make(seed).fit(x, callbacks=(checks[-1],)))
+        stacked = [(make(seed), x, None) for seed, x in enumerate(problems)]
+        fit_models_batched(stacked)
+        assert looped[0].eval_every == DEFAULT_EVAL_EVERY
+        for ref, one, check, (member, _, _) in zip(full, looped, checks, stacked):
+            for model in (one, member):
+                assert np.array_equal(model.u_, ref.u_)
+                assert np.array_equal(model.v_, ref.v_)
+                assert np.array_equal(model.impute(), ref.impute())
+                assert model.n_iter_ == ref.n_iter_
+                assert model.converged_ == ref.converged_
+                assert (
+                    model.fit_report_.landmark_block_intact
+                    == ref.fit_report_.landmark_block_intact
+                )
+            # The short history is the full one read at the checks.
+            history = np.asarray(ref.objective_history_)
+            assert one.objective_history_ == list(history[np.asarray(check.iterations) - 1])
+            assert member.objective_history_ == one.objective_history_
+            assert len(one.objective_history_) < len(history)
+        if tol:
+            assert len({m.n_iter_ for m in full}) > 1, "no ragged convergence"
+
+    def test_fit_observations_carry_the_cadence(self):
+        from repro.obs import Recorder, RingBufferSink, use_recorder
+
+        x = make_spatial_problem(24, 8, 0.3, 0)
+        sink = RingBufferSink()
+        with use_recorder(Recorder(sink)):
+            SMF(rank=RANK, max_iter=5, random_state=0).fit(x)
+            SMF(rank=RANK, max_iter=5, update_rule="gradient", random_state=0).fit(x)
+            fit_models_batched(
+                [(SMF(rank=RANK, max_iter=5, random_state=s), x, None) for s in (0, 1)]
+            )
+        done = {
+            (r["name"], r["attrs"].get("eval_every"))
+            for r in sink.tail()
+            if r["name"] in ("fit_done", "batch.fit_done")
+        }
+        assert done == {
+            ("fit_done", DEFAULT_EVAL_EVERY),
+            ("fit_done", 1),
+            ("batch.fit_done", DEFAULT_EVAL_EVERY),
+        }
 
 
 class TestMultiFitAPI:

@@ -44,6 +44,17 @@ class CountingSolver(Solver):
         return {"estimate": np.array([float(state)])}
 
 
+class Checks(Callback):
+    """The iterations whose objective the engine evaluated."""
+
+    def on_fit_start(self, solver, state):
+        self.iterations = []
+
+    def on_iteration(self, solver, record):
+        if record.objective is not None:
+            self.iterations.append(record.iteration)
+
+
 class StopAtSolver(CountingSolver):
     def __init__(self, stop_at):
         self.stop_at = stop_at
@@ -75,8 +86,24 @@ class TestIterativeEngine:
         outcome = IterativeEngine(max_iter=10, tol=0.0, eval_every=3).run(
             CountingSolver(), 0
         )
-        # Evaluations at 3, 6, 9 and at the final iteration 10.
-        assert len(outcome.objective_history) == 4
+        # Evaluations at the first two iterations, at 3, 6, 9 and at
+        # the final iteration 10.
+        assert outcome.objective_history == (1.0, 1 / 2, 1 / 3, 1 / 6, 1 / 9, 1 / 10)
+
+    def test_cadence_falls_to_one_near_the_tolerance(self):
+        checks = Checks()
+        # 1/n falls by 1/n of its previous value per step: 0.5 at the
+        # second check, but the check at 10 averages 0.4/8 over 0.5 =
+        # 0.1 per step, under CADENCE_MARGIN * 2e-3, so every later
+        # iteration is checked, and the tolerance fires at the iteration
+        # an every-iteration fit stops at.
+        outcome = IterativeEngine(
+            max_iter=1000, tol=2e-3, eval_every=10, callbacks=(checks,)
+        ).run(CountingSolver(), 0)
+        every = IterativeEngine(max_iter=1000, tol=2e-3).run(CountingSolver(), 0)
+        assert every.stop_reason == outcome.stop_reason == "tol"
+        assert outcome.n_iter == every.n_iter
+        assert checks.iterations == [1, 2, *range(10, every.n_iter + 1)]
 
     def test_callback_order_and_records(self):
         events = []
@@ -211,6 +238,21 @@ class TestDivergenceGuard:
         engine = IterativeEngine(max_iter=10, tol=0.0, eval_every=2)
         with pytest.raises(NumericalDivergenceError, match="iteration 4 .*'blowup'"):
             engine.run(Blowup(), 0)
+
+    def test_unchecked_step_is_named_by_its_factor_change(self):
+        class BlowupBetweenChecks(CountingSolver):
+            name = "between"
+            update_rule = "multiplicative"
+
+            def step_deltas(self, state):
+                return {"u": float("nan") if state == 7 else 1.0}
+
+        engine = IterativeEngine(max_iter=50, tol=0.0, eval_every=10)
+        with pytest.raises(NumericalDivergenceError) as info:
+            engine.run(BlowupBetweenChecks(), 0)
+        message = str(info.value)
+        assert message.startswith("the step's change of 'u' is nan at iteration 7 ")
+        assert "'multiplicative'" in message
 
 
 class TestTelemetry:

@@ -61,12 +61,13 @@ def reference_model_fit(model, x, mask):
     model._prepare_fit(x, x_observed, observation)
     u, v = model._initial_factors(x_observed, observed, rng)
     monitor = ConvergenceMonitor(max_iter=model.max_iter, tol=model.tol)
-    steps = 0
+    steps = checked = 0
     while steps < model.max_iter and not monitor.converged:
         u, v = model._step(x_observed, observed, u, v)
         steps += 1
-        if steps % model.eval_every == 0 or steps == model.max_iter:
-            monitor.record(model._objective(x_observed, u, v, observed))
+        if monitor.due(steps, model.eval_every):
+            monitor.record(model._objective(x_observed, u, v, observed), steps - checked)
+            checked = steps
     return u, v, steps
 
 

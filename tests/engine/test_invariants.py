@@ -24,7 +24,8 @@ MAX_ITER = 60
 
 
 def make_model(name, **overrides):
-    kwargs = dict(rank=RANK, max_iter=MAX_ITER, tol=0.0, random_state=0)
+    # eval_every=1: the invariants are certified at every iteration.
+    kwargs = dict(rank=RANK, max_iter=MAX_ITER, tol=0.0, eval_every=1, random_state=0)
     kwargs.update(overrides)
     if name == "nmf":
         return MaskedNMF(**kwargs)

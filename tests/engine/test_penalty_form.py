@@ -29,7 +29,7 @@ from repro.engine.workspace import KernelWorkspace
 from repro.obs import Recorder as StreamRecorder
 from repro.obs import RingBufferSink, use_recorder
 
-from .test_engine import CountingSolver, StopAtSolver
+from .test_engine import Checks, CountingSolver, StopAtSolver
 
 MODELS = {"smf": SMF, "smfl": SMFL}
 # (update_rule, kernel_path): every full-batch path a fit can resolve to.
@@ -119,21 +119,31 @@ CASES = [
 class TestStopIterationInvariance:
     @pytest.mark.parametrize("name, rule, path", CASES)
     def test_looped(self, name, rule, path):
+        # The reference records every iterate; the stopped fits run the
+        # default cadence (every 10th iteration for the multiplicative
+        # rule, falling to every iteration near tol) and must still stop
+        # where the every-iteration sequence does.
         x = _problem(0)
         recorder = Recorder()
-        model = _model(name, rule, path, 0, tol=0.0)
+        model = _model(name, rule, path, 0, tol=0.0, eval_every=1)
         model.fit(x, callbacks=(recorder,))
         sparse_form, dense_form = _reference_objectives(model, x, recorder.states)
         _assert_close(model.objective_history_, sparse_form)
         _assert_close(model.objective_history_, dense_form)
+        full = np.asarray(model.objective_history_)
         for tol in TOLS:
-            stopped = _model(name, rule, path, 0, tol=tol).fit(x)
+            checks = Checks()
+            stopped = _model(name, rule, path, 0, tol=tol)
+            stopped.fit(x, callbacks=(checks,))
             n_iter, converged = _stop_index(sparse_form, tol)
             assert stopped.n_iter_ == n_iter, tol
             assert stopped.converged_ == converged
             assert stopped.fit_report_.stop_reason == ("tol" if converged else "budget")
             # The stop iteration is the only thing tol changes.
             assert np.array_equal(stopped.u_, recorder.states[n_iter][0])
+            # The checked history is the full one read at its checks.
+            checked = np.asarray(checks.iterations) - 1
+            assert np.array_equal(stopped.objective_history_, full[checked])
 
     @pytest.mark.parametrize("name", MODELS)
     @pytest.mark.parametrize("rule", ["multiplicative", "gradient"])
@@ -142,14 +152,18 @@ class TestStopIterationInvariance:
         # takes the B == 1 path.  Both must stop where the reference
         # sequence of their looped twin stops.
         problems = [_problem(seed) for seed in range(2)]
-        looped = []
+        references = []
         for seed, x in enumerate(problems):
             recorder = Recorder()
-            model = _model(name, rule, "workspace", seed, tol=0.0)
+            model = _model(name, rule, "workspace", seed, tol=0.0, eval_every=1)
             model.fit(x, callbacks=(recorder,))
             sparse_form, _ = _reference_objectives(model, x, recorder.states)
-            looped.append((model, sparse_form))
+            references.append(sparse_form)
         for tol in (0.0, *TOLS):
+            twins = [
+                _model(name, rule, "workspace", s, tol=tol).fit(x)
+                for s, x in enumerate(problems)
+            ]
             for group in ([0, 1], [0]):
                 jobs = [
                     (_model(name, rule, "workspace", s, tol=tol), problems[s], None)
@@ -157,16 +171,14 @@ class TestStopIterationInvariance:
                 ]
                 fit_models_batched(jobs)
                 for s, (model, _, _) in zip(group, jobs):
-                    twin, reference = looped[s]
-                    n_iter, converged = _stop_index(reference, tol)
+                    n_iter, converged = _stop_index(references[s], tol)
                     assert model.n_iter_ == n_iter, (tol, group)
                     assert model.converged_ == converged
                     assert model.fit_report_.stop_reason == (
                         "tol" if converged else "budget"
                     )
-                    history = model.objective_history_
-                    assert history == twin.objective_history_[: len(history)]
-                    _assert_close(history, reference[:n_iter])
+                    assert model.objective_history_ == twins[s].objective_history_
+                    assert np.array_equal(model.u_, twins[s].u_)
 
 
 class TestOneGraphProductPerIteration:

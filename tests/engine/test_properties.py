@@ -132,7 +132,9 @@ class TestObjectiveDiscipline:
     @given(problem=problem, family=st.sampled_from(["nmf", "smf", "smfl"]))
     def test_multiplicative_objective_never_increases(self, problem, family):
         x_missing, _ = make_problem(**problem)
-        kwargs = dict(rank=RANK, max_iter=8, tol=0.0, random_state=problem["seed"])
+        kwargs = dict(
+            rank=RANK, max_iter=8, tol=0.0, eval_every=1, random_state=problem["seed"]
+        )
         if family == "nmf":
             model = MaskedNMF(**kwargs)
         elif family == "smf":

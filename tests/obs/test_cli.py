@@ -75,7 +75,7 @@ class TestEndToEndWithEngine:
         path = str(tmp_path / "fit.jsonl")
         x = abs(rng.normal(size=(40, 6))) + 0.1
         with record_to(path):
-            SMFL(rank=3, n_spatial=2, max_iter=4, random_state=0).fit(x)
+            SMFL(rank=3, n_spatial=2, max_iter=4, eval_every=1, random_state=0).fit(x)
         spans = [e for e in read_records(path) if e["kind"] == "span"]
         counts = {}
         for span in spans:
