@@ -8,7 +8,9 @@ short list instead of a scan of all ``N``.
 A uniform grid over the first ``min(L, 2)`` spatial axes tiles the
 cover box: the training locations' range widened to the model's
 observed coordinate range (the spatial columns of its
-``column_low``/``column_high``), where requests come from.  A cell's box spans its slabs on the grid
+``column_low``/``column_high``), where requests come from.  It has
+``N / _CELL_ROWS`` cells, so a cell holds 0.6 training rows on average
+and more where rows bunch.  A cell's box spans its slabs on the grid
 axes and the cover box on the others; its edges are exact, the
 smallest float each slab holds, so a query lies in its cell's box or,
 outside the cover box, beyond the box's own faces.  The cell stores
@@ -33,7 +35,10 @@ that can hold them (bounds on the slabs from a summed-area table of
 cell counts, then from ``sqrt(r2)``), so it makes no ``cells x N``
 pass.  A cell whose block is too wide (:data:`_MAX_RING`) or holds too
 many rows (:data:`_MAX_LIST`) gets no list and its queries scan, so
-the build's work and the lists are ``O(N)``.
+the build's work and the lists are ``O(N)``.  The lists are sized by a
+counting pass, which keeps one bit per measured row, and then filled
+in place, so the build's scratch beyond the cover stays a few
+``cells``-long arrays and one run of cells' rows.
 """
 
 from __future__ import annotations
@@ -44,32 +49,43 @@ from ..spatial.similarity import _grid_shape, _ranges, _slabs
 
 __all__ = ["PriorCover"]
 
-_CELL_ROWS = 1.0
+_CELL_ROWS = 0.6
 """Mean training rows per cover cell.  Finer cells make shorter lists
-(cheaper queries) but more of them (a longer build, more memory)."""
+(cheaper queries) but more of them (a longer build, more memory), and
+need a wider :data:`_MAX_RING` to keep the same share of queries
+listed.  Chosen with it under two bounds: the build measures at most
+100 rows per training row on 20,000 clustered rows
+(``test_build_gathers_linear_in_rows``), and no larger share of the
+serve_foldin generator's query rows goes unlisted at 2,000, 8,000 and
+100k training rows.  Query-weighted list widths there, against 1.0
+row per cell with rings of 8: 49.5 (68.2), 88.7 (118) and 121 (146)
+rows; 0.5/12 and 0.25/16 lists are shorter but measure 104 and 160
+rows per training row, 0.5/8 leaves 3.8% of the 8,000-row model's
+queries unlisted (1.1%)."""
 
 _MAX_LIST = 4096
 """Most rows one cell's block of cells may hold, in each build pass; a
 cell past it gets no list and its queries scan.  Caps the build's work
 and the lists at ``_MAX_LIST / _CELL_ROWS`` per training row however
 the locations cluster.  On a 100k-row model of the serve_foldin
-generator, 1,024 left 7.6% of its data rows' queries in capped cells
-and 4,096 1.4% (another 15.7% land past :data:`_MAX_RING`), for 7.1
-and 9.5 MiB of lists; the models of 2,000 and 8,000 rows cap no
-cell."""
+generator (1.0 row per cell), 1,024 left 7.6% of its data rows'
+queries in capped cells and 4,096 1.4% (another 15.7% land past
+:data:`_MAX_RING`), for 7.1 and 9.5 MiB of lists; the models of 2,000
+and 8,000 rows cap no cell."""
 
-_MAX_RING = 8
+_MAX_RING = 11
 """Widest square of cells, in cells each way from its own, that a cell
 searches for its ``p`` nearest rows; a cell that needs more (far from
 every training row) gets no list and its queries scan.  Caps the
-build's blocks at ``O(_MAX_RING)`` runs of cells.  Such cells hold
-0.02% of serve_foldin's query rows, 1.1% at 8,000 training rows,
-where 16 would cut that to 0.3% for 1.6x the build time and 1.8x the
-bytes."""
+build's blocks at ``O(_MAX_RING)`` runs of cells.  11 cells of 0.6
+rows reach about as far as 8 cells of 1.0 row.  Cells without a list
+(past this or :data:`_MAX_LIST`) hold 0.02% of serve_foldin's query
+rows, 0.98% at 8,000 training rows and 13.5% at 100k (0.02%, 1.07% and
+14.0% at 1.0/8)."""
 
 _BUILD_ROWS = 1 << 14
-"""Rows the build measures at once, so its scratch stays small: 2.0
-MiB on the serve_foldin model."""
+"""Rows the build measures at once, so its scratch stays small: about
+2 MiB."""
 
 _SLACK = 2.0 ** -30
 """Relative margin by which the build widens the slabs it searches, so
@@ -87,9 +103,7 @@ class PriorCover:
     false) and every query scans.
 
     ``lists`` holds every cell's list, from ``starts[c]``, ``widths[c]``
-    long and closed by the index ``N``; ``points`` is the locations with
-    an extra column ``N`` at +inf, so a batch gathers its lists padded
-    to the widest with one clipped index.
+    long; ``points`` is the locations.
     """
 
     def __init__(self, locations: np.ndarray, p: int, low: np.ndarray | None = None,
@@ -108,7 +122,7 @@ class PriorCover:
         shape, self.scale = _grid_shape(hi[:self.axes] - lo[:self.axes], n / _CELL_ROWS)
         self.shape = tuple(int(k) for k in shape)
         self.edges = [self._edges(g) for g in range(self.axes)]
-        self.points = np.concatenate([locations, np.full((n_spatial, 1), np.inf)], axis=1)
+        self.points = locations
 
         cells = self._cells(locations)
         n_cells = int(np.prod(self.shape))
@@ -116,52 +130,61 @@ class PriorCover:
         sorted_locations = locations[:, members]
         counts = np.bincount(cells, minlength=n_cells)
         bounds = np.concatenate([[0], np.cumsum(counts)])
-        slabs = np.array(np.unravel_index(np.arange(n_cells), self.shape))
-        box = (list(lo), list(hi))
-        for g in range(self.axes):
-            box[0][g], box[1][g] = self.edges[g][slabs[g]], self.edges[g][slabs[g] + 1]
+        table = _summed_area(counts.reshape(self.shape))
+        del cells, counts
 
         # r2: about the p-th smallest farthest distance over the rows of
         # the smallest square of cells around the cell that holds p.  A
         # cell whose square is wider than _MAX_RING cells each way, or
         # holds more than _MAX_LIST rows, gets r2 = 0 and no list.
-        table = _summed_area(counts.reshape(self.shape))
+        slabs = np.array(np.unravel_index(np.arange(n_cells), self.shape))
         ring = _rings_holding(table, slabs, min(p, n))
         first = np.maximum(slabs - ring, 0)
         last = np.minimum(slabs + ring, np.array(self.shape)[:, None] - 1)
         last[:, ring[0] > _MAX_RING] = -1
+        del slabs, ring
         self.r2 = np.zeros(n_cells)
         for part in _parts(table, first, last):
             held, at = self._gather(first[:, part], last[:, part], bounds)
-            far = _distance2(sorted_locations[:, at], _part_box(box, part), held, far=True)
+            far = _distance2(sorted_locations[:, at], self._box(part), held, far=True)
             self.r2[part][held > 0] = _group_kth(far, held[held > 0], min(p, n))
 
         # Lists: every row nearer the cell than r2, from the slabs its
         # box widened by sqrt(r2) reaches (the slab function is
-        # monotone, and the widening is rounded outward).  Each list is
-        # closed by the index N; cells come in runs, so sorting each run's
-        # lists orders them all.
+        # monotone, and the widening is rounded outward).  A counting
+        # pass measures the rows and keeps which to list as bits, so the
+        # lists are sized first and filled in place; cells come in runs,
+        # so sorting each run's rows by (cell, index) orders them all.
         with np.errstate(over="ignore", invalid="ignore"):
             margin = np.sqrt(self.r2) * (1 + _SLACK)
-        first = np.array([self._slabs(box[0][g] - margin, g) for g in range(self.axes)])
-        last = np.array([self._slabs(box[1][g] + margin, g) for g in range(self.axes)])
+        low, high = self._box(slice(0, n_cells))
+        first = np.array([self._slabs(low[g] - margin, g) for g in range(self.axes)])
+        last = np.array([self._slabs(high[g] + margin, g) for g in range(self.axes)])
         last[:, self.r2 == 0] = -1
-        dtype = np.int32 if n < 2**31 - 1 else np.int64
-        lists, widths = [], []
-        for part in _parts(table, first, last):
-            part_box, r2 = _part_box(box, part), self.r2[part]
+        del margin, low, high
+        parts = _parts(table, first, last)
+        del table
+        self.widths = np.zeros(n_cells, dtype=np.int64)
+        kept = []
+        for part in parts:
             held, at = self._gather(first[:, part], last[:, part], bounds)
-            keep = _distance2(sorted_locations[:, at], part_box, held) < np.repeat(r2, held)
-            cell = np.repeat(np.arange(held.size), held)[keep]
-            keys = np.concatenate([cell * (n + 1) + members[at[keep]],
-                                   np.arange(held.size) * (n + 1) + n])
-            keys.sort()
-            lists.append((keys % (n + 1)).astype(dtype))
-            widths.append(np.bincount(keys // (n + 1), minlength=held.size) - 1)
+            keep = _distance2(sorted_locations[:, at], self._box(part), held) \
+                < np.repeat(self.r2[part], held)
+            self.widths[part] = np.diff(np.concatenate([[0], np.cumsum(keep)])[np.cumsum(held)],
+                                        prepend=0)
+            kept.append(np.packbits(keep))
+        del sorted_locations
         self.r2[(last < 0).any(axis=0)] = 0.0
-        self.lists = np.concatenate(lists)
-        self.widths = np.concatenate(widths)
-        self.starts = np.cumsum(self.widths + 1) - self.widths - 1
+        self.starts = np.cumsum(self.widths) - self.widths
+        self.lists = np.empty(int(self.widths.sum()), dtype=np.int32 if n < 2**31 else np.int64)
+        for part, bits in zip(parts, kept):
+            held, at = self._gather(first[:, part], last[:, part], bounds)
+            keep = np.unpackbits(bits, count=at.size).view(bool)
+            keys = np.repeat(np.arange(held.size) * n, held)[keep]
+            keys += members[at[keep]]
+            keys.sort()
+            fill = self.starts[part.start]
+            np.remainder(keys, n, out=self.lists[fill:fill + keys.size], casting="unsafe")
 
     @property
     def nbytes(self) -> int:
@@ -215,6 +238,15 @@ class PriorCover:
             up = self._slabs(_unordered(mid), g) >= k
             above, below = np.where(up, mid, above), np.where(up, below, mid)
         return np.concatenate([[self.lo[g]], _unordered(above), [self.hi[g]]])
+
+    def _box(self, part: slice) -> tuple[list, list]:
+        """Low and high ends, per axis, of a run of cells' boxes: their
+        slabs' edges on the grid axes, the cover box's on the others."""
+        slabs = np.unravel_index(np.arange(part.start, part.stop), self.shape)
+        low, high = list(self.lo), list(self.hi)
+        for g in range(self.axes):
+            low[g], high[g] = self.edges[g][slabs[g]], self.edges[g][slabs[g] + 1]
+        return low, high
 
     def _gather(self, first: np.ndarray, last: np.ndarray,
                 bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -294,11 +326,6 @@ def _parts(table: np.ndarray, first: np.ndarray, last: np.ndarray) -> list[slice
     cuts = np.searchsorted(np.cumsum(held), np.arange(_BUILD_ROWS, held.sum(), _BUILD_ROWS))
     edges = np.unique(np.concatenate([[0], cuts, [held.size]]))
     return [slice(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:])]
-
-
-def _part_box(box: tuple, part: slice) -> tuple:
-    """``box`` (per axis the cells' ends, or scalars) for a run of cells."""
-    return tuple([end[part] if np.ndim(end) else end for end in side] for side in box)
 
 
 def _distance2(points: np.ndarray, box: tuple, held: np.ndarray, far: bool = False) -> np.ndarray:

@@ -52,12 +52,14 @@ Scratch memory comes from a
 allocations for same-shape batches.  The spatial prior ranks each
 row's candidate training rows by squared distance, one spatial
 coordinate at a time, and keeps the ``p`` nearest in (distance, index)
-order.  In a large batch a fully observed row's candidates are one
-list, gathered once: its cell's list in the model's cover
-(:attr:`FittedModel.training_cover`, :mod:`repro.serving.cover`), built
-once per model in a flat int32 layout (0.3 MiB on the serve_foldin
-model), and kept only when the cover's bound proves no unlisted
-training row is as near.  Every other row scans all ``N`` training
+order.  In a batch of a dozen rows or more a fully observed row's
+candidates are one list: its cell's list in the model's cover
+(:attr:`FittedModel.training_cover`, :mod:`repro.serving.cover`),
+built once per model in a flat int32 layout (0.4 MiB on the
+serve_foldin model).  The rows' lists are gathered back to back,
+unpadded, and ranked by segmented minimum passes; a row's picks are
+kept only when the cover's bound proves no unlisted training row is as
+near.  Every other row scans all ``N`` training
 rows, in two grow-only ``B x N`` arena blocks (the running sum and the
 current coordinate's term) that every batch size shares; no
 ``B x N x L`` block exists.  Both paths select the same neighbours bit
@@ -75,7 +77,7 @@ from ..exceptions import ValidationError
 from ..masking.mask import ObservationMask
 from ..model.fitted import FittedModel, coerce_observations
 from ..spatial.neighbors import smallest_p
-from ..spatial.similarity import _CANDIDATE_ELEMENTS
+from ..spatial.similarity import _CANDIDATE_ELEMENTS, _ranges
 from ..validation import check_nonnegative, check_positive_int
 from .cover import PriorCover
 
@@ -166,7 +168,7 @@ def _coerce_rows(
     return x, observation, was_row
 
 
-_GRID_MIN_ROWS = 24
+_GRID_MIN_ROWS = 12
 """Smallest batch whose prior tries the cover.
 
 A batch this large ranks its fully observed rows on
@@ -175,24 +177,18 @@ training rows; smaller batches scan.  Both paths select the same
 neighbours, so the number only moves time.  The cover's cost per batch
 is locating the rows and ranking their lists, with a fixed part that a
 one-row scan beats.  Timed interleaved against the scan (one BLAS
-thread, medians of 400 batches per size of serve_foldin's request
+thread, medians of 600 batches per size of serve_foldin's held-out
 rows, on the serve_foldin model and on one fitted to 8,000 rows of the
-same generator): at ``N = 2000`` the scan won at 16 rows (ratio 1.19)
-and the cover from 24 (0.94, 0.82 at 32); at ``N = 8000`` they crossed
-at about 10 rows (1.10 at 8, 0.87 at 12).  The crossover falls as the
-scan grows with ``N``; the cut-over is the ``N = 2000`` one."""
-
-_BATCH_ELEMENTS = 8192
-"""A candidate batch's fixed cost, in gathered elements: the prior
-splits its rows into another batch only to save more padding than
-this.  Interleaved on serve_foldin's 256-row requests, 8k-16k split
-them fastest, into about two batches: 664 against 912 us for one batch
-under the element budget at ``N = 2000``, 1,280 against 1,554 us at
-``N = 8000``."""
+same generator), cover over scan: at ``N = 2000`` 1.10 at 8 rows, 1.07
+at 10, 0.93 at 12 and 0.74 at 16; at ``N = 8000`` 1.76 at 1 row, 0.97
+at 4 and 0.70 at 8.  The crossover falls as the scan grows with ``N``;
+the cut-over is the ``N = 2000`` one, so serve_foldin's 16-row
+requests take the cover."""
 
 _MAX_PASSES = 8
-"""Largest ``p`` selected by ``p`` passes of ``argmin``; larger ``p``
-goes through :func:`~repro.spatial.neighbors.smallest_p`."""
+"""Largest ``p`` selected by ``p`` passes of ``argmin`` (or, on the
+cover, of segmented minima); a larger ``p`` scans, through
+:func:`~repro.spatial.neighbors.smallest_p`."""
 
 
 def _spatial_prior(
@@ -214,8 +210,9 @@ def _spatial_prior(
     A row's ``p`` nearest training rows, in (distance, index) order,
     come from one of two paths with the same distance form and the same
     selection, so they agree bit for bit: in a batch of at least
-    :data:`_GRID_MIN_ROWS` rows, a row whose spatial coordinates are
-    all observed and finite is tried on the model's cover
+    :data:`_GRID_MIN_ROWS` rows, for ``p`` up to :data:`_MAX_PASSES`,
+    a row whose spatial coordinates are all observed and finite is
+    tried on the model's cover
     (:func:`_cover_nearest`); every other row scans all ``N``.
     """
     locations = model.training_locations  # (L, N), cached on the model
@@ -228,7 +225,7 @@ def _spatial_prior(
     scan = np.arange(n_rows)
     nearest = np.empty((n_rows, p), dtype=np.int64)
     nearest_d2 = np.empty((n_rows, p))
-    if n_rows >= _GRID_MIN_ROWS and model.training_cover.usable:
+    if n_rows >= _GRID_MIN_ROWS and p <= _MAX_PASSES and model.training_cover.usable:
         cover = model.training_cover
         placed = spatial_observed.all(axis=1) & np.isfinite(x[:, :n_spatial]).all(axis=1)
         pending = ~placed
@@ -345,10 +342,12 @@ def _cover_nearest(
 
     ``rows`` have every spatial coordinate observed and finite.  Each
     is ranked against its cell's list (:class:`PriorCover`, built once
-    per model, index-ordered and closed by an extra training column at
-    +inf) with the scan's distance form and :func:`_nearest`'s
-    (distance, index) selection.  It is settled when its ``p``-th
-    distance is strictly below its bound from
+    per model, index-ordered) with the scan's distance form and
+    :func:`_nearest`'s (distance, index) selection: the rows' lists are
+    gathered back to back, unpadded, in chunks of at most
+    ``_CANDIDATE_ELEMENTS`` (:func:`_chunks`), and
+    :func:`_segment_nearest` picks each list's ``p`` nearest.  A row is
+    settled when its ``p``-th distance is strictly below its bound from
     :meth:`PriorCover.locate`, as no unlisted training row can then tie
     or beat it; the other rows, and rows whose list holds fewer than
     ``p``, are returned for the scan.
@@ -356,53 +355,56 @@ def _cover_nearest(
     xq = np.ascontiguousarray(x[rows, :cover.points.shape[0]].T)
     cells, limit = cover.locate(xq)
     start, width = cover.starts[cells], cover.widths[cells]
-    queries = np.argsort(width, kind="stable")
-    queries = queries[np.searchsorted(width[queries], p):]
-    cuts = _width_cuts(width[queries])
+    listed = (width >= p).nonzero()[0]
     unsettled = np.ones(rows.size, dtype=bool)
-    for first, stop in zip(cuts, cuts[1:] + [queries.size]):
-        q = queries[first:stop]
-        end = start[q] + width[q]
-        cand = cover.lists[np.minimum(start[q, None] + np.arange(width[q[-1]]), end[:, None])]
-        dist = np.empty(cand.shape)
-        _prior_distances(xq[:, q, None], np.take(cover.points, cand, axis=1), None, dist,
-                         np.empty(cand.shape))
-        picks, vals = _nearest(dist, p)
-        ok = np.flatnonzero(vals[:, -1] < limit[q])
-        nearest[rows[q[ok]]] = cand[ok[:, None], picks[ok]]
+    for chunk in _chunks(width[listed]):
+        q = listed[chunk]
+        cand = cover.lists[_ranges(start[q], width[q])]
+        dist = np.empty(cand.size)
+        _prior_distances(xq[:, q].repeat(width[q], axis=1), cover.points.take(cand, axis=1),
+                         None, dist, np.empty(cand.size))
+        picks, vals = _segment_nearest(dist, width[q], p)
+        ok = (vals[:, -1] < limit[q]).nonzero()[0]
+        nearest[rows[q[ok]]] = cand[picks[ok]]
         nearest_d2[rows[q[ok]]] = vals[ok]
         unsettled[q[ok]] = False
     return rows[unsettled]
 
 
-def _width_cuts(width: np.ndarray) -> list[int]:
-    """Where batches of rows with ascending list ``width`` start, each
-    batch gathered to its widest list.
+def _chunks(width: np.ndarray) -> list[slice]:
+    """Runs of consecutive rows whose lists, ``width`` long, hold at most
+    ``_CANDIDATE_ELEMENTS`` elements together; a wider row is a run of
+    its own."""
+    ends = np.cumsum(width)
+    runs, first = [], 0
+    while first < width.size:
+        budget = _CANDIDATE_ELEMENTS + (ends[first - 1] if first else 0)
+        stop = max(first + 1, int(np.searchsorted(ends, budget, side="right")))
+        runs.append(slice(first, stop))
+        first = stop
+    return runs
 
-    The rows are first cut, in order, into runs that gather at most
-    ``_CANDIDATE_ELEMENTS`` elements each (a wider row alone).  A run is
-    then split in two where that pads least, while the split saves more
-    than :data:`_BATCH_ELEMENTS` gathered elements; as a run pads at most
-    ``_CANDIDATE_ELEMENTS``, it splits at most ``_CANDIDATE_ELEMENTS /
-    _BATCH_ELEMENTS`` times.
+
+def _segment_nearest(dist: np.ndarray, width: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each segment's ``p`` smallest entries by (value, position):
+    positions in ``dist``, values.
+
+    ``dist`` is segments of ``width`` (each at least ``p``) back to
+    back, with no NaN; it is overwritten.  ``p`` segmented passes: the
+    minimum of each segment (``np.minimum.reduceat``), then the first
+    position holding it, masked with inf for the next pass.  A segment
+    whose ``k``-th pick is inf has no defined picks after it, but its
+    ``p``-th value is inf.
     """
-    runs, start = [], 0
-    while start < width.size:
-        load = np.arange(1, width.size - start + 1) * width[start:]
-        stop = start + max(1, int(np.searchsorted(load, _CANDIDATE_ELEMENTS, side="right")))
-        runs.append((start, stop))
-        start = stop
-    cuts = []
-    while runs:
-        first, stop = runs.pop()
-        k = np.arange(first + 1, stop)
-        padded = (k - first) * width[k - 1] + (stop - k) * width[stop - 1]
-        if k.size == 0 or (stop - first) * width[stop - 1] - padded.min() <= _BATCH_ELEMENTS:
-            cuts.append(first)
-        else:
-            split = int(k[padded.argmin()])
-            runs += [(first, split), (split, stop)]
-    return sorted(cuts)
+    offsets = np.cumsum(width) - width
+    picks = np.empty((p, width.size), dtype=np.int64)
+    vals = np.empty((p, width.size))
+    for j in range(p):
+        np.minimum.reduceat(dist, offsets, out=vals[j])
+        hits = (dist == vals[j].repeat(width)).nonzero()[0]
+        hits.take(hits.searchsorted(offsets), out=picks[j])
+        dist[picks[j]] = np.inf
+    return picks.T, vals.T
 
 
 def fold_in(

@@ -232,7 +232,8 @@ N = 2.5k-100k."""
 _CANDIDATE_ELEMENTS = 1 << 16
 """Element budget (rows x padded candidate width) of one candidate
 batch; clustered cells widen rows, so batches shrink instead of the
-scratch growing."""
+scratch growing.  The fold-in prior's cover chunks its unpadded lists
+by the same budget (:func:`repro.serving.foldin._chunks`)."""
 
 
 def _masked_knn_indices(

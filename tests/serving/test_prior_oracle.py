@@ -17,6 +17,7 @@ row whose distances all overflow gets no prior (and no warning), and
 
 from __future__ import annotations
 
+import tracemalloc
 import warnings
 from dataclasses import fields, replace
 from unittest import mock
@@ -32,7 +33,7 @@ from repro.model import FittedModel, load_model
 from repro.serving import cover as cover_module
 from repro.serving import fold_in, foldin
 from repro.serving.cover import PriorCover
-from repro.serving.foldin import _nearest, _spatial_prior
+from repro.serving.foldin import _nearest, _segment_nearest, _spatial_prior
 
 from . import reference_prior as ref
 
@@ -256,9 +257,10 @@ class TestGridPath:
         assert left[0].size < 256 // 4  # rows left for the scan
         want = _prior_via("scan", model, x, observed, 3)
         assert np.array_equal(got[0], want[0])
+        small = foldin._GRID_MIN_ROWS - 1
         with mock.patch.object(foldin, "_cover_nearest") as spy:
-            _spatial_prior(model, x[:8], observed[:8], 3, BufferArena())
-        spy.assert_not_called()  # small batches scan
+            _spatial_prior(model, x[:small], observed[:small], 3, BufferArena())
+        spy.assert_not_called()  # smaller batches scan
 
     @pytest.mark.parametrize("layout", ["uniform", "clustered"])
     def test_hole_queries_settle_from_the_cover(self, layout):
@@ -314,41 +316,74 @@ class TestGridPath:
 
 
     def test_many_rows_at_one_site_match_the_scan(self):
-        # 3,000 rows at one location share one list width: the batching
-        # must cap them under the element budget without peeling them
-        # off one by one (a recursion that ran out of stack).
+        # 3,000 rows at one location share one list: their gathers are
+        # cut into chunks under the element budget, not one per row.
         rng = np.random.default_rng(8)
         model = _model(2, 2000, "uniform", rng)
         row = rng.random(model.n_cols)
         x = np.tile(row, (3000, 1))
         observed = np.ones(x.shape, dtype=bool)
-        left = []
-        real = foldin._cover_nearest
+        left, gathered = [], []
+        real, select = foldin._cover_nearest, foldin._segment_nearest
+
+        def spy(dist, *args):
+            gathered.append(dist.size)
+            return select(dist, *args)
+
         with mock.patch.object(foldin, "_cover_nearest",
-                               side_effect=lambda *a: left.append(real(*a)) or left[-1]):
+                               side_effect=lambda *a: left.append(real(*a)) or left[-1]), \
+                mock.patch.object(foldin, "_segment_nearest", side_effect=spy):
             grid = _prior_via("grid", model, x, observed, 3)
         assert left[0].size == 0  # every row settled on the cover
+        assert sum(gathered) > foldin._CANDIDATE_ELEMENTS
+        assert max(gathered) <= foldin._CANDIDATE_ELEMENTS
         scan = _prior_via("scan", model, x, observed, 3)
         assert np.array_equal(grid[0], scan[0])
         assert np.array_equal(grid[1], scan[1])
         result = fold_in(model, x)  # the public entry point, unchunked
         assert result.imputed.shape == x.shape and np.isfinite(result.imputed).all()
 
+    @pytest.mark.parametrize("budget", [1, 40, 700])
+    def test_small_chunks_match_the_scan(self, budget):
+        # Chunks of one row (every list wider than the budget) up to many:
+        # the same neighbours as the scan, and no chunk past the budget
+        # unless it is one row.
+        rng = np.random.default_rng(9)
+        model = _model(2, 600, "clustered", rng)
+        x = rng.random((300, model.n_cols))
+        x[:, :2] = model.training_locations[:, rng.integers(0, 600, 300)].T
+        observed = np.ones(x.shape, dtype=bool)
+        gathered = []
+        select = foldin._segment_nearest
+        with mock.patch.object(foldin, "_CANDIDATE_ELEMENTS", budget), \
+                mock.patch.object(foldin, "_segment_nearest",
+                                  side_effect=lambda d, w, p: gathered.append((d.size, w.size))
+                                  or select(d, w, p)):
+            grid = _prior_via("grid", model, x, observed, 3)
+        assert len(gathered) > 1
+        assert all(size <= budget or rows == 1 for size, rows in gathered)
+        scan = _prior_via("scan", model, x, observed, 3)
+        assert np.array_equal(grid[0], scan[0])
+        assert np.array_equal(grid[1], scan[1])
+
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.lists(st.tuples(st.integers(1, 3000), st.integers(1, 2000)), min_size=1,
-                    max_size=6))
-    def test_width_cuts_stay_under_the_budget(self, runs):
-        # Runs of equal list widths, ascending: every batch gathers at
-        # most the element budget (or holds one row), and the number of
-        # batches stays near the budget's share of the work.
-        width = np.sort(np.concatenate([np.full(n, w) for n, w in runs]))
-        cuts = foldin._width_cuts(width)
-        assert cuts[0] == 0 and np.all(np.diff(cuts) > 0)
+                    max_size=6), st.randoms(use_true_random=False))
+    def test_chunks_stay_under_the_budget(self, runs, shuffle):
+        # Rows' list widths in any order: consecutive chunks that cover
+        # every row, each gathering at most the element budget (or one
+        # row), and each as long as the budget allows.
+        width = [w for n, w in runs for _ in range(n)]
+        shuffle.shuffle(width)
+        width = np.array(width)
+        chunks = foldin._chunks(width)
+        assert chunks[0].start == 0 and chunks[-1].stop == width.size
+        assert all(a.stop == b.start for a, b in zip(chunks, chunks[1:]))
         budget = foldin._CANDIDATE_ELEMENTS
-        for first, stop in zip(cuts, cuts[1:] + [width.size]):
-            assert stop - first == 1 or (stop - first) * width[stop - 1] <= budget
-        runs_needed = 2 * (width.size * int(width.max()) // budget + 1)
-        assert len(cuts) <= runs_needed * (1 + budget // foldin._BATCH_ELEMENTS)
+        for chunk in chunks:
+            assert chunk.stop - chunk.start == 1 or width[chunk].sum() <= budget
+        for chunk in chunks[:-1]:
+            assert width[chunk.start:chunk.stop + 1].sum() > budget
 
 
 class TestCover:
@@ -385,7 +420,6 @@ class TestCover:
             start, width = cover.starts[cell], cover.widths[cell]
             listed = cover.lists[start:start + width]
             assert np.all(np.diff(listed) > 0)
-            assert cover.lists[start + width] == n_train
             unlisted = np.setdiff1d(np.arange(n_train), listed)
             assert (d2[row, unlisted] >= limit[row]).all()
 
@@ -412,7 +446,7 @@ class TestCover:
     def test_build_gathers_linear_in_rows(self, layout):
         # No cells x N pass: every row the build measures lies in a block
         # of cells around the cell asking, capped per cell, so the rows
-        # it measures grow with N: 47-49 per training row on these
+        # it measures grow with N: 65-78 per training row on these
         # layouts, where a cells x N pass would measure 20,000.  It
         # measures them a bounded number at a time.
         model = _model(2, 20_000, layout, np.random.default_rng(6))
@@ -425,6 +459,22 @@ class TestCover:
         assert max(sizes) <= cover_module._BUILD_ROWS + cover_module._MAX_LIST
         assert sum(sizes) <= 100 * 20_000
         assert cover.lists.size <= 100 * 20_000
+
+    @pytest.mark.parametrize("layout", ["uniform", "clustered"])
+    def test_build_scratch_stays_near_the_cover(self, layout):
+        # The build sizes its lists with a counting pass and fills them
+        # in place, and keeps per-cell scratch only while a pass reads
+        # it: its traced peak, the cover included, stays within 3x the
+        # cover's bytes (2.0-2.4x on these layouts; 3.6-4.1x when every
+        # run's lists were kept and then concatenated).
+        locations = _model(2, 20_000, layout, np.random.default_rng(6)).training_locations
+        tracemalloc.start()
+        try:
+            cover = PriorCover(locations, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * cover.nbytes
 
 
 class TestSelection:
@@ -447,6 +497,22 @@ class TestSelection:
         assert np.array_equal(cols, want)
         assert np.array_equal(vals, np.take_along_axis(before, want, axis=1), equal_nan=True)
         assert np.array_equal(d2, before, equal_nan=True)
+        if kind == "nan":
+            return  # the cover's distances are never NaN
+        # The cover's selector: each row cut to a width of at least p
+        # (the first exactly p), the segments back to back.
+        widths = rng.integers(p, width + 1, n_rows)
+        widths[0] = p
+        picks, vals = _segment_nearest(np.concatenate([r[:w] for r, w in zip(before, widths)]),
+                                       widths, p)
+        offsets = np.cumsum(widths) - widths
+        for row, (w, offset) in enumerate(zip(widths, offsets)):
+            want = np.argsort(before[row, :w], kind="stable")[:p]
+            if np.isfinite(before[row, want[-1]]):
+                assert np.array_equal(picks[row] - offset, want)
+                assert np.array_equal(vals[row], before[row, want])
+            else:  # undefined picks past an inf, but never a finite p-th
+                assert vals[row, -1] == np.inf
 
 
 class TestMatchesBroadcastReference:
@@ -507,7 +573,7 @@ class TestLocationCache:
         cover = model.training_cover
         assert isinstance(cover, PriorCover)
         assert model.training_cover is cover
-        assert np.array_equal(cover.points[:, :30], model.training_locations)
+        assert np.array_equal(cover.points, model.training_locations)
         assert "training_cover" not in {f.name for f in fields(FittedModel)}
         copy = replace(model, method="smf")
         assert copy.training_cover is not cover
@@ -529,7 +595,7 @@ class TestLocationCache:
         assert np.array_equal(cover.lo, np.minimum(locations.min(axis=1), low[:2]))
         assert np.array_equal(cover.hi, np.maximum(locations.max(axis=1), high[:2]))
         # Cell c: every row whose squared distance to the cell's box is
-        # below r2, in index order, then the index N.
+        # below r2, in index order; the lists lie back to back.
         slabs = np.array(np.unravel_index(np.arange(cover.r2.size), cover.shape))
         for cell in range(cover.r2.size):
             lo = [cover.edges[g][slabs[g, cell]] for g in range(2)]
@@ -539,7 +605,8 @@ class TestLocationCache:
             near = np.flatnonzero(gap[0] ** 2 + gap[1] ** 2 < cover.r2[cell])
             start, width = cover.starts[cell], cover.widths[cell]
             assert np.array_equal(cover.lists[start:start + width], near)
-            assert cover.lists[start + width] == 300
+        assert np.array_equal(cover.starts, np.cumsum(cover.widths) - cover.widths)
+        assert cover.lists.size == cover.widths.sum()
         assert cover.nbytes == (cover.lists.nbytes + cover.starts.nbytes
                                 + cover.widths.nbytes + cover.r2.nbytes)
 
