@@ -26,6 +26,7 @@ import numpy as np
 
 __all__ = [
     "EPSILON",
+    "division_errstate",
     "frozen_column_prefix",
     "guarded_divide",
     "multiplicative_update_u",
@@ -38,6 +39,17 @@ EPSILON = 1e-12
 """Denominator guard for the multiplicative rules."""
 
 
+def division_errstate() -> np.errstate:
+    """The floating-point state of :func:`guarded_divide`: ``divide`` and
+    ``invalid`` silenced (the floor already decided them), ``overflow``
+    left on.  ``guarded_divide`` runs under it as a decorator, so
+    ``guarded_divide.__wrapped__`` is the bare rule, for a caller that
+    holds this errstate over several divisions (the workspace's dense
+    step)."""
+    return np.errstate(divide="ignore", invalid="ignore")
+
+
+@division_errstate()
 def guarded_divide(
     numerator: np.ndarray,
     denominator: np.ndarray,
@@ -52,8 +64,8 @@ def guarded_divide(
     through this helper, so the zero-denominator behaviour is defined
     exactly once: the epsilon floor keeps the quotient finite, and a
     zero numerator over a zero denominator yields 0 rather than NaN.
-    The explicit :func:`numpy.errstate` makes the policy auditable: it
-    silences only ``divide`` and ``invalid``, the two cases the floor
+    The explicit :func:`division_errstate` makes the policy auditable:
+    it silences only ``divide`` and ``invalid``, the two cases the floor
     already decided.  ``overflow`` is left on on purpose — a finite
     numerator too large for the floored denominator (e.g. ``1e300 /
     EPSILON``) emits ``RuntimeWarning: overflow encountered in divide``
@@ -74,15 +86,14 @@ def guarded_divide(
         in place instead of allocating ``denominator + EPSILON`` —
         only for callers that own the array as scratch.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if out is None:
-            return numerator / (denominator + EPSILON)
-        if denominator_is_scratch:
-            denominator += EPSILON
-            floored = denominator
-        else:
-            floored = denominator + EPSILON
-        return np.divide(numerator, floored, out=out)
+    if out is None:
+        return numerator / (denominator + EPSILON)
+    if denominator_is_scratch:
+        denominator += EPSILON
+        floored = denominator
+    else:
+        floored = denominator + EPSILON
+    return np.divide(numerator, floored, out=out)
 
 
 def frozen_column_prefix(frozen_v: np.ndarray | None) -> int | None:

@@ -25,7 +25,9 @@ from repro.engine.workspace import (
 )
 from repro.core import SMF, SMFL, MaskedNMF
 from repro.core.objective import masked_frobenius_sq
+from repro.engine import BatchedFit, KernelContext
 from repro.exceptions import ValidationError
+from repro.spatial.similarity import knn_graph
 
 scipy_sparse = pytest.importorskip("scipy.sparse")
 
@@ -308,6 +310,116 @@ class TestFullObjective:
         ws = KernelWorkspace(plan.x_observed, plan.observed)
         with pytest.raises(ValidationError, match="graph terms"):
             ws.objective(plan.x_observed, plan.u, plan.v)
+
+
+def _knn_terms(n, seed, lam=0.5):
+    """``lam`` and a kNN graph (p = 3) on seeded random coordinates."""
+    coords = np.random.default_rng(seed).random((n, 2))
+    similarity, degree, laplacian = knn_graph(coords, 3)
+    return dict(lam=lam, similarity=similarity, degree=degree, laplacian=laplacian)
+
+
+def _prefix_mask(v_shape, prefix):
+    frozen = np.zeros(v_shape, dtype=bool)
+    frozen[:, :prefix] = True
+    return frozen
+
+
+def _assert_steps_match(ws, x_observed, observed, u, v, ctx, steps=3):
+    """``steps`` workspace steps, each after an objective at its inputs
+    (so the U-step reads the memos), against ReferenceKernel."""
+    ref = ReferenceKernel(observed)
+    u_ref, v_ref = u, v
+    for _ in range(steps):
+        ws.objective(x_observed, u, v)
+        u, v = ws.step(x_observed, observed, u, v, ctx)
+        u_ref, v_ref = ref.step(x_observed, observed, u_ref, v_ref, ctx)
+        assert np.array_equal(u, u_ref) and np.array_equal(v, v_ref)
+    return u, v
+
+
+class TestRebind:
+    """The dense step binds its operands once and rebinds on every
+    change of context, ``U`` shape or stack size, bit for bit."""
+
+    def test_step_under_another_graph_drops_the_old_memos(self, rng):
+        # The objective under graph A memoizes D_A·U and W_A·U at this
+        # U; a step under graph B must not read them.
+        x_observed, observed, u, v = _problem(rng, n=60, m=6, k=3)
+        ctx_a = KernelContext(**_knn_terms(60, 1))
+        ctx_b = KernelContext(**_knn_terms(60, 2))
+        ws = KernelWorkspace(x_observed, observed, ctx=ctx_a, v0=v)
+        ws.objective(x_observed, u, v)
+        u_next, v_next = ws.step(x_observed, observed, u, v, ctx_b)
+        fresh = KernelWorkspace(x_observed, observed, ctx=ctx_b, v0=v)
+        for got in ((u_next, v_next), fresh.step(x_observed, observed, u, v, ctx_b)):
+            want = ReferenceKernel(observed).step(x_observed, observed, u, v, ctx_b)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    def test_context_switches_follow_lam_and_prefix(self, rng):
+        x_observed, observed, u, v = _problem(rng, n=40, m=7, k=3, prefix=3)
+        terms = _knn_terms(40, 3)
+        contexts = [
+            KernelContext(**terms),
+            KernelContext(**{**terms, "lam": 0.1}, frozen_v=_prefix_mask(v.shape, 2)),
+            KernelContext(frozen_v=_prefix_mask(v.shape, 3)),
+            KernelContext(**_knn_terms(40, 4, lam=2.0), frozen_v=_prefix_mask(v.shape, 2)),
+            KernelContext(**terms),
+        ]
+        ws = KernelWorkspace(x_observed, observed, ctx=contexts[0], v0=v)
+        for ctx in contexts:
+            u, v = _assert_steps_match(ws, x_observed, observed, u, v, ctx)
+
+    def test_u_of_another_rank_rebinds(self, rng):
+        # One context throughout: only U's shape tells the step to rebind.
+        x_observed, observed, _, _ = _problem(rng, n=40, m=7, k=3)
+        ctx = KernelContext(**_knn_terms(40, 5))
+        ws = KernelWorkspace(x_observed, observed, ctx=ctx, v0=np.ones((3, 7)))
+        for k in (3, 2, 4, 3):
+            u, v = rng.random((40, k)), rng.random((k, 7))
+            got = ws.step(x_observed, observed, u, v, ctx)
+            want = ReferenceKernel(observed).step(x_observed, observed, u, v, ctx)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            _assert_steps_match(ws, x_observed, observed, *got, ctx)
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "own-graphs"])
+    def test_compaction_mid_fit_rebinds_the_stack(self, shared):
+        n, m, k, prefix = 30, 7, 3, 2
+        fits = []
+        for i, lam in enumerate((0.5, 0.0, 0.2, 0.5)):
+            x_observed, observed, u, v = _problem(np.random.default_rng(i), n, m, k, prefix=prefix)
+            terms = _knn_terms(n, 7 if shared else 7 + i, lam)
+            fits.append(BatchedFit(x_observed, observed, u, v, **terms))
+        if shared:
+            for f in fits[1:]:
+                f.similarity, f.laplacian = fits[0].similarity, fits[0].laplacian
+        ws = KernelWorkspace.stacked(fits)
+        assert (ws._graph_plan.deg3 is not None) == shared
+        frozen = _prefix_mask((k, m), prefix)
+        ctx = KernelContext(frozen_v=frozen)
+        contexts = [
+            KernelContext(lam=f.lam, similarity=f.similarity, degree=f.degree,
+                          laplacian=f.laplacian, frozen_v=frozen)
+            for f in fits
+        ]
+        ref = [ReferenceKernel(f.observed) for f in fits]
+        u3, v3 = np.stack([f.u0 for f in fits]), np.stack([f.v0 for f in fits])
+        looped = [(f.u0, f.v0) for f in fits]
+        active = [0, 1, 2, 3]
+        for it in range(9):
+            if it in (3, 6):
+                keep = [0, 2, 3] if it == 3 else [0, 2]
+                active = [active[p] for p in keep]
+                u3, v3 = np.take(u3, keep, axis=0), np.take(v3, keep, axis=0)
+                ws.compact(keep)
+            if it % 2:
+                ws.objective(ws.x_observed, u3, v3)
+            u3, v3 = ws.step(ws.x_observed, None, u3, v3, ctx)
+            for pos, i in enumerate(active):
+                f = fits[i]
+                looped[i] = ref[i].step(f.x_observed, f.observed, *looped[i], contexts[i])
+                assert np.array_equal(u3[pos], looped[i][0])
+                assert np.array_equal(v3[pos], looped[i][1])
 
 
 class TestBuildKernelWorkspace:
