@@ -106,6 +106,7 @@ class FitPlan:
     v: np.ndarray
     frozen: np.ndarray | None
     telemetry: Telemetry
+    scheduler: BatchScheduler | None = None
 
 
 class _FactorSolver(Solver):
@@ -432,7 +433,15 @@ class MatrixFactorizationBase:
     def _run_fit_plan(
         self, plan: FitPlan, *, callbacks: tuple[Callback, ...] = ()
     ) -> None:
-        """Drive a prepared :class:`FitPlan` through the iterative engine."""
+        """Drive a prepared :class:`FitPlan` through the iterative engine.
+
+        The fit's kernel object is built here, where it runs: a stacked
+        fit (:func:`~repro.core.batched_fit.fit_models_batched`) never
+        steps one, so its set-up does not build it.
+        """
+        t_build = time.perf_counter()
+        self._kernel = self._fit_kernel(plan)
+        plan.telemetry.setup_seconds += time.perf_counter() - t_build
         engine = IterativeEngine(
             max_iter=self.max_iter,
             tol=self.tol,
@@ -485,20 +494,7 @@ class MatrixFactorizationBase:
 
         frozen = self._frozen_v_mask(v.shape)
         self._ctx_cache = None  # graph/landmark structures rebuilt
-        # One kernel object per fit: buffer arena + (for SMFL on the
-        # sparse path) the Gram-cached landmark block, the stochastic
-        # epoch state, or the reference rules.  A workspace binds the
-        # fit's graph terms from the context its steps will receive.
-        self._kernel = build_kernel(
-            x_observed,
-            observed,
-            update_rule=self.update_rule,
-            kernel_path=self.kernel_path,
-            frozen_prefix=frozen_column_prefix(frozen),
-            v0=v,
-            scheduler=scheduler,
-            ctx=self._cached_kernel_context(v.shape),
-        )
+        self._kernel = None  # the last fit's; _run_fit_plan builds this one's
 
         if frozen is not None and frozen.any():
             telemetry = Telemetry(
@@ -518,6 +514,24 @@ class MatrixFactorizationBase:
             v=v,
             frozen=frozen,
             telemetry=telemetry,
+            scheduler=scheduler,
+        )
+
+    def _fit_kernel(self, plan: FitPlan):
+        """The plan's kernel object (:func:`build_kernel`): a buffer arena
+        plus (for SMFL on the sparse path) the Gram-cached landmark
+        block, the stochastic epoch state, or the reference rules.  A
+        workspace binds the fit's graph terms from the context its
+        steps will receive."""
+        return build_kernel(
+            plan.x_observed,
+            plan.observed,
+            update_rule=self.update_rule,
+            kernel_path=self.kernel_path,
+            frozen_prefix=frozen_column_prefix(plan.frozen),
+            v0=plan.v,
+            scheduler=plan.scheduler,
+            ctx=self._cached_kernel_context(plan.v.shape),
         )
 
     def _fit_finish(

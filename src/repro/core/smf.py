@@ -19,7 +19,7 @@ import numpy as np
 from ..engine.kernels import KernelContext
 from ..exceptions import NotFittedError, ValidationError
 from ..masking.mask import ObservationMask
-from ..spatial.graph_cache import SpatialGraph, spatial_graph
+from ..spatial.graph_cache import SpatialGraph, coordinate_digest, spatial_graph_for
 from ..validation import check_in_range, check_positive_int, check_spatial_columns
 from .factorization import MatrixFactorizationBase
 
@@ -93,6 +93,7 @@ class SMF(MatrixFactorizationBase):
         self.neighbor_method = neighbor_method
         self.degree_: np.ndarray | None = None
         self._graph: SpatialGraph | None = None
+        self._spatial_digest: bytes | None = None
 
     @property
     def similarity_(self) -> np.ndarray | None:
@@ -111,8 +112,11 @@ class SMF(MatrixFactorizationBase):
         # Content-addressed graph cache: λ/p sweeps and repeated seeds
         # over one dataset share the same N² build instead of paying it
         # per fit.  The entry is shared; its `_op` operators are the
-        # sparse O(p N K) per-iteration operators.
-        self._graph = spatial_graph(
+        # sparse O(p N K) per-iteration operators.  SMFL's landmark
+        # lookup reuses the coordinate digest.
+        self._spatial_digest = coordinate_digest(spatial, spatial_observed)
+        self._graph = spatial_graph_for(
+            self._spatial_digest,
             spatial,
             self.p_neighbors,
             observed=spatial_observed,

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..masking.mask import ObservationMask
-from .landmarks import LandmarkSet, kmeans_landmarks
+from .landmarks import LandmarkSet, kmeans_landmarks_for
 from .smf import SMF
 
 __all__ = ["SMFL"]
@@ -90,7 +90,8 @@ class SMFL(SMF):
         else:
             spatial = x[:, : self.n_spatial]
             spatial_observed = mask.observed[:, : self.n_spatial]
-            self.landmarks_ = kmeans_landmarks(
+            self.landmarks_ = kmeans_landmarks_for(
+                self._spatial_digest,
                 spatial,
                 self.rank,
                 observed=spatial_observed,

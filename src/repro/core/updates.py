@@ -26,7 +26,6 @@ import numpy as np
 
 __all__ = [
     "EPSILON",
-    "division_errstate",
     "frozen_column_prefix",
     "guarded_divide",
     "multiplicative_update_u",
@@ -39,17 +38,7 @@ EPSILON = 1e-12
 """Denominator guard for the multiplicative rules."""
 
 
-def division_errstate() -> np.errstate:
-    """The floating-point state of :func:`guarded_divide`: ``divide`` and
-    ``invalid`` silenced (the floor already decided them), ``overflow``
-    left on.  ``guarded_divide`` runs under it as a decorator, so
-    ``guarded_divide.__wrapped__`` is the bare rule, for a caller that
-    holds this errstate over several divisions (the workspace's dense
-    step)."""
-    return np.errstate(divide="ignore", invalid="ignore")
-
-
-@division_errstate()
+@np.errstate(divide="ignore", invalid="ignore")
 def guarded_divide(
     numerator: np.ndarray,
     denominator: np.ndarray,
@@ -64,12 +53,14 @@ def guarded_divide(
     through this helper, so the zero-denominator behaviour is defined
     exactly once: the epsilon floor keeps the quotient finite, and a
     zero numerator over a zero denominator yields 0 rather than NaN.
-    The explicit :func:`division_errstate` makes the policy auditable:
-    it silences only ``divide`` and ``invalid``, the two cases the floor
-    already decided.  ``overflow`` is left on on purpose — a finite
-    numerator too large for the floored denominator (e.g. ``1e300 /
-    EPSILON``) emits ``RuntimeWarning: overflow encountered in divide``
-    and yields ``inf``, the honest sign that a fit is diverging.
+    The explicit errstate decorator makes the policy auditable: it
+    silences only ``divide`` and ``invalid``, the two cases the floor
+    already decided (``guarded_divide.__wrapped__`` is the bare rule,
+    for the workspace's dense step, whose operands cannot raise them).
+    ``overflow`` is left on on purpose — a finite numerator too large
+    for the floored denominator (e.g. ``1e300 / EPSILON``) emits
+    ``RuntimeWarning: overflow encountered in divide`` and yields
+    ``inf``, the honest sign that a fit is diverging.
 
     Parameters
     ----------

@@ -36,6 +36,10 @@ once it nears ``tol``; the stack then evaluates every iteration, but
 only the members that are due record, so each history matches its
 looped twin.  A stack measures no per-step factor changes, so a member
 that blows up between checks is named at the stack's next check.
+Whether any member is due is decided from stack state (the shared
+schedule and a count of active near-tol members), so the other
+iterations keep no per-member books; the members' wall times and loop
+shares are derived after the loop from stack-level per-iteration clocks.
 
 When a member converges it *drops out*: its factors are copied off
 and the stacks are compacted with ``np.take`` along axis 0 —
@@ -47,7 +51,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -132,28 +136,33 @@ class _MemberState:
     monitor: ConvergenceMonitor
     checked: int = 0
     """The iteration of the member's last check."""
-    wall_times: list[float] = field(default_factory=list)
-    loop_share: float = 0.0
+    n_iter: int = 0
+    """The iteration the member left the stack at (its last step)."""
     landmark_intact: bool | None = None
     u: np.ndarray | None = None
     v: np.ndarray | None = None
 
 
-def _member_report(fit: BatchedFit, member: _MemberState) -> FitReport:
+def _member_report(
+    fit: BatchedFit, member: _MemberState, step_share: np.ndarray, iter_share: np.ndarray
+) -> FitReport:
+    """The member's report; its clocks are its first ``n_iter`` shares
+    of the stack's per-iteration step and iteration times."""
+    n = member.n_iter
     return FitReport(
         u=member.u,
         v=member.v,
         objective_history=tuple(member.monitor.history),
-        n_iter=len(member.wall_times),
+        n_iter=n,
         converged=member.monitor.converged,
         stop_reason=member.monitor.stop_reason,
-        wall_times=tuple(member.wall_times),
+        wall_times=tuple(step_share[:n].tolist()),
         factor_deltas={},
         n_increases=member.monitor.n_increases,
         landmark_block_intact=member.landmark_intact,
         method=fit.method,
         setup_seconds=fit.setup_seconds,
-        loop_seconds=member.loop_share,
+        loop_seconds=float(iter_share[:n].sum()),
     )
 
 
@@ -221,38 +230,37 @@ def multi_fit(
     active = list(range(len(fits)))
     steps = 0
     sizes: list[int] = []
-    t_loop = time.perf_counter()
+    # Stack-level clocks: iteration boundaries (``clock[i]`` ends
+    # iteration ``i``) and step ends.  Members' wall times and loop
+    # shares are derived from them once the loop is done.
+    clock = [time.perf_counter()]
+    step_ends: list[float] = []
+    # Members share max_iter, so the scheduled part of the cadence is
+    # the stack's; the rest is the count of active near-tol members.
+    scheduled = members[0].monitor.scheduled
+    n_near = 0
     with get_recorder().observe(
         "batch.fit", size=len(fits), update_rule=update_rule,
         frozen_prefix=frozen_prefix, eval_every=eval_every,
     ) as span:
         while active and steps < max_iter:
-            t_iter = time.perf_counter()
             u3, v3 = ws.step(ws.x_observed, None, u3, v3, ctx)
             steps += 1
+            step_ends.append(time.perf_counter())
             sizes.append(len(active))
-            step_seconds = time.perf_counter() - t_iter
-            due = [members[orig].monitor.due(steps, eval_every) for orig in active]
-            evaluate = any(due)
-            objectives = ws.objective(ws.x_observed, u3, v3) if evaluate else None
-            share = (time.perf_counter() - t_iter) / len(active)
-            step_share = step_seconds / len(active)
-            all_intact = (
-                bool((v3[:, :, :frozen_prefix] == frozen_stack).all())
-                if frozen_prefix
-                else True
-            )
-            drop: list[int] = []
-            for pos, orig in enumerate(active):
-                member = members[orig]
-                member.wall_times.append(step_share)
-                member.loop_share += share
-                if frozen_prefix and member.landmark_intact and not all_intact:
-                    if not np.array_equal(
+            if frozen_prefix and not (v3[:, :, :frozen_prefix] == frozen_stack).all():
+                for pos, orig in enumerate(active):
+                    if members[orig].landmark_intact and not np.array_equal(
                         v3[pos, :, :frozen_prefix], frozen_values[orig]
                     ):
-                        member.landmark_intact = False
-                if evaluate:
+                        members[orig].landmark_intact = False
+            if n_near or scheduled(steps, eval_every):
+                # Some active member is due: the only iterations with
+                # per-member books.
+                objectives = ws.objective(ws.x_observed, u3, v3)
+                drop: list[int] = []
+                for pos, orig in enumerate(active):
+                    member = members[orig]
                     objective = float(objectives[pos])
                     if not math.isfinite(objective):
                         raise NumericalDivergenceError.at(
@@ -262,43 +270,50 @@ def multi_fit(
                             member=orig,
                             learning_rate=learning_rate,
                         )
-                    if due[pos]:
+                    if member.monitor.due(steps, eval_every):
                         member.monitor.record(objective, steps - member.checked)
                         member.checked = steps
                         if member.monitor.converged:
                             drop.append(pos)
-            if drop:
-                for pos in drop:
-                    orig = active[pos]
-                    members[orig].u = u3[pos].copy()
-                    members[orig].v = v3[pos].copy()
-                keep = [p for p in range(len(active)) if p not in drop]
-                active = [active[p] for p in keep]
-                if active:
-                    u3 = np.take(u3, keep, axis=0)
-                    v3 = np.take(v3, keep, axis=0)
-                    ws.compact(keep)
-                    if frozen_prefix:
-                        frozen_stack = np.take(frozen_stack, keep, axis=0)
+                if drop:
+                    for pos in drop:
+                        member = members[active[pos]]
+                        member.u = u3[pos].copy()
+                        member.v = v3[pos].copy()
+                        member.n_iter = steps
+                    keep = [p for p in range(len(active)) if p not in drop]
+                    active = [active[p] for p in keep]
+                    if active:
+                        u3 = np.take(u3, keep, axis=0)
+                        v3 = np.take(v3, keep, axis=0)
+                        ws.compact(keep)
+                        if frozen_prefix:
+                            frozen_stack = np.take(frozen_stack, keep, axis=0)
+                n_near = sum(members[orig].monitor.near_tol for orig in active)
+            clock.append(time.perf_counter())
         for pos, orig in enumerate(active):
             members[orig].u = u3[pos].copy()
             members[orig].v = v3[pos].copy()
+            members[orig].n_iter = steps
         span.set_attr("iterations", steps)
-        span.set_attr(
-            "per_fit_n_iter", [len(m.wall_times) for m in members]
-        )
+        span.set_attr("per_fit_n_iter", [m.n_iter for m in members])
         span.set_attr("converged", [m.monitor.converged for m in members])
-    loop_seconds = time.perf_counter() - t_loop
+    # Each iteration's time is shared by the members active in it: the
+    # step alone gives the wall times, the whole iteration (objective,
+    # books, compaction) the loop shares, which sum to the loop time.
+    starts = np.array(clock[:-1])
+    step_share = (np.array(step_ends) - starts) / sizes
+    iter_share = np.diff(clock) / sizes
     reports = []
     for fit, member in zip(fits, members):
         if member.u is None:
             # max_iter == 0: the loop never ran; members keep their inits.
             member.u = fit.u0.copy()
             member.v = fit.v0.copy()
-        reports.append(_member_report(fit, member))
+        reports.append(_member_report(fit, member, step_share, iter_share))
     return MultiFitReport(
         reports=tuple(reports),
         batch_iterations=steps,
         batch_sizes=tuple(sizes),
-        loop_seconds=loop_seconds,
+        loop_seconds=clock[-1] - clock[0],
     )

@@ -161,8 +161,13 @@ class ConvergenceMonitor:
         :attr:`near_tol` is set.  With ``every == 1`` every iteration
         is.
         """
-        if self.near_tol:
-            every = 1
+        return self.near_tol or self.scheduled(step, every)
+
+    def scheduled(self, step: int, every: int) -> bool:
+        """Whether iteration ``step`` is checked whatever the objective
+        did: the first two, every ``every``-th and the last.  Fits that
+        share ``max_iter`` share this part of :meth:`due`, so a stack
+        of them decides it once."""
         return step <= 2 or step % every == 0 or step == self.max_iter
 
     def keep_going(self) -> bool:

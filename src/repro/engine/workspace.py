@@ -84,7 +84,6 @@ import numpy as np
 
 from ..core.objective import graph_penalty, masked_residual_sq, penalty_from_products
 from ..core.updates import (
-    division_errstate,
     gradient_update_u,
     gradient_update_v,
     guarded_divide,
@@ -418,8 +417,8 @@ class KernelWorkspace(BufferArena):
     rebinds them, dropping the graph memos); a stack's from its members
     (see :class:`_GraphPlan`).  The dense multiplicative step
     (:meth:`_dense_step`, fits and stacks alike) is straight-line
-    ``out=`` calls under one errstate on a record bound after each
-    binding, :meth:`compact` or context change: ``Vᵀ``, masked recon,
+    ``out=`` calls on a record bound after each binding, :meth:`compact`
+    or context change: ``Vᵀ``, masked recon,
     U's numerator and denominator, ``W·U``, live-column mask, V blocks,
     ``lam``, shared operator and ping-pong slots, all cache-line aligned.
 
@@ -677,7 +676,13 @@ class KernelWorkspace(BufferArena):
     def _dense_step(self, x_observed, u, v, ctx):
         """U then V on the bound record ``s``, in the reference rules' op
         order; memos read as :meth:`_masked_recon`/:meth:`_add_graph_terms`
-        (the per-member fallback) do, generation bumped as by :meth:`out_for`."""
+        (the per-member fallback) do, generation bumped as by :meth:`out_for`.
+
+        The divisions run bare, without :func:`guarded_divide`'s
+        errstate: every denominator here is a sum of products of
+        non-negative factors plus ``EPSILON``, so only non-finite
+        operands can raise ``divide``/``invalid`` - a diverging fit,
+        which the next check names (:class:`NumericalDivergenceError`)."""
         s = self._dense
         if s is None or s.ctx is not ctx:  # bind: see the class docstring
             buf, plan, (*lead, n, k), m = self.buf, self._graph_plan, u.shape, v.shape[-1]
@@ -697,42 +702,41 @@ class KernelWorkspace(BufferArena):
                 v_out=(_aligned(v.shape), _aligned(v.shape)),
             )
         divide, gen, p = guarded_divide.__wrapped__, self._gen, s.prefix
-        with division_errstate():
-            np.copyto(s.vt, v.swapaxes(-1, -2))
-            if self._recon_key != (id(u), id(v), gen):
-                np.matmul(u, v, out=s.recon)
-                np.multiply(s.recon, self.observed_f, out=s.recon)
-            np.matmul(x_observed, s.vt, out=s.num_u)
-            np.matmul(s.recon, s.vt, out=s.den_u)
-            if s.op is not None:
-                du = self._du if self._du_key == (id(u), gen) else np.asarray(
-                    s.op @ u.reshape(s.rows)).reshape(u.shape)
-                if self._wu_key != (id(u), gen):
-                    np.multiply(s.deg3, u, out=s.wu)
-                du *= s.lam
-                s.num_u += du
-                s.wu *= s.lam
-                s.den_u += s.wu
-            elif self._graph_plan.active:
-                self._add_graph_terms(s.num_u, s.den_u, u)
-            # The lam scalings use the graph memos up; a prefix-free V-step reuses recon.
-            self._recon_key = self._du_key = self._wu_key = None
-            u_next = s.u_out[u is s.u_out[0]]
-            divide(s.num_u, s.den_u, out=s.num_u, denominator_is_scratch=True)
-            np.multiply(u, s.num_u, out=u_next)
-            v_next = s.v_out[v is s.v_out[0]]
-            if p:
-                np.copyto(v_next, v)  # carries the frozen landmark block
-            if p < v.shape[-1]:
-                np.matmul(u_next, v[..., p:], out=s.recon_v)
-                np.multiply(s.recon_v, s.live, out=s.recon_v)
-                ut = u_next.swapaxes(-1, -2)
-                np.matmul(ut, x_observed[..., p:], out=s.num_v)
-                np.matmul(ut, s.recon_v, out=s.den_v)
-                divide(s.num_v, s.den_v, out=s.num_v, denominator_is_scratch=True)
-                np.multiply(v[..., p:], s.num_v, out=v_next[..., p:])
-            if not p and ctx.frozen_v is not None:
-                np.copyto(v_next, v, where=ctx.frozen_v)
+        np.copyto(s.vt, v.swapaxes(-1, -2))
+        if self._recon_key != (id(u), id(v), gen):
+            np.matmul(u, v, out=s.recon)
+            np.multiply(s.recon, self.observed_f, out=s.recon)
+        np.matmul(x_observed, s.vt, out=s.num_u)
+        np.matmul(s.recon, s.vt, out=s.den_u)
+        if s.op is not None:
+            du = self._du if self._du_key == (id(u), gen) else np.asarray(
+                s.op @ u.reshape(s.rows)).reshape(u.shape)
+            if self._wu_key != (id(u), gen):
+                np.multiply(s.deg3, u, out=s.wu)
+            du *= s.lam
+            s.num_u += du
+            s.wu *= s.lam
+            s.den_u += s.wu
+        elif self._graph_plan.active:
+            self._add_graph_terms(s.num_u, s.den_u, u)
+        # The lam scalings use the graph memos up; a prefix-free V-step reuses recon.
+        self._recon_key = self._du_key = self._wu_key = None
+        u_next = s.u_out[u is s.u_out[0]]
+        divide(s.num_u, s.den_u, out=s.num_u, denominator_is_scratch=True)
+        np.multiply(u, s.num_u, out=u_next)
+        v_next = s.v_out[v is s.v_out[0]]
+        if p:
+            np.copyto(v_next, v)  # carries the frozen landmark block
+        if p < v.shape[-1]:
+            np.matmul(u_next, v[..., p:], out=s.recon_v)
+            np.multiply(s.recon_v, s.live, out=s.recon_v)
+            ut = u_next.swapaxes(-1, -2)
+            np.matmul(ut, x_observed[..., p:], out=s.num_v)
+            np.matmul(ut, s.recon_v, out=s.den_v)
+            divide(s.num_v, s.den_v, out=s.num_v, denominator_is_scratch=True)
+            np.multiply(v[..., p:], s.num_v, out=v_next[..., p:])
+        if not p and ctx.frozen_v is not None:
+            np.copyto(v_next, v, where=ctx.frozen_v)
         self._gen += 2
         return u_next, v_next
 
@@ -892,6 +896,12 @@ class KernelWorkspace(BufferArena):
 
     # -------------------------------------------------------- objective
 
+    def _rebind_rank(self, u: np.ndarray) -> None:
+        """Rebind a bound single fit's graph terms to a ``U`` of another
+        rank, as :meth:`step` does, before a penalty reads them."""
+        if self.members is None and self._ctx is not None and u.shape != self._graph_plan.shape:
+            self._bind(self._ctx, u.shape)
+
     def _penalties(self, u: np.ndarray):
         """:func:`repro.core.objective.graph_penalty` per member, from the
         shared plan's memoized ``D·U`` and ``W·U`` into a scratch
@@ -908,6 +918,7 @@ class KernelWorkspace(BufferArena):
         """``Tr(Uᵀ L U)`` of one fit, reading the ``D·U``/``W·U`` memos
         the next U-step reuses (the plain form for a graph the
         workspace was not bound to)."""
+        self._rebind_rank(u)
         if self._graph_plan.deg3 is None or self._graph_plan.similarity is not similarity:
             return ReferenceKernel.graph_penalty(u, similarity, degree)
         return float(self._penalties(u))
@@ -960,6 +971,7 @@ class KernelWorkspace(BufferArena):
                 "objective needs the fit's graph terms: build the workspace "
                 "with ctx or step it first"
             )
+        self._rebind_rank(u)
         data = self.masked_objective(x_observed, u, v)
         plan = self._graph_plan
         if not plan.active:

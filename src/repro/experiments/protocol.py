@@ -79,6 +79,15 @@ HOLDOUT_SIZE = 100
 """Complete tuples protected from injection (Section IV-A1)."""
 
 
+TRIAL_MEMO_SIZE = 32
+"""Trials :func:`prepare_trial` keeps.  A one-shot Table VII grid builds
+a trial for NMF and meets it again 25 cells later for SMF (25 distinct
+trials apart), a per-(dataset, rate) run 5 cells later; 32 covers both.
+At the experiment row counts a trial holds ``N x M`` doubles plus an
+``N x M`` mask, 14-26 kB (economic's 220 x 13 the largest), so the memo
+keeps under 1 MB."""
+
+
 @dataclass(frozen=True)
 class ImputationTrial:
     """One prepared injection trial: data, corrupted copy, and mask."""
@@ -115,6 +124,14 @@ def prepare_trial(
 ) -> ImputationTrial:
     """Build one injection trial per the paper's protocol.
 
+    The trial is a pure function of its arguments and is memoized per
+    process like the dataset it draws from (:data:`TRIAL_MEMO_SIZE`
+    trials): NMF, SMF and SMFL cells of one (dataset, rate, seed) share
+    one injection.  Sharing is safe because the trial is read-only -
+    ``x_missing`` is write-protected, the mask and dataset are
+    immutable - so a caller that needs to edit the corrupted matrix
+    must copy it.
+
     Parameters
     ----------
     name:
@@ -133,6 +150,19 @@ def prepare_trial(
     fast:
         Use the reduced row counts for quick runs.
     """
+    return _memo_trial(name, missing_rate, seed, spatial_missing, task, n_rows, fast)
+
+
+@lru_cache(maxsize=TRIAL_MEMO_SIZE)
+def _memo_trial(
+    name: str,
+    missing_rate: float,
+    seed: int,
+    spatial_missing: bool,
+    task: str,
+    n_rows: int | None,
+    fast: bool,
+) -> ImputationTrial:
     dataset = _experiment_dataset(name, n_rows=n_rows, fast=fast)
     holdout, _ = extract_complete_holdout(
         dataset.n_rows, HOLDOUT_SIZE, random_state=seed
@@ -156,6 +186,7 @@ def prepare_trial(
         )
     else:
         raise ValueError(f"unknown task {task!r}; use 'imputation' or 'repair'")
+    x_missing.setflags(write=False)
     return ImputationTrial(dataset=dataset, x_missing=x_missing, mask=mask, seed=seed)
 
 

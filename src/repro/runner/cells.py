@@ -13,11 +13,14 @@ lazily inside the functions: :mod:`repro.experiments.tables` imports
 the runner at module scope, so the runner must not import the
 experiments package back at import time.
 
-Every cell reconstructs its own trial (dataset load, injection, route
-or cluster setup) from the baked-in seed rather than sharing state with
-sibling cells; because the whole protocol layer is deterministic given
-its seeds, a cell computes the same value in-process, in a worker, or
-on a resumed run - which is what makes content-addressed caching sound.
+Every cell gets its trial (dataset load, injection, route or cluster
+setup) from the baked-in seed; because the whole protocol layer is
+deterministic given its seeds, a cell computes the same value
+in-process, in a worker, or on a resumed run - which is what makes
+content-addressed caching sound.  The only state sibling cells share
+is read-only set-up that is a pure function of its inputs (the
+memoized trial, spatial graph and K-means landmarks), so sharing it
+changes no value.
 """
 
 from __future__ import annotations

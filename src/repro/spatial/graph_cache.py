@@ -20,6 +20,14 @@ Hits and misses are counted on the ambient metrics registry
 Each lookup runs under ``observe("spatial.graph")``; with a recorder
 installed the span carries ``cache_hit`` and the cache's bytes as
 :func:`graph_cache_info` reports them.
+
+The graph is one of the fit's *spatial set-up* products: pure functions
+of the coordinates and their mask that a grid's cells share.
+:class:`SetupMemo` is the LRU each of them is kept in (the K-means
+landmarks of :mod:`repro.core.landmarks` are the other), keyed by one
+:func:`coordinate_digest` of the inputs plus the product's parameters,
+so a fit that needs both hashes its coordinates once.
+:func:`clear_graph_cache` empties every such memo.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -35,7 +44,17 @@ from ..obs.metrics import get_metrics
 from ..obs.stream import get_recorder
 from .similarity import knn_graph, to_dense
 
-__all__ = ["SpatialGraph", "spatial_graph", "clear_graph_cache", "graph_cache_info"]
+T = TypeVar("T")
+
+__all__ = [
+    "SetupMemo",
+    "SpatialGraph",
+    "clear_graph_cache",
+    "coordinate_digest",
+    "graph_cache_info",
+    "spatial_graph",
+    "spatial_graph_for",
+]
 
 _MAX_ENTRIES = 16
 """LRU capacity: sweeps touch a handful of (dataset, p) combinations."""
@@ -44,7 +63,55 @@ _LOCK = threading.Lock()
 _VIEW_LOCK = threading.Lock()
 """Serializes dense-view materialization so concurrent first readers
 of one entry still share a single array."""
-_CACHE: "OrderedDict[str, SpatialGraph]" = OrderedDict()
+_MEMOS: "list[SetupMemo]" = []
+"""Every set-up memo, so :func:`clear_graph_cache` can empty them all."""
+
+
+class SetupMemo:
+    """A bounded LRU of one spatial set-up product, shared between fits.
+
+    Keys are content addresses (a :func:`coordinate_digest` plus the
+    product's parameters), so a hit is the product of identical inputs.
+    Values must be immutable - frozen, read-only arrays - because every
+    hit hands out the same object.  Hits and misses count on the
+    ambient metrics registry as ``<counter>.hits`` / ``<counter>.misses``.
+    """
+
+    def __init__(self, capacity: int, counter: str) -> None:
+        self.capacity = capacity
+        self.counter = counter
+        self._entries: OrderedDict = OrderedDict()
+        _MEMOS.append(self)
+
+    def get(self, key: object, build: Callable[[], T]) -> tuple[T, bool]:
+        """The value under ``key``, built and stored on a miss; and whether it hit."""
+        with _LOCK:
+            value = self._entries.get(key)
+            if value is not None:
+                self._entries.move_to_end(key)
+                get_metrics().counter(f"{self.counter}.hits").inc()
+                return value, True
+        # Build outside the lock: the build is the expensive part, and a
+        # rare duplicate build is cheaper than serializing all fits.
+        value = build()
+        with _LOCK:
+            get_metrics().counter(f"{self.counter}.misses").inc()
+            self._entries[key] = value
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
+        return value, False
+
+    def values(self) -> list:
+        with _LOCK:
+            return list(self._entries.values())
+
+    def clear(self) -> None:
+        with _LOCK:
+            self._entries.clear()
+
+
+_GRAPHS = SetupMemo(_MAX_ENTRIES, "spatial_graph_cache")
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,23 +173,26 @@ def _nbytes(op: object) -> int:
     return np.asarray(op).nbytes
 
 
-def _graph_key(
-    spatial: np.ndarray,
-    p: int,
-    observed: np.ndarray | None,
-    method: str,
-    missing_strategy: str,
-) -> str:
+def coordinate_digest(spatial: np.ndarray, observed: np.ndarray | None) -> bytes:
+    """SHA-256 of the float64 coordinates (shape and raw bytes) and the
+    mask bits over them.
+
+    Every spatial set-up product is a pure function of these two (the
+    column-mean fill of :func:`~repro.spatial.similarity.
+    prepare_spatial_coordinates` included), so the digest plus the
+    product's parameters is a sound memo key: a one-ulp change of any
+    coordinate, or one flipped mask bit, is another key.
+    """
+    spatial = np.asarray(spatial, dtype=np.float64)
     h = hashlib.sha256()
-    h.update(repr((spatial.shape, str(spatial.dtype), int(p), method,
-                   missing_strategy)).encode())
+    h.update(repr(spatial.shape).encode())
     h.update(spatial.tobytes())
     if observed is None:
         h.update(b"|mask:none")
     else:
         h.update(b"|mask:")
         h.update(np.packbits(observed).tobytes())
-    return h.hexdigest()
+    return h.digest()
 
 
 def _build(
@@ -156,27 +226,31 @@ def spatial_graph(
     :func:`repro.spatial.similarity.knn_graph`, which does the building
     on a miss.
     """
+    return spatial_graph_for(
+        coordinate_digest(spatial, observed), spatial, p, observed=observed,
+        method=method, missing_strategy=missing_strategy,
+    )
+
+
+def spatial_graph_for(
+    digest: bytes,
+    spatial: np.ndarray,
+    p: int,
+    *,
+    observed: np.ndarray | None = None,
+    method: str = "auto",
+    missing_strategy: str = "masked",
+) -> SpatialGraph:
+    """:func:`spatial_graph` for inputs whose :func:`coordinate_digest`
+    the caller already holds (a fit that also looks up its landmarks)."""
     spatial = np.asarray(spatial, dtype=np.float64)
     recorder = get_recorder()
     with recorder.observe("spatial.graph", p=int(p)) as span:
-        key = _graph_key(spatial, p, observed, method, missing_strategy)
-        with _LOCK:
-            graph = _CACHE.get(key)
-            if graph is not None:
-                _CACHE.move_to_end(key)
-                get_metrics().counter("spatial_graph_cache.hits").inc()
-        span.set_attr("cache_hit", graph is not None)
-        if graph is None:
-            # Build outside the lock: graph construction is the expensive
-            # part, and a rare duplicate build is cheaper than
-            # serializing all fits.
-            graph = _build(spatial, p, observed, method, missing_strategy)
-            with _LOCK:
-                get_metrics().counter("spatial_graph_cache.misses").inc()
-                _CACHE[key] = graph
-                _CACHE.move_to_end(key)
-                while len(_CACHE) > _MAX_ENTRIES:
-                    _CACHE.popitem(last=False)
+        graph, hit = _GRAPHS.get(
+            (digest, int(p), method, missing_strategy),
+            lambda: _build(spatial, p, observed, method, missing_strategy),
+        )
+        span.set_attr("cache_hit", hit)
         if recorder.enabled:
             info = graph_cache_info()
             span.set_attr("sparse_bytes", info["sparse_bytes"])
@@ -185,9 +259,11 @@ def spatial_graph(
 
 
 def clear_graph_cache() -> None:
-    """Drop every cached graph (tests; memory pressure)."""
-    with _LOCK:
-        _CACHE.clear()
+    """Drop every cached graph and every other spatial set-up memo
+    (the K-means landmarks), so the next fit starts cold (tests;
+    benchmark set-ups; memory pressure)."""
+    for memo in _MEMOS:
+        memo.clear()
 
 
 def graph_cache_info() -> dict[str, int]:
@@ -198,8 +274,7 @@ def graph_cache_info() -> dict[str, int]:
     ``N x N`` views readers have materialized on entries.  The hit/miss
     counts live on the metrics registry.
     """
-    with _LOCK:
-        graphs = list(_CACHE.values())
+    graphs = _GRAPHS.values()
     return {
         "entries": len(graphs),
         "capacity": _MAX_ENTRIES,

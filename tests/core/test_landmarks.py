@@ -82,3 +82,122 @@ class TestKmeansLandmarks:
         landmarks = kmeans_landmarks(pts, 5, random_state=0)
         assert (landmarks.values >= pts.min(axis=0) - 1e-9).all()
         assert (landmarks.values <= pts.max(axis=0) + 1e-9).all()
+
+
+class TestLandmarkMemo:
+    """Seeded K-means builds are memoized on their exact inputs."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_memos(self):
+        from repro.spatial import clear_graph_cache
+
+        clear_graph_cache()
+        yield
+        clear_graph_cache()
+
+    @pytest.fixture
+    def kmeans_runs(self, monkeypatch):
+        from repro.clustering.kmeans import KMeans
+
+        runs = []
+        fit = KMeans.fit
+
+        def counting_fit(model, points):
+            runs.append(points.shape)
+            return fit(model, points)
+
+        monkeypatch.setattr(KMeans, "fit", counting_fit)
+        return runs
+
+    @pytest.fixture
+    def points(self, rng):
+        return rng.random((40, 2))
+
+    def test_equal_inputs_share_one_build(self, points, kmeans_runs):
+        first = kmeans_landmarks(points, 4, random_state=3)
+        again = kmeans_landmarks(points.copy(), 4, random_state=np.int64(3))
+        assert again is first
+        assert len(kmeans_runs) == 1
+        assert not first.values.flags.writeable
+
+    def test_hit_equals_a_fresh_build(self, points):
+        first = kmeans_landmarks(points, 4, random_state=3)
+        fresh = kmeans_landmarks(points, 4, random_state=np.random.default_rng(3))
+        assert np.array_equal(first.values, fresh.values)
+
+    def test_one_ulp_misses(self, points, kmeans_runs):
+        first = kmeans_landmarks(points, 4, random_state=3)
+        moved = points.copy()
+        moved[7, 1] = np.nextafter(moved[7, 1], np.inf)
+        assert kmeans_landmarks(moved, 4, random_state=3) is not first
+        assert len(kmeans_runs) == 2
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"n_landmarks": 5},
+            {"max_iter": 50},
+            {"random_state": 4},
+            {"observed": "mask"},
+        ],
+        ids=["rank", "budget", "seed", "mask"],
+    )
+    def test_every_key_part_misses(self, points, kmeans_runs, change):
+        args = {"n_landmarks": 4, "max_iter": 300, "random_state": 3}
+        first = kmeans_landmarks(points, **args)
+        if change.get("observed") == "mask":
+            observed = np.ones(points.shape, dtype=bool)
+            observed[0, 0] = False
+            change = {"observed": observed}
+        assert kmeans_landmarks(points, **{**args, **change}) is not first
+        assert len(kmeans_runs) == 2
+
+    @pytest.mark.parametrize("seed", [None, "generator"])
+    def test_unseeded_builds_bypass_the_memo(self, points, kmeans_runs, seed):
+        from repro.obs import get_metrics
+
+        hits = get_metrics().counter("landmark_cache.hits").value
+        misses = get_metrics().counter("landmark_cache.misses").value
+        for _ in range(2):
+            state = np.random.default_rng(0) if seed == "generator" else None
+            kmeans_landmarks(points, 4, random_state=state)
+        assert len(kmeans_runs) == 2
+        assert get_metrics().counter("landmark_cache.hits").value == hits
+        assert get_metrics().counter("landmark_cache.misses").value == misses
+
+    def test_clear_graph_cache_empties_it(self, points, kmeans_runs):
+        from repro.spatial import clear_graph_cache
+
+        first = kmeans_landmarks(points, 4, random_state=3)
+        clear_graph_cache()
+        assert kmeans_landmarks(points, 4, random_state=3) is not first
+        assert len(kmeans_runs) == 2
+
+    def test_counted_apart_from_the_graph_cache(self, points):
+        from repro.obs import get_metrics
+        from repro.spatial import graph_cache_info
+
+        metrics = get_metrics()
+        names = [f"{cache}.{kind}" for cache in ("landmark_cache", "spatial_graph_cache")
+                 for kind in ("hits", "misses")]
+        before = [metrics.counter(name).value for name in names]
+        for _ in range(3):
+            kmeans_landmarks(points, 4, random_state=3)
+        after = [metrics.counter(name).value for name in names]
+        assert [b - a for a, b in zip(before, after)] == [2, 1, 0, 0]
+        assert graph_cache_info()["entries"] == 0
+
+    def test_smfl_fits_share_the_graph_digest_and_the_build(self, rng, kmeans_runs):
+        from repro.core import SMFL
+
+        x = np.hstack([rng.random((40, 2)), rng.random((40, 4)) + 0.1])
+        models = [SMFL(rank=3, n_spatial=2, max_iter=5, random_state=0).fit(x) for _ in range(2)]
+        assert models[1].landmarks_ is models[0].landmarks_
+        assert len(kmeans_runs) == 1
+        # The public builder keys the same inputs (mask included) the same way.
+        observed = np.ones((40, 2), dtype=bool)
+        again = kmeans_landmarks(x[:, :2], 3, observed=observed, random_state=0)
+        assert again is models[0].landmarks_
+        custom = LandmarkSet(values=np.full((3, 2), 0.5))
+        SMFL(rank=3, n_spatial=2, landmarks=custom, max_iter=5, random_state=0).fit(x)
+        assert len(kmeans_runs) == 1

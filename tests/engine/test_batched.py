@@ -379,6 +379,67 @@ class TestMultiFitAPI:
         assert deltas and deltas == looped.fit_report_.factor_deltas
 
 
+class TestStackBooks:
+    """A stack keeps per-member books only at iterations where some
+    active member is due; the members' clocks come from the stack's."""
+
+    def test_books_follow_the_members_checks(self, monkeypatch):
+        import repro.core.batched_fit as batched_fit
+
+        results, calls = [], []
+        real_multi_fit = batched_fit.multi_fit
+
+        def spy_multi_fit(fits, **kwargs):
+            results.append(real_multi_fit(fits, **kwargs))
+            return results[-1]
+
+        def spy(name):
+            real = getattr(KernelWorkspace, name)
+
+            def method(ws, *args):
+                if ws.members is not None:
+                    calls.append(name)
+                return real(ws, *args)
+
+            return method
+
+        monkeypatch.setattr(batched_fit, "multi_fit", spy_multi_fit)
+        monkeypatch.setattr(KernelWorkspace, "step", spy("step"))
+        monkeypatch.setattr(KernelWorkspace, "objective", spy("objective"))
+
+        def make(seed):
+            return SMFL(rank=RANK, max_iter=300, tol=2e-5, random_state=seed)
+
+        problems = [make_shared_graph_problem(24, 8, 0.3, seed) for seed in range(4)]
+        checks = []
+        for seed, x in enumerate(problems):
+            checks.append(Checks())
+            make(seed).fit(x, callbacks=(checks[-1],))
+        fit_models_batched([(make(seed), x, None) for seed, x in enumerate(problems)])
+        (result,) = results
+
+        evaluated, steps = [], 0
+        for name in calls:
+            if name == "step":
+                steps += 1
+            else:
+                evaluated.append(steps)
+        # The objective runs exactly where some looped twin checks.
+        assert evaluated == sorted(set().union(*(c.iterations for c in checks)))
+        n_iters = [report.n_iter for report in result.reports]
+        assert len(set(n_iters)) > 1, "no ragged dropout"
+        assert steps == result.batch_iterations == max(n_iters)
+        near_tol = [i for c in checks for i in c.iterations if i > 2 and i % DEFAULT_EVAL_EVERY]
+        assert near_tol, "no member reached the near-tol cadence"
+        assert sum(result.batch_sizes) == sum(n_iters)
+        for report in result.reports:
+            assert len(report.wall_times) == report.n_iter
+            assert all(t > 0 for t in report.wall_times)
+            assert report.loop_seconds >= sum(report.wall_times)
+        total = sum(report.loop_seconds for report in result.reports)
+        assert total == pytest.approx(result.loop_seconds, rel=1e-9)
+
+
 class TestSharedOperatorFastPath:
     """The stacked graph-term path must match the per-member loop."""
 

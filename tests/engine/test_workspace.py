@@ -292,10 +292,12 @@ class TestFullObjective:
     def test_single_fit_before_first_step_keeps_the_penalty(self, rng):
         # The fit's workspace binds its graph terms at construction, so
         # an objective before any step already carries lam·penalty
-        # (binding at the first step gave the data term alone).
+        # (binding at the first step gave the data term alone).  The
+        # model's own objective runs the reference rules here (the
+        # plan's kernel is built where it runs), bit for bit the same.
         model, x = self._smf_40(rng)
         plan = model._fit_setup(x)
-        kernel = model._kernel
+        kernel = model._fit_kernel(plan)
         value = kernel.objective(plan.x_observed, plan.u, plan.v)
         data = kernel.masked_objective(plan.x_observed, plan.u, plan.v)
         assert isinstance(value, float)
@@ -381,6 +383,20 @@ class TestRebind:
             want = ReferenceKernel(observed).step(x_observed, observed, u, v, ctx)
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
             _assert_steps_match(ws, x_observed, observed, *got, ctx)
+
+    def test_objective_at_another_rank_rebinds(self, rng):
+        # Before any step, only U's shape tells the objective and the
+        # penalty that the bound plan's deg ⊙ U no longer fits.
+        x_observed, observed, _, _ = _problem(rng, n=60, m=6, k=4)
+        ctx = KernelContext(**_knn_terms(60, 6))
+        ws = KernelWorkspace(x_observed, observed, ctx=ctx, v0=np.ones((4, 6)))
+        ref = ReferenceKernel(observed)
+        for k in (4, 3, 2, 4):
+            u, v = rng.random((60, k)), rng.random((k, 6))
+            penalty = ref.graph_penalty(u, ctx.similarity, ctx.degree)
+            want = ref.masked_objective(x_observed, u, v) + ctx.lam * penalty
+            assert ws.objective(x_observed, u, v) == want
+            assert ws.graph_penalty(u.copy(), ctx.similarity, ctx.degree) == penalty
 
     @pytest.mark.parametrize("shared", [True, False], ids=["shared", "own-graphs"])
     def test_compaction_mid_fit_rebinds_the_stack(self, shared):

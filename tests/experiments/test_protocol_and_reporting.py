@@ -63,6 +63,24 @@ class TestPrepareTrial:
         assert not a.dataset.values.flags.writeable
         assert not a.dataset.labels.flags.writeable
 
+    def test_trials_are_shared_and_read_only(self):
+        from repro.experiments.protocol import TRIAL_MEMO_SIZE, _memo_trial
+
+        _memo_trial.cache_clear()
+        a = prepare_trial("lake", missing_rate=0.2, seed=5, fast=True)
+        assert prepare_trial("lake", seed=5, missing_rate=0.2, fast=True) is a
+        with pytest.raises(ValueError, match="read-only"):
+            a.x_missing[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            a.mask.observed[0, 0] = False
+        for seed in range(TRIAL_MEMO_SIZE):
+            prepare_trial("lake", missing_rate=0.3, seed=seed, fast=True)
+        assert _memo_trial.cache_info().currsize == TRIAL_MEMO_SIZE
+        fresh = prepare_trial("lake", missing_rate=0.2, seed=5, fast=True)
+        assert fresh is not a
+        assert fresh.x_missing.tobytes() == a.x_missing.tobytes()
+        assert np.array_equal(fresh.mask.observed, a.mask.observed)
+
     def test_deterministic_per_seed(self):
         a = prepare_trial("lake", seed=3, fast=True)
         b = prepare_trial("lake", seed=3, fast=True)
