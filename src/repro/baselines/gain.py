@@ -183,7 +183,7 @@ class GAINImputer(Imputer):
         rng = resolve_rng(self.random_state)
         observed = mask.observed.astype(np.float64)
         solver = _GAINSolver(self, x_observed, observed, rng)
-        telemetry = Telemetry(method=self.name, track_deltas=False)
+        telemetry = Telemetry(method=self.name)
         engine = IterativeEngine(
             max_iter=self.n_epochs, tol=0.0, callbacks=(telemetry,)
         )

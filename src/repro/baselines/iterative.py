@@ -106,7 +106,7 @@ class IterativeImputer(Imputer):
         observed = mask.observed
         estimate = column_mean_fill(x_observed, observed)
         solver = _MICESolver(x_observed, observed, alpha=self.alpha, tol=self.tol)
-        telemetry = Telemetry(method=self.name, track_deltas=False)
+        telemetry = Telemetry(method=self.name)
         engine = IterativeEngine(
             max_iter=self.max_rounds, tol=0.0, callbacks=(telemetry,)
         )

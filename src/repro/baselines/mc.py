@@ -120,7 +120,7 @@ class MatrixCompletionImputer(Imputer):
             x_observed, observed, tau=tau, delta=delta, tol=self.tol,
             norm_obs=norm_obs,
         )
-        telemetry = Telemetry(method=self.name, track_deltas=False)
+        telemetry = Telemetry(method=self.name)
         engine = IterativeEngine(
             max_iter=self.max_iter, tol=0.0, callbacks=(telemetry,)
         )

@@ -126,7 +126,7 @@ class SoftImputeImputer(Imputer):
         solver = _SoftImputeSolver(
             x_observed, observed, lams=lams, max_inner=self.max_iter, tol=self.tol
         )
-        telemetry = Telemetry(method=self.name, track_deltas=False)
+        telemetry = Telemetry(method=self.name)
         telemetry.setup_seconds = time.perf_counter() - t_setup
         engine = IterativeEngine(
             max_iter=self.n_path * self.max_iter, tol=0.0, callbacks=(telemetry,)

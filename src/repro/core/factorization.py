@@ -3,11 +3,20 @@
 :class:`MatrixFactorizationBase` owns what is common to NMF, SMF and
 SMFL: input validation, mask handling, factor initialisation, and the
 fitted-state API (``reconstruct``, ``impute``, ``fit_impute``).  The
-iteration itself is delegated to :class:`repro.engine.IterativeEngine`,
-which drives the fit's kernel object (built once per fit by
-:func:`repro.engine.workspace.build_kernel`) and records per-iteration
-telemetry into a :class:`~repro.engine.FitReport`.  Subclasses override
-these hooks:
+iteration itself runs in one of two loops, chosen after set-up:
+
+- every fit :meth:`~MatrixFactorizationBase.batchable` accepts (the
+  full-batch rules on the dense workspace, landmark block a column
+  prefix) runs :func:`repro.engine.batched.multi_fit` as a one-member
+  stack, the loop the experiment grids run many fits through;
+- the rest — ``kernel_path="reference"`` (the bit-exact oracle),
+  ``"sparse"``, the stochastic rules and customised steps — run
+  :class:`repro.engine.IterativeEngine` over the fit's kernel object
+  (built once per fit by :func:`repro.engine.workspace.build_kernel`),
+  with :class:`~repro.engine.Telemetry` assembling the report.
+
+Either way the fit leaves one :class:`~repro.engine.FitReport`.
+Subclasses override these hooks:
 
 - ``_prepare_fit``     - build per-model structures (graphs, landmarks);
 - ``_initial_factors`` - produce (and possibly modify) U0, V0;
@@ -15,8 +24,9 @@ these hooks:
 - ``_objective``       - the objective the convergence monitor tracks.
 
 ``_step`` remains overridable for models whose iteration is not one of
-the update rules, but the base implementation — apply the fit's kernel
-object — covers the whole NMF/SMF/SMFL family.
+the update rules (such a model runs the engine loop), but the base
+implementation — apply the fit's kernel object — covers the whole
+NMF/SMF/SMFL family.
 """
 
 from __future__ import annotations
@@ -26,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..engine.batched import BatchedFit, multi_fit
 from ..engine.callbacks import Callback, Telemetry
 from ..engine.core import IterativeEngine
 from ..engine.kernels import UPDATE_RULES, KernelContext
@@ -51,7 +62,7 @@ from ..model.fitted import (
     impute_matrix,
     observed_column_bounds,
 )
-from ..obs.stream import get_recorder, traced
+from ..obs.stream import traced
 from ..validation import (
     check_in_range,
     check_nonnegative,
@@ -89,13 +100,12 @@ class FitPlan:
     """Everything :meth:`MatrixFactorizationBase.fit` prepares before
     the iteration loop starts.
 
-    Produced by ``_fit_setup`` and consumed by ``_fit_finish``; the
-    batched multi-fit path (:mod:`repro.core.batched_fit`) reuses the
-    same two stages around :func:`repro.engine.batched.multi_fit`, so
-    per-model pre/post-loop computation — input coercion, graph and
-    landmark preparation, factor initialisation, fitted-state
-    extraction — is identical between the looped and batched paths by
-    construction.
+    Produced by ``_fit_setup`` and consumed by ``_fit_finish``; a
+    model's own ``fit`` and the batched multi-fit path
+    (:mod:`repro.core.batched_fit`) run the same two stages around
+    either loop, so per-model pre/post-loop computation — input
+    coercion, graph and landmark preparation, factor initialisation,
+    fitted-state extraction — is identical whichever runs the fit.
     """
 
     x: np.ndarray
@@ -105,7 +115,7 @@ class FitPlan:
     u: np.ndarray
     v: np.ndarray
     frozen: np.ndarray | None
-    telemetry: Telemetry
+    setup_seconds: float
     scheduler: BatchScheduler | None = None
 
 
@@ -140,11 +150,6 @@ class _FactorSolver(Solver):
     def factors(self, state: tuple[np.ndarray, np.ndarray]):
         u, v = state
         return {"u": u, "v": v}
-
-    def step_deltas(self, state: tuple[np.ndarray, np.ndarray]):
-        # A single-fit KernelWorkspace measures both factors in its step;
-        # the other kernels have no such attribute and leave it to Telemetry.
-        return getattr(self.model._kernel, "step_deltas", {})
 
 
 class MatrixFactorizationBase:
@@ -367,10 +372,9 @@ class MatrixFactorizationBase:
         kernel = self._kernel
         if kernel is None:
             kernel = ReferenceKernel(observed, self.update_rule)
-        with get_recorder().span(f"kernel:{self.update_rule}", method=self.method):
-            return kernel.step(
-                x_observed, observed, u, v, self._cached_kernel_context(v.shape)
-            )
+        return kernel.step(
+            x_observed, observed, u, v, self._cached_kernel_context(v.shape)
+        )
 
     def _objective_kernel(self, x: np.ndarray, observed: np.ndarray):
         """The kernel object the objective terms run through: the fit's
@@ -422,47 +426,64 @@ class MatrixFactorizationBase:
             Optional :class:`ObservationMask` or boolean array
             (``True`` = observed).  Overrides NaN detection.
         callbacks:
-            Extra engine callbacks run alongside the built-in
-            :class:`~repro.engine.Telemetry` (e.g. recorders for the
-            invariant tests).
+            :class:`~repro.engine.Callback` instances notified at fit
+            start, after every iteration (with the ``(U, V)`` iterate)
+            and at fit end, whichever loop runs the fit (e.g. recorders
+            for the invariant tests).
         """
         plan = self._fit_setup(x, mask)
-        self._run_fit_plan(plan, callbacks=callbacks)
+        prefix = self._stack_prefix(plan)
+        if prefix is None:
+            self._run_fit_plan(plan, callbacks=callbacks)
+        else:
+            _fit_stack([(self, plan)], prefix, callbacks=callbacks)
         return self
 
     def _run_fit_plan(
         self, plan: FitPlan, *, callbacks: tuple[Callback, ...] = ()
     ) -> None:
-        """Drive a prepared :class:`FitPlan` through the iterative engine.
+        """Drive a prepared :class:`FitPlan` through the iterative engine
+        (the fits :meth:`_stack_prefix` refuses).
 
         The fit's kernel object is built here, where it runs: a stacked
-        fit (:func:`~repro.core.batched_fit.fit_models_batched`) never
-        steps one, so its set-up does not build it.
+        fit never steps one, so its set-up does not build it.
         """
         t_build = time.perf_counter()
-        self._kernel = self._fit_kernel(plan)
-        plan.telemetry.setup_seconds += time.perf_counter() - t_build
+        self._kernel = kernel = self._fit_kernel(plan)
+        frozen = plan.frozen
+        if frozen is not None and frozen.any():
+            telemetry = Telemetry(
+                method=self.method, frozen_mask=frozen, frozen_values=plan.v[frozen]
+            )
+        else:
+            telemetry = Telemetry(method=self.method)
+        telemetry.setup_seconds = plan.setup_seconds + time.perf_counter() - t_build
         engine = IterativeEngine(
             max_iter=self.max_iter,
             tol=self.tol,
             eval_every=self.eval_every,
-            callbacks=(plan.telemetry, *callbacks),
+            callbacks=(telemetry, *callbacks),
         )
-        outcome = engine.run(
+        u, v = engine.run(
             _FactorSolver(self, plan.x_observed, plan.observed), (plan.u, plan.v)
-        )
+        ).state
+        stochastic = isinstance(kernel, StochasticWorkspace)
         self._fit_finish(
             plan,
-            state=outcome.state,
-            n_iter=outcome.n_iter,
-            converged=outcome.converged,
-            objective_history=outcome.objective_history,
+            telemetry.report(
+                u=u.copy(),
+                v=v.copy(),
+                sampled_objectives=(
+                    tuple(kernel.sampled_objectives) if stochastic else ()
+                ),
+                rows_touched=tuple(kernel.rows_touched) if stochastic else (),
+            ),
         )
 
     def _fit_setup(self, x: np.ndarray, mask: object = None) -> FitPlan:
         """Everything ``fit`` does before the iteration loop.
 
-        Shared verbatim between the looped path (:meth:`fit`) and the
+        Shared verbatim between a model's own :meth:`fit` and the
         batched multi-fit path, so both draw the same RNG stream, build
         the same graphs/landmarks, and start from identical factors.
         """
@@ -495,16 +516,6 @@ class MatrixFactorizationBase:
         frozen = self._frozen_v_mask(v.shape)
         self._ctx_cache = None  # graph/landmark structures rebuilt
         self._kernel = None  # the last fit's; _run_fit_plan builds this one's
-
-        if frozen is not None and frozen.any():
-            telemetry = Telemetry(
-                method=self.method,
-                frozen_mask=frozen,
-                frozen_values=v[frozen].copy(),
-            )
-        else:
-            telemetry = Telemetry(method=self.method)
-        telemetry.setup_seconds = time.perf_counter() - t_setup
         return FitPlan(
             x=x,
             observation=observation,
@@ -513,7 +524,7 @@ class MatrixFactorizationBase:
             u=u,
             v=v,
             frozen=frozen,
-            telemetry=telemetry,
+            setup_seconds=time.perf_counter() - t_setup,
             scheduler=scheduler,
         )
 
@@ -534,39 +545,14 @@ class MatrixFactorizationBase:
             ctx=self._cached_kernel_context(plan.v.shape),
         )
 
-    def _fit_finish(
-        self,
-        plan: FitPlan,
-        *,
-        state: tuple[np.ndarray, np.ndarray],
-        n_iter: int,
-        converged: bool,
-        objective_history,
-        report: FitReport | None = None,
-    ) -> None:
-        """Install the fitted state and extract the model-layer artifact.
-
-        ``report=None`` (the looped path) assembles the report from the
-        plan's telemetry; the batched path passes the per-member report
-        its engine already built.
-        """
-        self.u_, self.v_ = state
-        self.n_iter_ = n_iter
-        self.converged_ = converged
-        self.objective_history_ = list(objective_history)
-        if report is not None:
-            self.fit_report_ = report
-        else:
-            kernel = self._kernel
-            stochastic = isinstance(kernel, StochasticWorkspace)
-            self.fit_report_ = plan.telemetry.report(
-                u=self.u_.copy(),
-                v=self.v_.copy(),
-                sampled_objectives=(
-                    tuple(kernel.sampled_objectives) if stochastic else ()
-                ),
-                rows_touched=tuple(kernel.rows_touched) if stochastic else (),
-            )
+    def _fit_finish(self, plan: FitPlan, report: FitReport) -> None:
+        """Install the fitted state of ``report`` (whichever loop made
+        it) and extract the model-layer artifact."""
+        self.u_, self.v_ = report.u, report.v
+        self.n_iter_ = report.n_iter
+        self.converged_ = report.converged
+        self.objective_history_ = list(report.objective_history)
+        self.fit_report_ = report
         self._fit_x = plan.x
         self._fit_mask = plan.observation
         # Extract the fitted state into the model layer: everything
@@ -585,6 +571,44 @@ class MatrixFactorizationBase:
         )
 
     # ------------------------------------------------------- batched seam
+
+    def _stack_prefix(self, plan: FitPlan) -> int | None:
+        """The landmark prefix ``L`` (0 = nothing frozen) the stacked
+        loop runs ``plan`` with, or ``None`` when it cannot: the model
+        is not :meth:`batchable`, or its frozen cells are not whole
+        leading columns."""
+        if not self.batchable(plan.observed):
+            return None
+        if plan.frozen is None or not plan.frozen.any():
+            return 0
+        return frozen_column_prefix(plan.frozen)
+
+    def _stack_policy(self) -> dict:
+        """The loop settings a stack's members share (:func:`multi_fit`'s
+        keyword arguments besides ``frozen_prefix``)."""
+        return {
+            "update_rule": self.update_rule,
+            "max_iter": int(self.max_iter),
+            "tol": float(self.tol),
+            "eval_every": int(self.eval_every),
+            "learning_rate": float(self.learning_rate),
+        }
+
+    def _batched_fit(self, plan: FitPlan) -> BatchedFit:
+        """The stack member of a prepared plan: data, init, graph terms."""
+        terms = self._batched_terms()
+        return BatchedFit(
+            x_observed=plan.x_observed,
+            observed=plan.observed,
+            u0=plan.u,
+            v0=plan.v,
+            lam=float(terms["lam"]),
+            similarity=terms["similarity"],
+            degree=terms["degree"],
+            laplacian=terms["laplacian"],
+            method=self.method,
+            setup_seconds=plan.setup_seconds,
+        )
 
     def _batched_terms(self) -> dict:
         """Graph/penalty operators the batched engine needs to replicate
@@ -687,3 +711,22 @@ class MatrixFactorizationBase:
         # One input seam for the whole stack: the solvers, the pure
         # impute, and serving all normalise through repro.model.
         return coerce_observations(x, mask)
+
+
+def _fit_stack(
+    jobs: list[tuple[MatrixFactorizationBase, FitPlan]],
+    prefix: int,
+    *,
+    callbacks: tuple[Callback, ...] = (),
+) -> None:
+    """Run prepared plans that share shape, rank, ``prefix`` and
+    :meth:`~MatrixFactorizationBase._stack_policy` as one
+    :func:`multi_fit` stack and install each member's report."""
+    result = multi_fit(
+        [model._batched_fit(plan) for model, plan in jobs],
+        frozen_prefix=prefix,
+        callbacks=callbacks,
+        **jobs[0][0]._stack_policy(),
+    )
+    for (model, plan), report in zip(jobs, result.reports):
+        model._fit_finish(plan, report)

@@ -177,7 +177,7 @@ class SMF(MatrixFactorizationBase):
     def _batched_terms(self) -> dict:
         """Batched-engine mirror of :meth:`_kernel_context` + :meth:`_objective`.
 
-        Same operator choices as the looped fit: the multiplicative
+        Same operator choices as the engine-driven fit: the multiplicative
         kernel and the objective penalty consume the *sparse* similarity
         view, the gradient kernel the dense Laplacian — so the batched
         per-fit graph terms run in the exact reference op order.  Fits

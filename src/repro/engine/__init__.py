@@ -10,13 +10,15 @@ Architecture (see DESIGN.md section "Engine layer")::
 
 - :class:`Solver` - one iteration of any method (``step``,
   ``objective``, optional ``converged`` rule and ``factors`` exposure);
-- :class:`IterativeEngine` - owns the loop: budget, evaluation cadence,
-  early stopping, budget warnings, callback dispatch;
+- :class:`IterativeEngine` - owns the loop of the baselines and of the
+  factor fits the stacked loop refuses (reference, sparse and
+  stochastic paths): budget, evaluation cadence, early stopping,
+  budget warnings, callback dispatch;
 - :class:`ConvergenceMonitor` - the default relative-decrease stopping
   policy (never stops on an objective increase; counts them);
 - :class:`Callback` / :class:`Telemetry` - per-iteration observers;
-  Telemetry captures objectives, wall times, factor deltas, and
-  landmark-block invariance into a :class:`FitReport`;
+  Telemetry captures objectives, wall times and landmark-block
+  invariance into a :class:`FitReport`;
 - :func:`build_kernel` - the one kernel seam: resolves
   ``(update_rule, kernel_path, observed density)`` once per fit into a
   kernel object exposing ``step(x_observed, observed, u, v, ctx)`` and
@@ -26,8 +28,9 @@ Architecture (see DESIGN.md section "Engine layer")::
     allocation-free dense and sparse-observed paths of the
     multiplicative/gradient rules (preallocated fused update buffers,
     the frozen-landmark Gram cache, gather/scatter kernels).  Its
-    dense mode is the one dense kernel: it runs a single 2-D fit or a
-    3-D stack of same-shape fits with the same operations;
+    dense mode is the one dense kernel: it runs a 3-D stack of
+    same-shape fits (one member for ``model.fit``) or, for an
+    engine-driven fit, a single 2-D fit with the same operations;
   - :class:`StochasticWorkspace` (:mod:`repro.engine.stochastic`) - the
     ``sgd``/``svrg`` mini-batch epochs planned by a
     :class:`BatchScheduler`;
@@ -36,11 +39,12 @@ Architecture (see DESIGN.md section "Engine layer")::
 
 - :mod:`repro.engine.kernels` - the legal ``update_rule`` names and the
   frozen per-fit :class:`KernelContext` every kernel object consumes;
-- :mod:`repro.engine.batched` - the batched multi-fit loop:
+- :mod:`repro.engine.batched` - the factor family's loop:
   :func:`multi_fit` runs ``B`` same-shape fits through one stacked
   :class:`KernelWorkspace` with per-fit convergence dropout,
-  bit-identical to looped single fits (``perfbench``'s ``grid_table7``
-  workload runs it end to end).
+  bit-identical to the fits run alone; ``model.fit`` runs it at
+  ``B = 1`` (``perfbench``'s ``fit_cold`` and ``grid_table7``
+  workloads run it end to end).
 
 Both loops raise :class:`~repro.exceptions.NumericalDivergenceError`
 at the first non-finite evaluated objective.

@@ -7,6 +7,13 @@ rules via :meth:`Solver.converged`), budget warnings, and callback
 dispatch.  Solvers shrink to a :meth:`step`/:meth:`objective` pair;
 telemetry and convergence policy become first-class and uniform.
 
+It drives the baselines (MC, SoftImpute, MICE, GAIN) and the factor
+fits the stacked loop does not run: ``kernel_path="reference"`` (the
+bit-exact oracle), ``"sparse"``, the stochastic rules and customised
+steps.  Every other NMF/SMF/SMFL fit runs
+:func:`repro.engine.batched.multi_fit`, which keeps the same
+observation names and divergence rule.
+
 The loop is observed: the engine runs the whole iteration under
 ``observe("fit")`` (``fit_start`` / ``fit_done`` / ``fit_error`` events
 plus a ``fit`` span), with an ``iteration`` span per solver step and an
@@ -62,9 +69,8 @@ class IterativeEngine:
         Evaluate the objective every this many iterations; the first
         two and the final iteration are always evaluated, and every
         iteration once the fit nears ``tol``
-        (:meth:`~repro.engine.monitor.ConvergenceMonitor.due`).
-        Between checks a non-finite factor change measured by the step
-        (:meth:`Solver.step_deltas`) still stops the fit.
+        (:meth:`~repro.engine.monitor.ConvergenceMonitor.due`).  A
+        blow-up between checks is named at the next check.
     callbacks:
         :class:`Callback` instances notified at fit start, after every
         iteration, and at fit end.
@@ -96,10 +102,8 @@ class IterativeEngine:
         The default rule is the monitor's relative objective decrease;
         a solver returning a bool from :meth:`Solver.converged` takes
         full control of stopping (residual thresholds, shrinkage paths,
-        fixed-epoch training).  The first non-finite evaluated objective,
-        or between checks the first non-finite change the step measured
-        (:meth:`Solver.step_deltas`), raises
-        :class:`~repro.exceptions.NumericalDivergenceError` naming the
+        fixed-epoch training).  The first non-finite evaluated objective
+        raises :class:`~repro.exceptions.NumericalDivergenceError` naming the
         iteration, the solver's ``update_rule`` (its ``name`` when it
         has none) and its ``learning_rate``, if it has one; the ``fit``
         observation records it as a ``fit_error`` event.
@@ -145,18 +149,6 @@ class IterativeEngine:
                         converged = (
                             monitor.converged if custom is None else bool(custom)
                         )
-                else:
-                    # Between checks the step's own factor changes catch
-                    # a blow-up at the iteration it happens.
-                    for name, delta in solver.step_deltas(state).items():
-                        if not math.isfinite(delta):
-                            raise NumericalDivergenceError.at(
-                                iteration=steps,
-                                update_rule=update_rule,
-                                objective=delta,
-                                learning_rate=learning_rate,
-                                measure=f"the step's change of {name!r}",
-                            )
                 record = IterationRecord(
                     iteration=steps,
                     objective=objective,

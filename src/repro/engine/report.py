@@ -2,7 +2,7 @@
 
 A :class:`FitReport` is the single artefact a fit leaves behind: the
 final factors (or estimate), the per-evaluation objective history, the
-per-iteration wall times, factor movement, and the paper's two checkable
+per-iteration wall times, and the paper's two checkable
 invariants — objective monotonicity under the multiplicative rule
 (Propositions 5 and 7, via ``n_increases``) and landmark-block
 frozenness (``landmark_block_intact``).
@@ -21,22 +21,7 @@ from typing import Any
 
 import numpy as np
 
-__all__ = ["FitReport", "FactorizationResult", "factor_delta"]
-
-
-def factor_delta(new: np.ndarray, old: np.ndarray, out: np.ndarray) -> float:
-    """``‖new − old‖_F``, one entry of :attr:`FitReport.factor_deltas`.
-
-    The difference goes into the scratch ``out`` (``new``'s shape) and
-    the norm is ``sqrt(dot(d, d))`` over ``d`` in memory order, which is
-    what :func:`numpy.linalg.norm` computes, so the value keeps its
-    bits.  :class:`~repro.engine.Telemetry` and the dense kernels (which
-    measure the change while both iterates are still in cache) share
-    this one function, so their deltas cannot drift apart.
-    """
-    np.subtract(new, old, out=out)
-    flat = out.ravel(order="K")
-    return float(np.sqrt(np.dot(flat, flat)))
+__all__ = ["FitReport", "FactorizationResult"]
 
 
 @dataclass(frozen=True)
@@ -54,9 +39,7 @@ class FitReport:
         nears ``tol``).  Every iteration is checked when
         ``eval_every=1``; the multiplicative fits check every
         :data:`~repro.engine.DEFAULT_EVAL_EVERY` by default.
-        ``wall_times``, ``factor_deltas`` and
-        ``landmark_block_intact`` cover every iteration whatever the
-        cadence.
+        ``wall_times`` cover every iteration whatever the cadence.
     n_iter:
         Iterations actually run.
     converged:
@@ -70,14 +53,19 @@ class FitReport:
         Per-iteration wall-clock seconds of the solver step.
     factor_deltas:
         Per-iteration Frobenius norm of each tracked array's change,
-        keyed by factor name (``"u"``, ``"v"``, ``"estimate"``).
+        keyed by factor name.  No loop measures it any more, so it is
+        ``{}``; the field stays so older reports still load.
     n_increases:
         How many checked objective values *increased* over the
         previous checked value (must be 0 under the multiplicative
         rule); a rise and fall between two checks is not seen.
     landmark_block_intact:
-        ``True``/``False`` when a frozen landmark block was tracked and
-        checked at every iteration; ``None`` when nothing was frozen.
+        ``True``/``False`` when a frozen landmark block was tracked;
+        ``None`` when nothing was frozen.  On the stacked loop (every
+        default NMF/SMF/SMFL fit) ``True`` means equal to the initial
+        block Φ at every check and at the end: the step writes the
+        block only by copying the previous one, so a change persists
+        to the next check.  The engine loop compares every iteration.
     sampled_objectives:
         Stochastic path only: the per-epoch mini-batch objective
         estimate (sum of squared batch residuals, each row evaluated at

@@ -47,21 +47,9 @@ class Solver:
         return None
 
     def factors(self, state: Any) -> dict[str, np.ndarray]:
-        """Named arrays telemetry should track (deltas, frozen blocks).
+        """Named arrays callbacks may read (telemetry's frozen block).
 
         The default exposes nothing; factor solvers return
         ``{"u": U, "v": V}``, estimate solvers ``{"estimate": Z}``.
-        """
-        return {}
-
-    def step_deltas(self, state: Any) -> dict[str, float]:
-        """Factor changes the last :meth:`step` measured itself.
-
-        ``{name: ‖new − old‖_F}`` for arrays of :meth:`factors` whose
-        change the step computed with
-        :func:`~repro.engine.report.factor_delta` while both iterates
-        were still in cache; telemetry measures every other tracked
-        array.  A name is reported after every step or after none.  The
-        default reports none.
         """
         return {}

@@ -92,7 +92,6 @@ from ..core.updates import (
 )
 from ..exceptions import ValidationError
 from .kernels import FULL_BATCH_RULES, UPDATE_RULES, KernelContext
-from .report import factor_delta
 
 __all__ = [
     "KERNEL_PATHS",
@@ -318,9 +317,10 @@ def _block_diagonal(op, b: int):
 
 def _stack_operator(op, shape: tuple[int, ...]):
     """The operator a ``U`` of ``shape`` is multiplied by: ``op`` itself
-    for one fit or a dense ``op`` (``matmul`` broadcasts it over a
-    stack), else its block-diagonal copy over the member-major rows."""
-    if len(shape) == 2 or isinstance(op, np.ndarray):
+    for one fit, a one-member stack (whose member-major rows are the
+    fit's) or a dense ``op`` (``matmul`` broadcasts it over a stack),
+    else its block-diagonal copy over the member-major rows."""
+    if len(shape) == 2 or shape[0] == 1 or isinstance(op, np.ndarray):
         return op
     return _block_diagonal(op, shape[0])
 
@@ -471,7 +471,6 @@ class KernelWorkspace(BufferArena):
         self._wu_key: tuple[int, int] | None = None
         self._dense: SimpleNamespace | None = None
         self.members = None if members is None else list(members)
-        self.step_deltas: dict[str, float] = {}
         self._ctx: KernelContext | None = None
         self._graph_plan = _GraphPlan([])
         if self.members is not None:
@@ -523,7 +522,6 @@ class KernelWorkspace(BufferArena):
         self._ctx = ctx
         self._graph_plan = _GraphPlan.build([ctx], u_shape)
         self._du_key = self._du = self._wu_key = self._dense = None
-        self._deltas = (_aligned(u_shape), _aligned((u_shape[-1], self.shape[-1])))
 
     def out_for(self, name: str, current: np.ndarray) -> np.ndarray:
         """Ping-pong factor output; bumps the memo write generation."""
@@ -873,26 +871,17 @@ class KernelWorkspace(BufferArena):
         """One Algorithm 1 iteration under the fit's rule: U, then V.
 
         The masked passes read the workspace's own float mask, so a
-        stack passes ``observed=None``.  A single fit also leaves
-        ``‖U_{t+1} − U_t‖_F`` and ``‖V_{t+1} − V_t‖_F`` in
-        :attr:`step_deltas` (Telemetry's factor deltas, measured while
-        both iterates are in cache); a stack reports none.
+        stack passes ``observed=None``.
         """
         if self.members is None and (ctx is not self._ctx or u.shape != self._graph_plan.shape):
             self._bind(ctx, u.shape)
         if self.rule == "gradient":
             u_next = self._grad_u_dense(x_observed, u, v, ctx)
-            v_next = self._grad_v_dense(x_observed, u_next, v, ctx)
-        elif self.mode == "sparse":
+            return u_next, self._grad_v_dense(x_observed, u_next, v, ctx)
+        if self.mode == "sparse":
             u_next = self._mult_u_sparse(u, v)
-            v_next = self._mult_v_sparse(u_next, v, ctx)
-        else:
-            u_next, v_next = self._dense_step(x_observed, u, v, ctx)
-        if self.members is None:
-            d, (du, dv) = self.step_deltas, self._deltas
-            d["u"] = factor_delta(u_next, u, du)
-            d["v"] = factor_delta(v_next, v, dv)
-        return u_next, v_next
+            return u_next, self._mult_v_sparse(u_next, v, ctx)
+        return self._dense_step(x_observed, u, v, ctx)
 
     # -------------------------------------------------------- objective
 

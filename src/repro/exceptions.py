@@ -44,13 +44,13 @@ class DegenerateDataError(ReproError, ValueError):
 class NumericalDivergenceError(ReproError, ArithmeticError):
     """An iterative fit produced a non-finite objective: it diverged.
 
-    Raised at the first non-finite evaluated objective (or, between
-    a single fit's checks, the first non-finite factor change its step
-    measured) instead of running out the iteration budget on NaN/inf
-    factors.  The message names the iteration, the update rule, the
-    step size of a step-size rule (gradient, SGD, SVRG) and, for a
-    member of a stacked fit, the member's index in the stack.  For SGD and SVRG it
-    also cites the step-size conditions under which those rules
+    Raised at the first non-finite evaluated objective (a blow-up
+    between checks is named at the next check) instead of running out
+    the iteration budget on NaN/inf factors.  The message names the
+    iteration, the update rule, the step size of a step-size rule
+    (gradient, SGD, SVRG) and, for a member of a stack of several
+    fits, the member's index in the stack.  For SGD and SVRG it also
+    cites the step-size conditions under which those rules
     converge (Zhao, Haskell and Feng, arXiv:1705.06884).
     """
 
@@ -63,11 +63,9 @@ class NumericalDivergenceError(ReproError, ArithmeticError):
         objective: float,
         member: int | None = None,
         learning_rate: float | None = None,
-        measure: str = "objective",
     ) -> "NumericalDivergenceError":
-        """``measure`` names what went non-finite: the objective at a
-        checked iteration, or a step's own factor change between
-        checks."""
+        """The error for a non-finite objective at a checked iteration;
+        ``member`` names a stack's member (``None`` for a lone fit)."""
         where = "" if member is None else f" for stacked member {member}"
         # The multiplicative rule has no step size to blame.
         step = (
@@ -84,6 +82,6 @@ class NumericalDivergenceError(ReproError, ArithmeticError):
             else ""
         )
         return cls(
-            f"{measure} is {objective!r} at iteration {iteration} of "
+            f"objective is {objective!r} at iteration {iteration} of "
             f"update_rule {update_rule!r}{step}{where}: the fit diverged{advice}"
         )

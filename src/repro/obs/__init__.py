@@ -18,10 +18,10 @@
   and the ``python -m repro.obs`` CLI (``report``, ``summary``,
   ``chrome``, ``expose``, ``slo``, ``report --tail``).
 
-Producers: :class:`repro.engine.IterativeEngine` (``fit`` /
-``iteration`` / ``evaluate`` spans feeding ``Telemetry`` from the same
-clock), :func:`repro.engine.batched.multi_fit` (``batch.fit``), the
-factorization kernels (``kernel:<rule>``), every
+Producers: the two iteration loops, :class:`repro.engine.IterativeEngine`
+and :func:`repro.engine.batched.multi_fit` (``fit`` / ``iteration`` /
+``evaluate`` spans; each iteration span's duration is the step's wall
+time in the fit's report), every
 :class:`repro.baselines.base.Imputer` (``fit_impute``),
 :func:`repro.runner.run_grid` (``run`` / ``cell``, merged across worker
 processes), :class:`repro.serving.FoldInServer` (``serving.request``),

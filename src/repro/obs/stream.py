@@ -24,7 +24,7 @@ Instrumented code reaches the ambient recorder through
 :func:`get_recorder` (:func:`set_recorder` / :func:`use_recorder` scope
 it, :func:`record_to` records a block to a file) and has two entry
 points: :meth:`Recorder.span`, the timing primitive of inner loops
-(``iteration``, ``evaluate``, ``kernel:<rule>``), and :func:`observe`,
+(``iteration``, ``evaluate``), and :func:`observe`,
 the lifecycle form of every operation boundary (a fit, a grid run or
 cell, a fold-in request, an out-of-core epoch).  ``observe`` opens a
 span unless a :class:`Sampler` said no, writes ``<name>_start`` and
@@ -33,7 +33,7 @@ level ``error`` whatever the sampler decided.
 
 The default :data:`NULL_RECORDER` records nothing; its spans are
 :class:`NullSpan`, two ``perf_counter`` calls whose ``duration`` the
-engine still reads to feed ``Telemetry``.
+iteration loops still read for their wall times.
 
 **Existing files.** :class:`JsonlSink` never truncates a record: a
 recording to a path that holds records appends after them (each

@@ -10,7 +10,7 @@ in one stacked loop.
 Invariants the runner relies on:
 
 - **Per-cell results are unchanged.**  The batched engine is
-  bit-identical to looped fits, so every member's ``value`` (RMS) and
+  bit-identical to the same fits run one by one, so every member's ``value`` (RMS) and
   ``fit`` summary match what :func:`~repro.runner.execute.execute_cell`
   would have produced (wall times excepted — they are measurements).
 - **Per-cell cache entries are unchanged.**  Coalescing is invisible to
@@ -26,7 +26,7 @@ Invariants the runner relies on:
 
 Eligibility here is a *trigger*, not a guarantee: the model-level
 planner re-checks each member (``model.batchable``) and quietly runs
-ineligible ones looped, so an ``overrides`` dict that switches a member
+ineligible ones on the engine loop, so an ``overrides`` dict that switches a member
 to, say, the sparse kernel path degrades to the exact single-fit
 behavior instead of erroring.
 """

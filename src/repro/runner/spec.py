@@ -108,7 +108,7 @@ class RunnerConfig:
         :mod:`repro.runner.coalesce`) execute as one batched super-cell
         through the 3-D multi-fit engine.  Per-cell results, cache
         entries, and manifest records are unchanged either way - the
-        batched engine is bit-identical to looped fits - so this is a
+        batched engine is bit-identical to fits run one by one - so this is a
         pure wall-time switch.
     """
 

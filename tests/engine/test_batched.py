@@ -48,12 +48,18 @@ def make_shared_graph_problem(n, m, missing, seed):
 
 
 def fit_pair(factory, seeds, problem=make_spatial_problem, **fit_kwargs):
-    """(batched models, looped models) fitted on identical problems."""
+    """(batched models, looped models) fitted on identical problems.
+
+    The looped twins run ``kernel_path="reference"``: the engine loop
+    over the allocating rules, bit-identical to the stacked workspace.
+    """
     batched, looped = [], []
     for seed in seeds:
         x = problem(24, 8, 0.3, seed)
         batched.append((factory(seed), x, None))
-        looped.append((factory(seed), x, None))
+        twin = factory(seed)
+        twin.kernel_path = "reference"
+        looped.append((twin, x, None))
     fit_models_batched([(m, x, mask) for m, x, mask in batched], **fit_kwargs)
     for model, x, mask in looped:
         model.fit(x)
@@ -203,10 +209,10 @@ class TestBatchedVsLooped:
         for seed in range(2):
             x = problem(24, 8, 0.3, seed)
             for cls in (MaskedNMF, SMF):
-                for out in (jobs, looped):
+                for out, path in ((jobs, "auto"), (looped, "reference")):
                     model = cls(
                         rank=RANK, max_iter=30, tol=0.0, random_state=seed,
-                        eval_every=eval_every,
+                        eval_every=eval_every, kernel_path=path,
                     )
                     out.append((model, x, None))
         fit_models_batched(jobs)
@@ -287,16 +293,39 @@ class TestDefaultCadence:
             fit_models_batched(
                 [(SMF(rank=RANK, max_iter=5, random_state=s), x, None) for s in (0, 1)]
             )
-        done = {
-            (r["name"], r["attrs"].get("eval_every"))
+        done = [
+            (r["attrs"]["size"], r["attrs"]["eval_every"])
             for r in sink.tail()
-            if r["name"] in ("fit_done", "batch.fit_done")
-        }
-        assert done == {
-            ("fit_done", DEFAULT_EVAL_EVERY),
-            ("fit_done", 1),
-            ("batch.fit_done", DEFAULT_EVAL_EVERY),
-        }
+            if r["name"] == "fit_done"
+        ]
+        assert done == [(1, DEFAULT_EVAL_EVERY), (1, 1), (2, DEFAULT_EVAL_EVERY)]
+        assert not any(r["name"].startswith("batch.") for r in sink.tail())
+
+
+class TestSingleFitIsAStack:
+    def test_default_fit_records_one_member_stack(self):
+        from repro.obs import Recorder, RingBufferSink, use_recorder
+
+        x = make_spatial_problem(24, 8, 0.3, 0)
+        sink = RingBufferSink()
+        with use_recorder(Recorder(sink)):
+            model = SMFL(rank=RANK, max_iter=30, tol=0.0, random_state=0).fit(x)
+        records = sink.tail()
+        fits = [r for r in records if r["kind"] == "span" and r["name"] == "fit"]
+        done = [r for r in records if r["name"] == "fit_done"]
+        assert len(fits) == len(done) == 1
+        assert fits[0]["attrs"]["size"] == done[0]["attrs"]["size"] == 1
+        assert not any(r["name"].startswith(("batch.", "kernel:")) for r in records)
+        reference = SMFL(
+            rank=RANK, max_iter=30, tol=0.0, random_state=0, kernel_path="reference"
+        ).fit(x)
+        assert np.array_equal(model.u_, reference.u_)
+        assert np.array_equal(model.v_, reference.v_)
+        assert np.array_equal(model.impute(), reference.impute())
+        assert model.objective_history_ == reference.objective_history_
+        assert model.n_iter_ == reference.n_iter_ == 30
+        assert model.fit_report_.landmark_block_intact is True
+        assert reference.fit_report_.landmark_block_intact is True
 
 
 class TestMultiFitAPI:
@@ -350,6 +379,9 @@ class TestMultiFitAPI:
         for member in report.split():
             assert member.n_iter == 5
             assert len(member.objective_history) == 5
+            # The fits bring no set-up time; each gets its share of the
+            # stacked workspace's build.
+            assert member.setup_seconds > 0.0
 
     def test_max_iter_zero_returns_inits(self):
         fits = self._fits(2)
@@ -362,9 +394,9 @@ class TestMultiFitAPI:
 
     @pytest.mark.parametrize("cls", [MaskedNMF, SMF, SMFL])
     def test_one_job_leaves_the_model_as_fit_does(self, cls):
-        # A one-member group runs the model's own engine path, so the
-        # model ends exactly as after ``fit``, factor deltas included
-        # (only the engine's telemetry records them).
+        # A one-member group is a one-member stack, the loop ``fit``
+        # runs, so the model ends exactly as after ``fit``; neither
+        # measures factor deltas.
         x = make_spatial_problem(24, 8, 0.3, 0)
         alone = cls(rank=RANK, max_iter=25, tol=0.0, random_state=0)
         looped = cls(rank=RANK, max_iter=25, tol=0.0, random_state=0)
@@ -375,8 +407,13 @@ class TestMultiFitAPI:
         assert np.array_equal(alone.v_, looped.v_)
         assert alone.objective_history_ == looped.objective_history_
         assert alone.n_iter_ == looped.n_iter_ == 25
-        deltas = alone.fit_report_.factor_deltas
-        assert deltas and deltas == looped.fit_report_.factor_deltas
+        assert alone.fit_report_.factor_deltas == looped.fit_report_.factor_deltas == {}
+
+    def test_callbacks_need_a_one_member_stack(self):
+        from repro.engine import Callback
+
+        with pytest.raises(ValidationError):
+            multi_fit(self._fits(2), max_iter=1, callbacks=(Callback(),))
 
 
 class TestStackBooks:
@@ -384,10 +421,10 @@ class TestStackBooks:
     active member is due; the members' clocks come from the stack's."""
 
     def test_books_follow_the_members_checks(self, monkeypatch):
-        import repro.core.batched_fit as batched_fit
+        import repro.core.factorization as factorization
 
         results, calls = [], []
-        real_multi_fit = batched_fit.multi_fit
+        real_multi_fit = factorization.multi_fit
 
         def spy_multi_fit(fits, **kwargs):
             results.append(real_multi_fit(fits, **kwargs))
@@ -403,10 +440,6 @@ class TestStackBooks:
 
             return method
 
-        monkeypatch.setattr(batched_fit, "multi_fit", spy_multi_fit)
-        monkeypatch.setattr(KernelWorkspace, "step", spy("step"))
-        monkeypatch.setattr(KernelWorkspace, "objective", spy("objective"))
-
         def make(seed):
             return SMFL(rank=RANK, max_iter=300, tol=2e-5, random_state=seed)
 
@@ -415,6 +448,10 @@ class TestStackBooks:
         for seed, x in enumerate(problems):
             checks.append(Checks())
             make(seed).fit(x, callbacks=(checks[-1],))
+        # Spy on the four-member stack only (each fit above is a stack too).
+        monkeypatch.setattr(factorization, "multi_fit", spy_multi_fit)
+        monkeypatch.setattr(KernelWorkspace, "step", spy("step"))
+        monkeypatch.setattr(KernelWorkspace, "objective", spy("objective"))
         fit_models_batched([(make(seed), x, None) for seed, x in enumerate(problems)])
         (result,) = results
 
@@ -662,7 +699,7 @@ class TestDivergenceGuard:
         message = str(info.value)
         assert "'gradient' with learning_rate 0.00025" in message
         assert "stacked member 1" in message
-        diverged = [r for r in sink.tail() if r["name"] == "batch.fit_error"]
+        diverged = [r for r in sink.tail() if r["name"] == "fit_error"]
         assert len(diverged) == 1
         attrs = diverged[0]["attrs"]
         assert diverged[0]["level"] == "error"

@@ -273,11 +273,18 @@ class TestFullObjective:
             rank=3, n_spatial=2, max_iter=4, tol=0.0, random_state=0,
             update_rule=rule, learning_rate=1e-3, kernel_path="workspace",
         ).fit(x)
-        kernel = model._kernel
-        x_observed = model._fit_mask.project(model._fit_x)
-        observed = model._fit_mask.observed
-        # The fit's last iterate (memoized products) and fresh copies.
-        for u, v in ((model.u_, model.v_), (model.u_.copy(), model.v_.copy())):
+        # The fit ran the stacked loop; the plan's 2-D workspace, stepped
+        # as many times, reaches the same bits and becomes the kernel
+        # the model's objective runs through.
+        plan = model._fit_setup(x)
+        model._kernel = kernel = model._fit_kernel(plan)
+        ctx = model._cached_kernel_context(plan.v.shape)
+        x_observed, observed, u, v = plan.x_observed, plan.observed, plan.u, plan.v
+        for _ in range(model.max_iter):
+            u, v = kernel.step(x_observed, observed, u, v, ctx)
+        assert np.array_equal(u, model.u_) and np.array_equal(v, model.v_)
+        # The last iterate (memoized products) and fresh copies.
+        for u, v in ((u, v), (u.copy(), v.copy())):
             value = kernel.objective(x_observed, u, v)
             assert isinstance(value, float)
             assert value == model._objective(x_observed, u, v, observed)
