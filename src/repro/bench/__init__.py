@@ -10,7 +10,7 @@ Three pieces, one contract:
   as one canonical schema-versioned JSON;
 - :mod:`~repro.bench.gate` - the regression gate CI runs: schema
   validation of the committed ``results/`` baselines (``BENCH_oocore``,
-  ``BENCH_sweep``, ``SLO_serving``), accepted-metric re-derivation from
+  ``BENCH_sweep``), accepted-metric re-derivation from
   raw values, and a fresh-sweep-vs-baseline diff that fails on
   slowdown, accuracy drift, or a changed generator hash.
 

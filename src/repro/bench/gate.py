@@ -4,10 +4,9 @@
 runs three independent checks and fails (exit != 0) if any produces a
 failure string - always naming the file, cell, and metric involved:
 
-1. **Schema validation** - every committed ``BENCH_*.json`` /
-   ``SLO_*.json`` under ``--baseline`` (``BENCH_oocore.json``,
-   ``BENCH_sweep.json`` and ``SLO_serving.json`` in ``results/``) must
-   satisfy its declared schema
+1. **Schema validation** - every committed ``BENCH_*.json`` under
+   ``--baseline`` (``BENCH_oocore.json`` and ``BENCH_sweep.json`` in
+   ``results/``) must satisfy its declared schema
    (:data:`repro.bench.schema.BENCH_SCHEMAS`), envelope included.  A
    writer that drops a key or changes a metric's type breaks here.
 2. **Accepted-metric re-derivation** - the gate recomputes each
@@ -103,17 +102,14 @@ class GateReport:
 
 
 def check_baseline_dir(baseline_dir: str) -> tuple[list[str], list[str], list[str]]:
-    """Checks 1 + 2 over every ``BENCH_*.json`` / ``SLO_*.json`` in ``baseline_dir``.
+    """Checks 1 + 2 over every ``BENCH_*.json`` in ``baseline_dir``.
 
     Returns ``(failures, checked_paths, notes)``.
     """
     failures: list[str] = []
     checked: list[str] = []
     notes: list[str] = []
-    paths = sorted(
-        glob.glob(os.path.join(baseline_dir, "BENCH_*.json"))
-        + glob.glob(os.path.join(baseline_dir, "SLO_*.json"))
-    )
+    paths = sorted(glob.glob(os.path.join(baseline_dir, "BENCH_*.json")))
     if not paths:
         failures.append(
             f"no BENCH_*.json baselines found under {baseline_dir!r}"

@@ -4,8 +4,8 @@ Every benchmark in the repo persists through :func:`write_bench_json`,
 which stamps the payload with the envelope fields the regression gate
 and the schema suite key on:
 
-- ``bench_name`` - which benchmark this is (``oocore``, ``sweep``,
-  ``SLO_serving``), so a file's identity survives being renamed;
+- ``bench_name`` - which benchmark this is (``oocore``, ``sweep``),
+  so a file's identity survives being renamed;
 - ``bench_schema_version`` - generation counter of the envelope
   itself; the gate refuses to compare across versions rather than
   guessing;
@@ -17,9 +17,9 @@ a trailing newline, so two writes of the same payload are byte-
 identical and a crash never leaves a torn baseline behind.
 
 This module is a dependency leaf (stdlib only) so that any layer
-(:mod:`repro.oocore.benchmark`, :mod:`repro.obs.slo`) can route
-its writer through it without creating an import cycle with the bench
-layer's engine-facing modules.
+(:mod:`repro.oocore.benchmark`) can route its writer through it
+without creating an import cycle with the bench layer's engine-facing
+modules.
 """
 
 from __future__ import annotations
@@ -51,14 +51,7 @@ DEFAULT_RESULTS_DIR = "results"
 
 
 def bench_path(name: str, directory: str = DEFAULT_RESULTS_DIR) -> str:
-    """Canonical on-disk location of benchmark ``name``.
-
-    Names already carrying the ``SLO_`` prefix (serving-budget
-    baselines) keep it as the whole filename; everything else gets the
-    historical ``BENCH_`` prefix.
-    """
-    if name.startswith("SLO_"):
-        return os.path.join(directory, f"{name}.json")
+    """Canonical on-disk location of benchmark ``name``."""
     return os.path.join(directory, f"BENCH_{name}.json")
 
 

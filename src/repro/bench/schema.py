@@ -1,12 +1,10 @@
 """Declarative schemas for the committed ``results/`` baselines.
 
-Three files stay committed: ``BENCH_oocore.json`` (the out-of-core
-scaling curve), ``BENCH_sweep.json`` (the gate's generator data-hash
-and accuracy ratchet) and ``SLO_serving.json`` (the serving budgets
-``python -m repro.obs slo`` holds recordings to).  Speed is measured by
-``perfbench/`` (see ``BENCHMARK.json``), not by these files.  Two
-registries stop a malformed or quietly-degraded write from corrupting
-them:
+Two files stay committed: ``BENCH_oocore.json`` (the out-of-core
+scaling curve) and ``BENCH_sweep.json`` (the gate's generator data-hash
+and accuracy ratchet).  Speed is measured by ``perfbench/`` (see
+``BENCHMARK.json``), not by these files.  Two registries stop a
+malformed or quietly-degraded write from corrupting them:
 
 - :data:`BENCH_SCHEMAS` - per-file required fields (dotted paths
   with ``*`` wildcards over dict values and ``[]`` over list items)
@@ -57,7 +55,6 @@ BENCH_SCHEMAS: dict[str, tuple[tuple[str, str], ...]] = {
         ("rank", "int"),
         ("block_rows", "int"),
         ("epochs", "int"),
-        ("jobs", "int"),
         ("curve", "list"),
         ("curve.[].rows", "int"),
         ("curve.[].peak_rss_bytes", "int"),
@@ -70,28 +67,10 @@ BENCH_SCHEMAS: dict[str, tuple[tuple[str, str], ...]] = {
         ("equivalence.rows", "int"),
         ("equivalence.serial_bit_exact", "bool"),
         ("equivalence.objective_ratio", "number"),
-        ("equivalence.parallel_jobs", "int"),
-        ("equivalence.parallel_max_rel_deviation", "number"),
         ("acceptance", "dict"),
         ("acceptance.serial_matches_incore_bit_exact", "bool"),
-        ("acceptance.parallel_deviation_within_tolerance", "bool"),
         ("acceptance.bounded_peak_memory", "bool"),
         ("acceptance.landmark_block_intact", "bool"),
-    ),
-    "SLO_serving": (
-        ("slo_schema_version", "int"),
-        ("recorded.requests", "int"),
-        ("recorded.errors", "int"),
-        ("recorded.error_rate", "number"),
-        ("recorded.p50_seconds", "number"),
-        ("recorded.p99_seconds", "number"),
-        ("recorded.stall_count", "int"),
-        ("recorded.worker_deaths", "int"),
-        ("budgets.p99_seconds_max", "number"),
-        ("budgets.error_rate_max", "number"),
-        ("budgets.stall_count_max", "int"),
-        ("acceptance", "dict"),
-        ("acceptance.recorded_within_budgets", "bool"),
     ),
     "sweep": (
         ("sweep_schema_version", "int"),
@@ -129,11 +108,6 @@ class MetricCheck:
 ACCEPTED_METRICS: dict[str, tuple[MetricCheck, ...]] = {
     "oocore": (
         MetricCheck("equivalence.objective_ratio", "max", 1.05),
-        MetricCheck("equivalence.parallel_max_rel_deviation", "max", 0.05),
-        MetricCheck("acceptance.*", "flag"),
-    ),
-    "SLO_serving": (
-        MetricCheck("recorded.error_rate", "max", 0.0),
         MetricCheck("acceptance.*", "flag"),
     ),
 }
@@ -146,18 +120,12 @@ fixed limit.
 
 
 def bench_name_from_path(path: str) -> str | None:
-    """``.../BENCH_<name>.json`` -> ``<name>`` (else ``None``).
-
-    SLO baselines keep their prefix: ``.../SLO_<name>.json`` maps to
-    ``SLO_<name>``, the key the schema registries use verbatim.
-    """
+    """``.../BENCH_<name>.json`` -> ``<name>`` (else ``None``)."""
     import os
 
     base = os.path.basename(path)
     if base.startswith("BENCH_") and base.endswith(".json"):
         return base[len("BENCH_"):-len(".json")]
-    if base.startswith("SLO_") and base.endswith(".json"):
-        return base[:-len(".json")]
     return None
 
 

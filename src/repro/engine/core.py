@@ -169,6 +169,12 @@ class IterativeEngine:
             fit_span.set_attr("converged", converged)
             fit_span.set_attr("n_increases", monitor.n_increases)
             fit_span.set_attr("stop_reason", monitor.stop_reason)
+            # The stacked loop's shape, as one-member lists: a reader of
+            # ``fit_done`` need not know which loop ran.
+            fit_span.set_attr("per_fit_n_iter", [steps])
+            fit_span.set_attr("per_fit_converged", [converged])
+            fit_span.set_attr("per_fit_n_increases", [monitor.n_increases])
+            fit_span.set_attr("per_fit_stop_reason", [monitor.stop_reason])
         if not converged and self.warn_on_budget:
             warnings.warn(
                 f"iteration budget of {self.max_iter} exhausted without "

@@ -300,7 +300,6 @@ def sgd_grad_v(
     scale: float,
     cap: int,
     m: int,
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """The SGD V-gradient on the live columns, allocation-free.
 
@@ -308,14 +307,12 @@ def sgd_grad_v(
     F-contiguous view) to the gemm — the exact operand layout of the
     reference's ``scale * u_rows.T @ residual[:, live]``, so callers on
     both the in-core and streaming paths produce bit-identical
-    gradients.  ``out`` redirects the gemm into a caller-owned buffer
-    (the parallel workers write into shared memory); ``None`` uses the
-    workspace's named slot.
+    gradients.  The gradient lands in the workspace's ``grad_v`` slot.
     """
     rows, k = u_rows.shape
     u_scaled = workspace.buf("u_rows_scaled", (cap, k))[:rows]
     np.multiply(u_rows, scale, out=u_scaled)
-    grad_v = workspace.buf("grad_v", (k, m - live.start)) if out is None else out
+    grad_v = workspace.buf("grad_v", (k, m - live.start))
     np.matmul(u_scaled.T, residual[:, live], out=grad_v)
     return grad_v
 
@@ -329,9 +326,9 @@ def apply_v_step(
 ) -> None:
     """Projected V step on the live columns (landmark prefix frozen).
 
-    The prefix-layout arm of :func:`_step_v`, exposed for callers that
-    never carry a general frozen mask (the streaming/parallel paths);
-    ``grad_v`` is consumed as scratch.
+    The prefix-layout arm of :func:`_step_v`, exposed for the streaming
+    path, which never carries a general frozen mask; ``grad_v`` is
+    consumed as scratch.
     """
     _step_v(v, grad_v, lr, None, live, workspace)
 

@@ -13,10 +13,9 @@
   the label escaper, and the opt-in :func:`profiled` memory hook;
 - readers of the stream: :mod:`repro.obs.analyze` (span tree, self
   time, coverage, Chrome export), :mod:`repro.obs.prometheus` (text
-  exposition and its strict parser), :mod:`repro.obs.slo` (serving
-  budgets), :mod:`repro.obs.serve` (a stdlib ``/metrics`` endpoint)
-  and the ``python -m repro.obs`` CLI (``report``, ``summary``,
-  ``chrome``, ``expose``, ``slo``, ``report --tail``).
+  exposition and its strict parser) and the ``python -m repro.obs``
+  CLI (``report``, ``summary``, ``chrome``, ``expose``,
+  ``report --tail``).
 
 Producers: the two iteration loops, :class:`repro.engine.IterativeEngine`
 and :func:`repro.engine.batched.multi_fit` (``fit`` / ``iteration`` /
@@ -51,8 +50,6 @@ from .metrics import (
     reset_metrics,
 )
 from .prometheus import parse_exposition, render_prometheus
-from .serve import MetricsServer
-from .slo import evaluate_slo, serving_stats_from_events
 from .stream import (
     NULL_RECORDER,
     SCHEMA_VERSION,
@@ -82,7 +79,6 @@ __all__ = [
     "JsonlSink",
     "MemorySink",
     "MetricsRegistry",
-    "MetricsServer",
     "NULL_RECORDER",
     "NullRecorder",
     "NullSpan",
@@ -97,7 +93,6 @@ __all__ = [
     "aggregate_spans",
     "build_tree",
     "coverage",
-    "evaluate_slo",
     "get_metrics",
     "get_recorder",
     "next_request_id",
@@ -110,7 +105,6 @@ __all__ = [
     "render_top",
     "render_tree",
     "reset_metrics",
-    "serving_stats_from_events",
     "set_recorder",
     "to_chrome_trace",
     "traced",

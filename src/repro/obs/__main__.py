@@ -7,10 +7,7 @@ Commands::
                                                 or the last N structured events
     summary trace.jsonl [-o summary.json]       per-name aggregate JSON
     chrome  trace.jsonl [-o trace_chrome.json]  Chrome trace_event export
-    expose  source [-o out.prom] [--serve] [--check]
-                                                Prometheus text exposition
-    slo     --baseline SLO.json [--events log.jsonl] [--record ...]
-                                                evaluate / record SLO budgets
+    expose  source [-o out.prom] [--check]      Prometheus text exposition
 
 ``report`` is the human entry point: it prints the name-merged span
 tree (a text flamegraph - total time, share of the trace, self time),
@@ -22,15 +19,8 @@ N records (for tailing a live run).
 ``expose`` renders a metrics snapshot to Prometheus text format.  The
 source is either a JSONL recording (its last ``metrics`` record wins)
 or a JSON file carrying a snapshot directly (a run manifest's
-``metrics`` section also works).  ``--serve`` binds a stdlib
-``/metrics`` endpoint instead of writing a file; ``--check`` re-parses
-the rendered text with the strict validator and fails on any
-malformation.
-
-``slo`` holds a recorded serving run to the budgets committed in
-``results/SLO_serving.json`` (p99 latency, error rate, stall count) -
-nonzero exit names every violated metric.  ``--record`` writes a new
-baseline from the same stats.
+``metrics`` section also works).  ``--check`` re-parses the rendered
+text with the strict validator and fails on any malformation.
 
 Every command reads JSONL through :func:`repro.obs.stream.read_records`,
 so a torn final line is dropped everywhere.  Malformed input (missing
@@ -54,13 +44,6 @@ from .analyze import (
     to_chrome_trace,
 )
 from .prometheus import parse_exposition, render_prometheus
-from .serve import MetricsServer
-from .slo import (
-    DEFAULT_BUDGETS,
-    evaluate_slo,
-    record_slo_baseline,
-    serving_stats_from_events,
-)
 from .stream import read_records
 
 
@@ -185,79 +168,12 @@ def _expose(args: argparse.Namespace) -> int:
             parse_exposition(text)
         except ValueError as exc:
             raise CliError(f"rendered exposition failed validation: {exc}") from None
-    if args.serve:
-        server = MetricsServer(
-            lambda: render_prometheus(_snapshot_from_source(args.source)),
-            host=args.host,
-            port=args.port,
-        ).start()
-        print(f"serving {server.url} (ctrl-c to stop)")  # noqa: T201
-        server.serve_forever()
-        return 0
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)
         print(args.output)  # noqa: T201
     else:
         sys.stdout.write(text)
-    return 0
-
-
-def _slo(args: argparse.Namespace) -> int:
-    if args.record:
-        if not args.events:
-            raise CliError("slo --record needs --events <log.jsonl>")
-        stats = serving_stats_from_events(_read_jsonl(args.events))
-        budgets = {
-            "p99_seconds_max": args.p99_seconds_max,
-            "error_rate_max": args.error_rate_max,
-            "stall_count_max": args.stall_count_max,
-        }
-        budgets = {k: v for k, v in budgets.items() if v is not None}
-        out = args.out or args.baseline or "results/SLO_serving.json"
-        payload = record_slo_baseline(stats, budgets=budgets, path=out)
-        print(  # noqa: T201
-            f"{out}: recorded p99={payload['recorded']['p99_seconds']:.6g}s "
-            f"over {payload['recorded']['requests']} requests"
-        )
-        if not payload["acceptance"]["recorded_within_budgets"]:
-            print(  # noqa: T201
-                "warning: the recorded run violates its own budgets",
-                file=sys.stderr,
-            )
-            return 1
-        return 0
-    if not args.baseline:
-        raise CliError("slo needs --baseline <SLO_serving.json>")
-    try:
-        with open(args.baseline, encoding="utf-8") as handle:
-            baseline = json.load(handle)
-    except FileNotFoundError:
-        raise CliError(f"{args.baseline}: no such file") from None
-    except json.JSONDecodeError as exc:
-        raise CliError(f"{args.baseline}: invalid JSON: {exc}") from None
-    budgets = {**DEFAULT_BUDGETS, **baseline.get("budgets", {})}
-    if args.events:
-        stats = serving_stats_from_events(_read_jsonl(args.events))
-        source = args.events
-    else:
-        stats = baseline.get("recorded")
-        source = f"{args.baseline} (recorded)"
-        if not isinstance(stats, dict):
-            raise CliError(
-                f"{args.baseline}: no 'recorded' stats and no --events given"
-            )
-    violations = evaluate_slo(stats, budgets)
-    if violations:
-        for violation in violations:
-            print(f"SLO VIOLATION [{source}]: {violation}", file=sys.stderr)  # noqa: T201
-        return 1
-    print(  # noqa: T201
-        f"SLO ok [{source}]: p99={stats['p99_seconds']:.6g}s <= "
-        f"{float(budgets['p99_seconds_max']):.6g}s over "
-        f"{stats['requests']} requests, error_rate="
-        f"{stats['error_rate']:.6g}, stalls={stats['stall_count']}"
-    )
     return 0
 
 
@@ -301,31 +217,7 @@ def main(argv: list[str] | None = None) -> int:
     expose.add_argument("--check", action="store_true",
                         help="re-parse the rendered text with the strict "
                         "validator")
-    expose.add_argument("--serve", action="store_true",
-                        help="serve /metrics over HTTP instead of writing")
-    expose.add_argument("--host", default="127.0.0.1")
-    expose.add_argument("--port", type=int, default=9464)
     expose.set_defaults(func=_expose)
-
-    slo = sub.add_parser(
-        "slo", help="evaluate (or record) serving SLO budgets"
-    )
-    slo.add_argument("--baseline", default=None,
-                     help="committed SLO json carrying the budgets")
-    slo.add_argument("--events", default=None,
-                     help="recording to evaluate (default: the baseline's "
-                     "own recorded stats)")
-    slo.add_argument("--record", action="store_true",
-                     help="record a new baseline from --events")
-    slo.add_argument("--out", default=None,
-                     help="where --record writes (default: --baseline path)")
-    slo.add_argument("--p99-seconds-max", type=float, default=None,
-                     dest="p99_seconds_max")
-    slo.add_argument("--error-rate-max", type=float, default=None,
-                     dest="error_rate_max")
-    slo.add_argument("--stall-count-max", type=int, default=None,
-                     dest="stall_count_max")
-    slo.set_defaults(func=_slo)
 
     args = parser.parse_args(argv)
     try:

@@ -17,8 +17,8 @@ code, which is exactly why it is a flag and not a default.
 Label sets (for the Prometheus exposition in :mod:`repro.obs.prometheus`):
 every accessor takes an optional ``labels`` dict, and each distinct
 ``(name, labels)`` pair is its own instrument.  The family keeps one
-kind across all of its label sets (``oocore.worker.last_seen`` cannot
-be a gauge for ``worker="0"`` and a counter for ``worker="1"``), and
+kind across all of its label sets (a name cannot be a gauge for
+``shard="0"`` and a counter for ``shard="1"``), and
 :meth:`MetricsRegistry.snapshot` keys labelled series as
 ``name{k="v",...}`` — unlabelled instruments keep their bare name, so
 every pre-existing snapshot consumer is unaffected.

@@ -6,13 +6,12 @@ shared envelope writer and ratcheted by ``python -m repro.bench gate``:
 - **Scaling curve.**  For each row count, a *fresh spawned subprocess*
   fits a vehicle-style ``lowrank_landmark`` matrix (13 columns, rank
   6) out of core via :class:`~repro.oocore.blocks.GeneratorBlockSource`
-  and reports its ``ru_maxrss`` high-water mark (self and worker
-  children) — a clean per-fit peak because nothing else ran in that
-  interpreter.  Each point also records ``dense_bytes``, the in-core
-  materialization floor (data + observed-projection + mask + factors)
-  the dense path would need.  The memory acceptance compares
-  *growth*: scaling the rows up across the curve must grow peak RSS
-  by less than it grows the dense floor — the absolute RSS of a
+  and reports its ``ru_maxrss`` high-water mark — a clean per-fit peak
+  because nothing else ran in that interpreter.  Each point also
+  records ``dense_bytes``, the in-core materialization floor (data +
+  observed-projection + mask + factors) the dense path would need.
+  The memory acceptance compares *growth*: scaling the rows up across
+  the curve must grow peak RSS by less than it grows the dense floor — the absolute RSS of a
   Python process is dominated by the interpreter at small sizes, but
   the growth isolates the data-dependent part.
 
@@ -20,16 +19,14 @@ shared envelope writer and ratcheted by ``python -m repro.bench gate``:
   streaming fit replays the in-core SMFL stochastic fit bit-exactly
   (``shuffle=False``, block-aligned batches); (b) block-local
   shuffling costs nothing measurable in fit quality (objective ratio
-  gated at 1.05); (c) ``jobs=N`` stays within a pinned Frobenius
-  deviation of ``jobs=1`` (the documented within-round ``V``
-  staleness).
+  gated at 1.05).
 
 Acceptance flags: ``serial_matches_incore_bit_exact``,
-``parallel_deviation_within_tolerance``, ``bounded_peak_memory``, and
-``landmark_block_intact``.  ``tests/oocore/test_benchmark.py`` runs the
-smoke configuration (``oocore_benchmark(smoke=True, jobs=2)``) and
-checks the schema, the accepted metrics and every flag; refresh the
-committed file with ``record_oocore_baseline()``.
+``bounded_peak_memory`` and ``landmark_block_intact``.
+``tests/oocore/test_benchmark.py`` runs the smoke configuration
+(``oocore_benchmark(smoke=True)``) and checks the schema, the accepted
+metrics and every flag; refresh the committed file with
+``record_oocore_baseline()``.
 """
 
 from __future__ import annotations
@@ -42,10 +39,7 @@ import numpy as np
 
 from ..bench.io import write_bench_json
 
-__all__ = ["oocore_benchmark", "record_oocore_baseline", "PARALLEL_DEVIATION_TOLERANCE"]
-
-PARALLEL_DEVIATION_TOLERANCE = 0.05
-"""Max relative Frobenius deviation of ``jobs=N`` factors vs ``jobs=1``."""
+__all__ = ["oocore_benchmark", "record_oocore_baseline"]
 
 _CURVE_ROWS = (10_000, 100_000, 1_000_000)
 _CURVE_ROWS_SMOKE = (16_384, 131_072)
@@ -74,8 +68,7 @@ def _probe_fit(params: dict[str, Any]) -> dict[str, Any]:
 
     from ..core.landmarks import kmeans_landmarks
     from .blocks import GeneratorBlockSource
-    from .parallel import fit_oocore
-    from .streaming import streaming_init
+    from .streaming import fit_oocore, streaming_init
 
     source = GeneratorBlockSource(
         "lowrank_landmark",
@@ -97,25 +90,18 @@ def _probe_fit(params: dict[str, Any]) -> dict[str, Any]:
     start = time.perf_counter()
     result = fit_oocore(
         source, v0, u0,
-        epochs=params["epochs"], jobs=params["jobs"], frozen_prefix=2,
+        epochs=params["epochs"], frozen_prefix=2,
         shuffle=True, seed=params["seed"],
         learning_rate=params["learning_rate"],
     )
     fit_seconds = time.perf_counter() - start
-    rss_self = int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss) * 1024
-    rss_children = (
-        int(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss) * 1024
-    )
-    peak_rss = max(rss_self, rss_children)
+    peak_rss = int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss) * 1024
     return {
         "rows": int(params["rows"]),
         "block_rows": int(source.block_rows),
         "n_blocks": int(source.n_blocks),
-        "jobs": int(params["jobs"]),
         "fit_seconds": float(fit_seconds),
-        "peak_rss_bytes": int(peak_rss),
-        "peak_rss_self_bytes": int(rss_self),
-        "peak_rss_children_bytes": int(rss_children),
+        "peak_rss_bytes": peak_rss,
         "dense_bytes": int(
             _dense_bytes(params["rows"], params["cols"], params["rank"])
         ),
@@ -167,19 +153,14 @@ def _run_probe(params: dict[str, Any], timeout: float = 1800.0) -> dict[str, Any
     return payload
 
 
-def _frobenius_deviation(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-12))
-
-
 def _equivalence(
     *, rows: int, block_rows: int, batch_size: int, epochs: int,
-    jobs: int, seed: int, learning_rate: float,
+    seed: int, learning_rate: float,
 ) -> dict[str, Any]:
     """Sharded-vs-in-core checks on an in-core-sized instance."""
     from ..bench.specs import generate
     from ..core.smfl import SMFL
     from .blocks import ArrayBlockSource
-    from .parallel import fit_oocore, fit_parallel
     from .streaming import StreamingFactorizer
 
     bench = generate(
@@ -225,21 +206,6 @@ def _equivalence(
     r[~observed] = 0.0
     obj_incore = float(np.vdot(r, r))
     objective_ratio = float(obj_stream / max(obj_incore, 1e-12))
-
-    serial = fit_oocore(
-        source, init.v_, init.u_, epochs=epochs, jobs=1,
-        frozen_prefix=prefix, shuffle=True, seed=seed,
-        learning_rate=learning_rate,
-    )
-    parallel = fit_parallel(
-        source, init.v_, init.u_, epochs=epochs, jobs=jobs,
-        frozen_prefix=prefix, shuffle=True, seed=seed,
-        learning_rate=learning_rate,
-    )
-    deviation = max(
-        _frobenius_deviation(parallel.u, serial.u),
-        _frobenius_deviation(parallel.v, serial.v),
-    )
     return {
         "rows": int(rows),
         "block_rows": int(block_rows),
@@ -249,12 +215,9 @@ def _equivalence(
         "objective_incore": obj_incore,
         "objective_streaming": float(obj_stream),
         "objective_ratio": objective_ratio,
-        "parallel_jobs": int(jobs),
-        "parallel_max_rel_deviation": float(deviation),
         "landmark_block_intact": bool(
             streamer.landmark_block_intact
-            and serial.landmark_block_intact
-            and parallel.landmark_block_intact
+            and stream_shuffled.landmark_block_intact
         ),
     }
 
@@ -262,7 +225,6 @@ def _equivalence(
 def oocore_benchmark(
     *,
     smoke: bool = False,
-    jobs: int = 4,
     seed: int = 0,
     epochs: int = 3,
     learning_rate: float = 1e-3,
@@ -277,7 +239,6 @@ def oocore_benchmark(
             "rank": _RANK,
             "block_rows": block_rows,
             "epochs": epochs,
-            "jobs": jobs,
             "seed": seed,
             # V gradients carry the full-dataset scale (2 n_rows /
             # block rows per block), so the stable step size shrinks
@@ -290,14 +251,12 @@ def oocore_benchmark(
     eq_rows = 1_024 if smoke else 2_048
     # V gradients are full-dataset-scaled (scale = 2 n_rows / block
     # rows), so the stable step size shrinks as 1/n_rows; pin the
-    # equivalence run safely inside that regime or within-round
-    # staleness amplifies instead of staying a perturbation.
+    # equivalence run safely inside that regime.
     equivalence = _equivalence(
         rows=eq_rows,
         block_rows=128 if smoke else 256,
         batch_size=64,
         epochs=epochs,
-        jobs=jobs,
         seed=seed,
         learning_rate=min(learning_rate, 0.25 / eq_rows),
     )
@@ -309,7 +268,6 @@ def oocore_benchmark(
         "rank": _RANK,
         "block_rows": block_rows,
         "epochs": int(epochs),
-        "jobs": int(jobs),
         "seed": int(seed),
         "learning_rate": float(learning_rate),
         "smoke": bool(smoke),
@@ -317,14 +275,9 @@ def oocore_benchmark(
         "peak_rss_growth_bytes": int(rss_growth),
         "dense_growth_bytes": int(dense_growth),
         "equivalence": equivalence,
-        "parallel_deviation_tolerance": PARALLEL_DEVIATION_TOLERANCE,
         "acceptance": {
             "serial_matches_incore_bit_exact": bool(
                 equivalence["serial_bit_exact"]
-            ),
-            "parallel_deviation_within_tolerance": bool(
-                equivalence["parallel_max_rel_deviation"]
-                <= PARALLEL_DEVIATION_TOLERANCE
             ),
             "bounded_peak_memory": bool(rss_growth < dense_growth),
             "landmark_block_intact": bool(

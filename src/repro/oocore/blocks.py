@@ -4,9 +4,9 @@ The block protocol is deliberately tiny: a :class:`RowBlockSource`
 knows its full shape and block size, and :meth:`~RowBlockSource.block`
 materializes one :class:`RowBlock` — the half-open row range plus the
 observed-projected data and mask for exactly those rows.  Everything
-above this seam (:class:`~repro.oocore.streaming.StreamingFactorizer`,
-the shared-memory workers) touches one block at a time, so peak memory
-scales with ``block_rows * n_cols``, not ``n_rows * n_cols``.
+above this seam (:class:`~repro.oocore.streaming.StreamingFactorizer`)
+touches one block at a time, so peak memory scales with
+``block_rows * n_cols``, not ``n_rows * n_cols``.
 
 Three implementations:
 
@@ -49,9 +49,9 @@ def block_order(
     """The deterministic within-block row order of one (epoch, block).
 
     A pure function of ``(seed, epoch, block_index)`` — independent of
-    which worker processes the block, how many workers exist, and how
-    many epochs ran before — which is what makes serial and parallel
-    schedules replayable and comparable.  With ``shuffle=False`` the
+    the order blocks are visited in and of how many epochs ran before —
+    which is what makes a fit replayable block by block.  With
+    ``shuffle=False`` the
     order is ``arange(rows)``, the alignment the bit-exactness tests
     exploit.
     """

@@ -1,5 +1,9 @@
 """The streaming ``partial_fit`` seam: sharded SGD against shared ``V``.
 
+:func:`fit_oocore` is the package's entry point: one serial pass per
+epoch over a :class:`~repro.oocore.blocks.RowBlockSource`, one SGD
+batch per block, returned as an :class:`OocoreFitResult`.
+
 :class:`StreamingFactorizer` owns the full factors ``U`` (``n x k``,
 the only per-row state) and ``V`` (``k x m``) plus a
 :class:`~repro.engine.stochastic.StochasticWorkspace`, and consumes one
@@ -31,6 +35,8 @@ SMFL's landmark prefix of ``V`` is bit-frozen by construction: every
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
 from ..engine.stochastic import (
@@ -46,7 +52,7 @@ from ..obs.stream import get_recorder, observe
 from ..validation import resolve_rng
 from .blocks import RowBlock, RowBlockSource, block_order
 
-__all__ = ["StreamingFactorizer", "streaming_init"]
+__all__ = ["OocoreFitResult", "StreamingFactorizer", "fit_oocore", "streaming_init"]
 
 
 def streaming_init(
@@ -260,9 +266,8 @@ class StreamingFactorizer:
                 )
                 apply_v_step(self.v, grad_v, lr, self._live, ws)
         self._epoch_rows += blk.rows
-        # ``round`` is the V-step application sequence number; in the
-        # serial path blocks apply in index order, so it equals the
-        # block index - the same key the parallel parent records.
+        # ``round`` is the V-step application sequence number; blocks
+        # apply in index order, so it equals the block index.
         recorder.event(
             "oocore.block_done",
             epoch=ws.epoch,
@@ -289,7 +294,7 @@ class StreamingFactorizer:
     def fit(self, source: RowBlockSource, *, epochs: int) -> "StreamingFactorizer":
         """Serial sharded fit: ``epochs`` ordered passes over ``source``."""
         with observe(
-            "oocore.fit", jobs=1, epochs=int(epochs),
+            "oocore.fit", epochs=int(epochs),
             blocks=source.n_blocks, n_rows=self.n_rows,
         ):
             for _ in range(int(epochs)):
@@ -340,3 +345,53 @@ class StreamingFactorizer:
                 r_land[~block.observed[:, :p]] = 0.0
                 total += float(np.vdot(r_land, r_land))
         return total
+
+
+@dataclass(frozen=True)
+class OocoreFitResult:
+    """The factors and telemetry of one out-of-core fit."""
+
+    u: np.ndarray
+    v: np.ndarray
+    sampled_objectives: list[float] = field(default_factory=list)
+    rows_touched: list[int] = field(default_factory=list)
+    landmark_block_intact: bool = True
+    epochs: int = 0
+
+
+def fit_oocore(
+    source: RowBlockSource,
+    v0: np.ndarray,
+    u0: np.ndarray,
+    *,
+    epochs: int,
+    frozen_prefix: int = 0,
+    shuffle: bool = True,
+    seed: int = 0,
+    learning_rate: float = 1e-3,
+    lr_decay: float = 0.0,
+) -> OocoreFitResult:
+    """Serial out-of-core fit: one SGD batch per block.
+
+    A :class:`StreamingFactorizer` at ``batch_size == block_rows``, so
+    its factors are bit-identical to that streamer's.
+    """
+    streamer = StreamingFactorizer(
+        source.n_rows,
+        v0,
+        u0=u0,
+        frozen_prefix=frozen_prefix,
+        batch_size=source.block_rows,
+        shuffle=shuffle,
+        seed=seed,
+        learning_rate=learning_rate,
+        lr_decay=lr_decay,
+    ).fit(source, epochs=epochs)
+    return OocoreFitResult(
+        u=streamer.u,
+        v=streamer.v,
+        sampled_objectives=streamer.sampled_objectives,
+        rows_touched=streamer.rows_touched,
+        landmark_block_intact=streamer.landmark_block_intact,
+        epochs=int(epochs),
+    )

@@ -445,10 +445,9 @@ def _bench_sweep(params: dict[str, Any]) -> dict[str, Any]:
 def _oocore_fit(params: dict[str, Any]) -> dict[str, Any]:
     """Fit a generator-spec dataset through the out-of-core streaming path.
 
-    Streams the dataset block-by-block through
-    :func:`repro.oocore.fit_oocore` at ``jobs=1`` (the bit-deterministic
-    serial path), freezing the k-means landmark prefix exactly as the
-    in-core SMFL fit would.  The value is the final sampled objective;
+    Streams the dataset block-by-block through the bit-deterministic
+    :func:`repro.oocore.fit_oocore`, freezing the k-means landmark
+    prefix exactly as the in-core SMFL fit would.  The value is the final sampled objective;
     the factor hash rides along so grids can determinism-check the fit
     end to end.
     """
@@ -482,7 +481,6 @@ def _oocore_fit(params: dict[str, Any]) -> dict[str, Any]:
         v0,
         u0,
         epochs=int(params.get("epochs", 3)),
-        jobs=1,
         frozen_prefix=n_spatial,
         shuffle=bool(params.get("shuffle", True)),
         seed=seed,

@@ -62,7 +62,7 @@ class TestGatePasses:
         assert report.failures == []
         assert report.passed
         assert report.compared_cells == baseline_sweep["n_cells"]
-        assert len(report.checked_files) == 3
+        assert len(report.checked_files) == 2
 
     def test_unmodified_tree_passes_via_cli(self):
         proc = _gate_cli(RESULTS_DIR, "--sweep", bench_path("sweep", RESULTS_DIR))
@@ -113,7 +113,7 @@ class TestGateFailsOnPerturbation:
         assert any("peak_rss_growth_bytes" in failure for failure in report.failures)
 
     def test_stale_envelope_version_fails(self, results_copy):
-        path = results_copy / "SLO_serving.json"
+        path = results_copy / "BENCH_oocore.json"
         payload = json.loads(path.read_text())
         payload["bench_schema_version"] = 99
         path.write_text(json.dumps(payload))

@@ -79,12 +79,9 @@ class TestTimingWritersRouteThroughEnvelope:
         import inspect
 
         from repro.bench import sweep
-        from repro.obs import slo
         from repro.oocore import benchmark
 
-        for module, name in (
-            (benchmark, "oocore"), (sweep, "sweep"), (slo, "SLO_serving")
-        ):
+        for module, name in ((benchmark, "oocore"), (sweep, "sweep")):
             source = inspect.getsource(module)
             assert f'write_bench_json("{name}"' in source
             assert "json.dump(" not in source

@@ -19,11 +19,8 @@ from repro.bench import (
 from repro.bench.schema import iter_paths
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "..", "..", "results")
-COMMITTED = sorted(
-    glob.glob(os.path.join(RESULTS_DIR, "BENCH_*.json"))
-    + glob.glob(os.path.join(RESULTS_DIR, "SLO_*.json"))
-)
-EXPECTED_NAMES = ("SLO_serving", "oocore", "sweep")
+COMMITTED = sorted(glob.glob(os.path.join(RESULTS_DIR, "BENCH_*.json")))
+EXPECTED_NAMES = ("oocore", "sweep")
 OOCORE_PATH = os.path.join(RESULTS_DIR, "BENCH_oocore.json")
 
 

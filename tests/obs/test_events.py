@@ -1,7 +1,6 @@
 """The record stream: record shape, sinks, ambience, recovery.
 
-Everything downstream — ``report --tail``, ``expose``, the SLO gate —
-keys on the invariants pinned here: schema-versioned records on the
+Everything downstream — ``report --tail``, ``expose`` — keys on the invariants pinned here: schema-versioned records on the
 one-clock anchor, whole-line append atomicity, a truncation-tolerant
 reader whose tolerance extends *only* to the final line, and an
 ambient default that costs nothing when telemetry is off.
@@ -233,3 +232,27 @@ class TestEngineIntegration:
         assert names.index("fit_start") < names.index("fit_done")
         end = next(r for r in _events(sink.tail()) if r["name"] == "fit_done")
         assert end["attrs"]["n_iter"] >= 1
+
+    def test_both_loops_write_one_fit_done_shape(self, rng):
+        # The engine-driven reference fit and the default stacked fit
+        # write the same ``per_fit_*`` books.
+        x = np.hstack([rng.random((30, 2)) * 4.0,
+                       np.abs(rng.normal(1.0, 0.3, size=(30, 4)))])
+        books = []
+        for kernel_path in ("reference", "auto"):
+            sink = RingBufferSink()
+            with use_recorder(Recorder(sink)):
+                SMFL(rank=3, n_spatial=2, max_iter=25, random_state=0,
+                     kernel_path=kernel_path).fit(x)
+            (end,) = [r for r in _events(sink.tail()) if r["name"] == "fit_done"]
+            books.append({
+                key: value for key, value in end["attrs"].items()
+                if key.startswith("per_fit_")
+            })
+        reference, stacked = books
+        assert sorted(reference) == [
+            "per_fit_converged", "per_fit_n_increases",
+            "per_fit_n_iter", "per_fit_stop_reason",
+        ]
+        assert reference == stacked
+        assert reference["per_fit_n_iter"] == [25]

@@ -1,1 +1,1 @@
-"""Tests for the out-of-core streaming/parallel fitting subsystem."""
+"""Tests for the out-of-core streaming fitting subsystem."""

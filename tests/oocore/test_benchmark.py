@@ -10,7 +10,7 @@ from repro.bench.schema import (
     check_metrics,
     validate_bench_payload,
 )
-from repro.oocore.benchmark import PARALLEL_DEVIATION_TOLERANCE, oocore_benchmark
+from repro.oocore.benchmark import oocore_benchmark
 from repro.runner.cells import CELL_KINDS, run_cell
 
 
@@ -22,21 +22,14 @@ class TestSchemaRegistration:
     def test_acceptance_flags_are_ratcheted(self):
         paths = {check.path for check in ACCEPTED_METRICS["oocore"]}
         assert "acceptance.*" in paths
-        assert "equivalence.parallel_max_rel_deviation" in paths
-
-    def test_tolerance_metric_matches_the_pinned_constant(self):
-        (dev_check,) = [
-            c for c in ACCEPTED_METRICS["oocore"]
-            if c.path == "equivalence.parallel_max_rel_deviation"
-        ]
-        assert dev_check.limit == PARALLEL_DEVIATION_TOLERANCE
+        assert "equivalence.objective_ratio" in paths
 
 
 @pytest.mark.slow
 class TestSmokePayload:
     @pytest.fixture(scope="class")
     def payload(self):
-        return oocore_benchmark(smoke=True, jobs=2)
+        return oocore_benchmark(smoke=True)
 
     def test_payload_validates_against_the_schema(self, payload):
         assert validate_bench_payload("oocore", payload, require_envelope=False) == []

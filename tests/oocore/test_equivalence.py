@@ -1,14 +1,12 @@
 """Equivalence contract: sharded streaming reduces to the in-core fit.
 
 The out-of-core path is only trustworthy if it is *provably the same
-algorithm* as the in-core stochastic fit.  Three layers of that claim:
+algorithm* as the in-core stochastic fit.  Two layers of that claim:
 
 1. With ``shuffle=False`` and block-aligned batches, the streaming
    factorizer reproduces the in-core SGD fit **bit-exactly** — factors
    and telemetry.
-2. ``fit_oocore(jobs=1)`` is the serial streaming path, bit-exactly.
-3. ``jobs=N`` differs only through within-round V staleness, bounded by
-   the pinned tolerance the benchmark ratchets.
+2. ``fit_oocore`` is the serial streaming path, bit-exactly.
 """
 
 from __future__ import annotations
@@ -26,10 +24,8 @@ from repro.oocore import (
     GeneratorBlockSource,
     StreamingFactorizer,
     fit_oocore,
-    fit_parallel,
     streaming_init,
 )
-from repro.oocore.benchmark import PARALLEL_DEVIATION_TOLERANCE
 
 COLS, RANK = 9, 4
 
@@ -82,69 +78,27 @@ class TestSerialBitExactness:
         _, x_observed, observed = _problem(rows, seed)
         u0, v0 = init_factors(x_observed, observed, RANK, random_state=seed)
         source = ArrayBlockSource(x_observed, observed, block_rows=64)
-        a = fit_oocore(source, v0, u0, epochs=epochs, jobs=1, frozen_prefix=2, seed=seed)
-        b = fit_oocore(source, v0, u0, epochs=epochs, jobs=1, frozen_prefix=2, seed=seed)
-        np.testing.assert_array_equal(a.u, b.u)
-        np.testing.assert_array_equal(a.v, b.v)
-        assert a.sampled_objectives == b.sampled_objectives
-        assert a.jobs == 1 and a.epochs == epochs
-
-
-class TestParallelAgreement:
-    def test_parallel_jobs1_is_bit_identical_to_serial(self):
-        rows, seed = 256, 5
-        _, x_observed, observed = _problem(rows, seed)
-        u0, v0 = init_factors(x_observed, observed, RANK, random_state=seed)
-        source = ArrayBlockSource(x_observed, observed, block_rows=64)
-        serial = fit_oocore(source, v0, u0, epochs=2, jobs=1, frozen_prefix=2, seed=seed)
-        parallel = fit_parallel(source, v0, u0, epochs=2, jobs=1, frozen_prefix=2, seed=seed)
-        np.testing.assert_array_equal(parallel.u, serial.u)
-        np.testing.assert_array_equal(parallel.v, serial.v)
-        assert parallel.sampled_objectives == serial.sampled_objectives
-        assert parallel.rows_touched == serial.rows_touched
-
-    def test_jobs4_agrees_within_pinned_tolerance(self):
-        rows, seed = 512, 3
-        _, x_observed, observed = _problem(rows, seed)
-        u0, v0 = init_factors(x_observed, observed, RANK, random_state=seed)
-        source = ArrayBlockSource(x_observed, observed, block_rows=128)
-        # lr inside the 1/n_rows stability regime — above it, the
-        # within-round V staleness amplifies instead of perturbing.
-        lr = 5e-4
-        serial = fit_oocore(
-            source, v0, u0, epochs=3, jobs=1, frozen_prefix=2, seed=seed, learning_rate=lr
-        )
-        parallel = fit_parallel(
-            source, v0, u0, epochs=3, jobs=4, frozen_prefix=2, seed=seed, learning_rate=lr
-        )
-
-        def rel_dev(a, b):
-            return float(np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-12))
-
-        assert rel_dev(parallel.u, serial.u) < PARALLEL_DEVIATION_TOLERANCE
-        assert rel_dev(parallel.v, serial.v) < PARALLEL_DEVIATION_TOLERANCE
-        assert parallel.jobs == 4
-
-    def test_parallel_is_deterministic_across_runs(self):
-        rows, seed = 256, 9
-        _, x_observed, observed = _problem(rows, seed)
-        u0, v0 = init_factors(x_observed, observed, RANK, random_state=seed)
-        source = ArrayBlockSource(x_observed, observed, block_rows=64)
-        a = fit_parallel(source, v0, u0, epochs=2, jobs=2, frozen_prefix=2, seed=seed)
-        b = fit_parallel(source, v0, u0, epochs=2, jobs=2, frozen_prefix=2, seed=seed)
-        np.testing.assert_array_equal(a.u, b.u)
-        np.testing.assert_array_equal(a.v, b.v)
+        a = fit_oocore(source, v0, u0, epochs=epochs, frozen_prefix=2, seed=seed)
+        b = fit_oocore(source, v0, u0, epochs=epochs, frozen_prefix=2, seed=seed)
+        streamer = StreamingFactorizer(
+            rows, v0, u0=u0, frozen_prefix=2, batch_size=64, seed=seed
+        ).fit(source, epochs=epochs)
+        for other in (b, streamer):
+            np.testing.assert_array_equal(a.u, other.u)
+            np.testing.assert_array_equal(a.v, other.v)
+            assert a.sampled_objectives == other.sampled_objectives
+        assert a.epochs == epochs
 
 
 class TestLandmarkFreeze:
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_landmark_block_is_bit_frozen(self, jobs):
-        rows, seed, prefix = 256, 17, 2
+    @pytest.mark.parametrize("prefix", [1, 2])
+    def test_landmark_block_is_bit_frozen(self, prefix):
+        rows, seed = 256, 17
         _, x_observed, observed = _problem(rows, seed)
         u0, v0 = init_factors(x_observed, observed, RANK, random_state=seed)
         source = ArrayBlockSource(x_observed, observed, block_rows=64)
         result = fit_oocore(
-            source, v0, u0, epochs=3, jobs=jobs, frozen_prefix=prefix, seed=seed
+            source, v0, u0, epochs=3, frozen_prefix=prefix, seed=seed
         )
         np.testing.assert_array_equal(result.v[:, :prefix], v0[:, :prefix])
         assert result.landmark_block_intact
